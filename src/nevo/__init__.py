@@ -4,7 +4,7 @@ Stage one trains a network with minibatch Adam and retains a ring of
 end-of-epoch parameter vectors.  Stage two fine-tunes the flattened
 parameter vector with differential evolution seeded from that ring.
 Evaluation covers clean accuracy, corruption error / mCE aggregation,
-and cost-model counters.
+and a cost model whose operation counts are derived from layer shapes.
 """
 
 import os
@@ -62,7 +62,7 @@ from .evolution import (  # noqa: E402
     DEFAULT_GRID,
 )
 from .data import Dataset, load_idx, load_npy, save_npy, fetch, augment, corrupt, batches  # noqa: E402
-from .evaluation import EvalReport, evaluate, mce, count_costs, CostCounter, report  # noqa: E402
+from .evaluation import EvalReport, evaluate, mce, count_costs, report  # noqa: E402
 from .persistence import Checkpoint, save_checkpoint, load_checkpoint, parse_config  # noqa: E402
 from .cli import cli_main  # noqa: E402
 

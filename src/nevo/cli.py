@@ -37,8 +37,8 @@ import numpy as np
 from . import data as datasets
 from .errors import MissingArtifactError, NevoError, NumericError
 from .evaluation import count_costs, evaluate, report
-from .evolution import (ensure_fitness, grid_search, run_de, sample_context,
-                        seed_population)
+from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, ensure_fitness,
+                        grid_search, run_de, sample_context, seed_population)
 from .network import param_count
 from .persistence import (Checkpoint, load_checkpoint, load_manifest,
                           load_ring, parse_config, save_checkpoint,
@@ -212,8 +212,6 @@ def _cmd_train(args) -> int:
     if (run_dir / "config.json").exists():
         raise MissingArtifactError(
             f"run directory {run_dir} is already initialized; pick a new --out")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(text)
 
     train_ds, test_ds = _load_split_pair(cfg.data)
     if cfg.data.augment_multiplier > 1:
@@ -221,6 +219,10 @@ def _cmd_train(args) -> int:
                                     cfg.data.max_shift_px,
                                     cfg.data.max_rotate_deg,
                                     RngStream(bp.seed).child(_NS_AUGMENT))
+    # created only after the data loads, so a failed load leaves nothing
+    # behind that would refuse a retry
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(text)
     writer = _RunWriter(run_dir)
 
     def on_epoch(m):
@@ -235,7 +237,6 @@ def _cmd_train(args) -> int:
     except TrainingDiverged as exc:
         if exc.ring is not None and len(exc.ring):
             save_ring(exc.ring, run_dir / "ring", cfg.spec, {"seed": bp.seed})
-        writer.close()
         raise
     finally:
         writer.close()
@@ -295,11 +296,11 @@ def _cmd_evolve(args) -> int:
     else:
         ring, spec = load_ring(run_dir / "ring")
         pop = seed_population("ancestors", ring, m, args.jitter,
-                              base.child(4))
+                              base.child(_NS_SOUP))
 
     def factory(r):
         return sample_context(spec, train_ds, de.fitness_subset,
-                              base.child(3, r), r)
+                              base.child(_NS_SUBSET, r), r)
 
     ensure_fitness(pop, factory(0), pool)
     seed_best_i = pop.best_index
@@ -316,7 +317,7 @@ def _cmd_evolve(args) -> int:
                       {"stage": "de", "gen": g.generation}, g.wall_ms)
 
     try:
-        out = run_de(pop, de, factory, stream=base.child(2), pool=pool,
+        out = run_de(pop, de, factory, stream=base.child(_NS_DE), pool=pool,
                      callback=on_gen)
     finally:
         writer.close()

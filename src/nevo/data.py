@@ -34,14 +34,11 @@ class Dataset:
     """Immutable image-classification split.
 
     images: float32 [N, C, H, W] in [0, 1]; labels: int64 [N].
-    normalization, when present, is a per-channel (mean, std) pair kept
-    for reporting; the pipeline itself consumes raw [0, 1] pixels.
     """
 
     images: np.ndarray
     labels: np.ndarray
     name: str = "unnamed"
-    normalization: Optional[tuple] = None
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -59,8 +56,7 @@ class Dataset:
         """First n samples (all, if n is 0 or exceeds N)."""
         if n <= 0 or n >= len(self):
             return self
-        return Dataset(self.images[:n], self.labels[:n],
-                       name or self.name, self.normalization)
+        return Dataset(self.images[:n], self.labels[:n], name or self.name)
 
 
 def _read_file(path) -> bytes:
@@ -483,8 +479,7 @@ def augment(data: Dataset, multiplier: int, max_shift_px: int = 2,
                                       np.ones(n)))
     images = np.concatenate(parts)
     labels = np.tile(data.labels, multiplier)
-    return Dataset(images, labels, f"{data.name}/aug{multiplier}",
-                   data.normalization)
+    return Dataset(images, labels, f"{data.name}/aug{multiplier}")
 
 
 # --- corruption -----------------------------------------------------------
@@ -584,8 +579,7 @@ def corrupt(data: Dataset, kind: str, severity: int,
         out[:, :, lo:lo + band, :] = 1.0 - out[:, :, lo:lo + band, :]
 
     out = np.clip(out, 0.0, 1.0)
-    return Dataset(out, data.labels, f"{data.name}/{kind}:{severity}",
-                   data.normalization)
+    return Dataset(out, data.labels, f"{data.name}/{kind}:{severity}")
 
 
 def batches(data: Dataset, batch_size: int, shuffle: bool = False, rng=None):

@@ -1,6 +1,6 @@
 """Measurement: clean accuracy, corruption-error aggregation (mCE),
-operation-count bookkeeping for the two training regimes, and run
-report rendering.
+operation counts for the two training regimes, and run report
+rendering.
 """
 
 from __future__ import annotations
@@ -8,70 +8,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import threading
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, LabelError, NumericError, ShapeMismatchError
-from .network import NetworkSpec, activation_sizes, forward, param_count
+from .network import (Activation, Conv, Dense, NetworkSpec, Pool,
+                      activation_sizes, forward, param_count)
 from .data import Dataset, batches
 from .rng import RngStream
-
-
-class CostCounter:
-    """Thread-safe operation tallies.
-
-    madds counts multiply-accumulate pairs in dense/conv contractions;
-    bias adds, activation-function queries, and pooling-window element
-    visits are tracked separately so the contraction count can be
-    compared against closed forms exactly.  The de_* buckets count
-    parameter-slot touches in the evolutionary update.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.madds = 0
-        self.bias_adds = 0
-        self.activations = 0
-        self.pool_ops = 0
-        self.de_mutation = 0
-        self.de_crossover = 0
-        self.de_selections = 0
-
-    def _add(self, name, n):
-        with self._lock:
-            setattr(self, name, getattr(self, name) + int(n))
-
-    def add_madds(self, n):
-        self._add("madds", n)
-
-    def add_bias_adds(self, n):
-        self._add("bias_adds", n)
-
-    def add_activations(self, n):
-        self._add("activations", n)
-
-    def add_pool_ops(self, n):
-        self._add("pool_ops", n)
-
-    def add_de_mutation(self, n):
-        self._add("de_mutation", n)
-
-    def add_de_crossover(self, n):
-        self._add("de_crossover", n)
-
-    def add_de_selection(self, n):
-        self._add("de_selections", n)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"madds": self.madds, "bias_adds": self.bias_adds,
-                    "activations": self.activations, "pool_ops": self.pool_ops,
-                    "de_mutation": self.de_mutation,
-                    "de_crossover": self.de_crossover,
-                    "de_selections": self.de_selections}
 
 
 @dataclass(frozen=True)
@@ -85,7 +32,7 @@ class EvalReport:
 
 
 def evaluate(spec: NetworkSpec, params: np.ndarray, data: Dataset,
-             batch_size: int = 256, counter=None) -> EvalReport:
+             batch_size: int = 256) -> EvalReport:
     """Argmax classification accuracy plus mean cross-entropy.
 
     Ties in the logits resolve to the lowest class index.  Per-sample
@@ -103,7 +50,7 @@ def evaluate(spec: NetworkSpec, params: np.ndarray, data: Dataset,
             f"label {int(data.labels[i])} at index {i} outside "
             f"[0, {n_classes})")
     for xb, yb in batches(data, batch_size):
-        logits = forward(spec, params, xb, counter)
+        logits = forward(spec, params, xb)
         preds = logits.argmax(axis=1)
         correct += int(np.sum(preds == yb))
         z = logits.astype(np.float64)
@@ -142,7 +89,7 @@ def mce(errors: dict, baseline: dict):
 
 @dataclass(frozen=True)
 class CostReport:
-    """Measured operation counts for one sample / one update, plus the
+    """Operation counts for one sample / one update, plus the
     budget-scaled totals bp_madds = n_g * forward_madds and
     de_update_ops = n_e * d."""
 
@@ -186,28 +133,43 @@ class CostReport:
 
 
 def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1) -> CostReport:
-    """Instrumented single-sample forward pass and single-member
-    evolutionary update; the counters come from running the real ops,
-    not from formulas, so they can be audited against closed forms."""
+    """Operation counts of a single-sample forward pass and of one
+    member's evolutionary update; the one place that knows the cost
+    model.
+
+    Forward counts come from layer shapes.  Dense: in*out
+    multiply-accumulates and out bias adds.  Conv: out_elems*C_in*k^2
+    multiply-accumulates and out_elems bias adds.  Pool: out_elems*size^2
+    window visits.  Activation: out_elems queries.  The DE side replays
+    one real mutation and crossover draw, so the crossover count is the
+    number of slots that draw takes from the mutant."""
     from .evolution import Population, crossover, mutate
 
+    madds = bias_adds = activations = pool_ops = 0
+    for layer, shape in zip(spec.layers, spec.shapes()[1:]):
+        out_elems = math.prod(shape)
+        if isinstance(layer, Dense):
+            madds += layer.in_features * layer.out_features
+            bias_adds += out_elems
+        elif isinstance(layer, Conv):
+            madds += out_elems * layer.in_channels * layer.kernel ** 2
+            bias_adds += out_elems
+        elif isinstance(layer, Pool):
+            pool_ops += out_elems * layer.size ** 2
+        elif isinstance(layer, Activation):
+            activations += out_elems
+
     d = param_count(spec)
-    fwd = CostCounter()
-    theta = np.zeros(d, dtype=np.float32)
-    x = np.zeros((1,) + spec.input_shape, dtype=np.float32)
-    forward(spec, theta, x, fwd)
-
-    de = CostCounter()
     gen = RngStream(0).generator()
-    members = [np.zeros(d, dtype=np.float32) for _ in range(4)]
-    pop = Population(members, np.full(4, np.nan))
-    mutant = mutate(pop, 0, 0.5, gen, de)
-    crossover(members[0], mutant, 0.5, False, gen, de)
-    de.add_de_selection(1)
+    pop = Population([np.zeros(d, dtype=np.float32) for _ in range(4)],
+                     np.full(4, np.nan))
+    mutate(pop, 0, 0.5, gen)  # advances gen exactly as a real update does
+    trial = crossover(np.zeros(d, dtype=np.float32),
+                      np.ones(d, dtype=np.float32), 0.5, False, gen)
 
-    return CostReport(d, activation_sizes(spec), fwd.madds, fwd.bias_adds,
-                      fwd.activations, fwd.pool_ops, de.de_mutation,
-                      de.de_crossover, de.de_selections, n_g, n_e)
+    return CostReport(d, activation_sizes(spec), madds, bias_adds,
+                      activations, pool_ops, d, int(trial.sum()), 1,
+                      n_g, n_e)
 
 
 def published_tables() -> dict:

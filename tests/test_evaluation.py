@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,9 +13,11 @@ import pytest
 from nevo.data import make_synthetic_pair
 from nevo.errors import (ConfigError, LabelError, NumericError,
                          ShapeMismatchError)
-from nevo.evaluation import (CostCounter, count_costs, evaluate, mce,
-                             published_tables, report)
-from nevo.network import param_count, zoo_spec
+from nevo.evaluation import (count_costs, evaluate, mce, published_tables,
+                             report)
+from nevo.evolution import Population, crossover, mutate
+from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
+                          param_count, zoo_spec)
 from nevo.rng import RngStream
 
 from synthdata import random_theta, small_mlp
@@ -161,22 +162,9 @@ def test_evaluate_rejects_out_of_range_labels():
 
 def test_evaluate_counts_forward_madds():
     spec, theta, data = eval_fixture(50)
-    counter = CostCounter()
-    evaluate(spec, theta, data, 16, counter)
+    rep = evaluate(spec, theta, data, 16)
     per_sample = 16 * 10 + 10 * 4
-    assert counter.madds == 50 * per_sample
-
-
-def test_cost_counter_is_thread_safe():
-    c = CostCounter()
-
-    def bump(_):
-        for _ in range(1000):
-            c.add_madds(1)
-
-    with ThreadPoolExecutor(8) as pool:
-        list(pool.map(bump, range(8)))
-    assert c.madds == 8000
+    assert count_costs(spec, n_g=rep.n_samples).bp_madds == 50 * per_sample
 
 
 def test_count_costs_mlp_closed_form():
@@ -207,6 +195,61 @@ def test_count_costs_lenet1_closed_form():
     assert rep.de_mutation_touches == 3246
     assert rep.bias_adds == 4 * 24 * 24 + 12 * 8 * 8 + 10
     assert rep.layer_sizes == [784, 4 * 24 * 24, 12 * 8 * 8, 10]
+
+
+# (forward_madds, bias_adds, activations, pool_ops, de_crossover_touches)
+_GOLDEN_COSTS = {
+    "mlp": (101632, 138, 128, 0, 50790),
+    "lenet1": (136320, 3082, 3072, 3072, 1670),
+    "lenet5": (651720, 6518, 6508, 6304, 30959),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_COSTS))
+def test_count_costs_zoo_golden(name):
+    rep = count_costs(zoo_spec(name))
+    assert (rep.forward_madds, rep.bias_adds, rep.activations, rep.pool_ops,
+            rep.de_crossover_touches) == _GOLDEN_COSTS[name]
+    assert rep.de_mutation_touches == rep.d
+    assert rep.de_selections == 1
+
+
+def test_count_costs_strided_padded_conv_overlapping_pool_closed_form():
+    c_in, side, c_out, k, stride, pad = 2, 9, 3, 3, 2, 1
+    pool_size, pool_stride, classes = 3, 1, 4
+    spec = NetworkSpec((c_in, side, side), (
+        Conv(c_in, c_out, k, stride, pad),
+        Activation("tanh"),
+        Pool("avg", pool_size, pool_stride),
+        Flatten(),
+        Dense(27, classes),
+    ))
+    conv_side = (side + 2 * pad - k) // stride + 1
+    pool_side = (conv_side - pool_size) // pool_stride + 1
+    conv_out = c_out * conv_side * conv_side
+    pool_out = c_out * pool_side * pool_side
+    assert (conv_side, pool_side, pool_out) == (5, 3, 27)
+    rep = count_costs(spec)
+
+    assert rep.forward_madds == conv_out * c_in * k * k + pool_out * classes
+    assert rep.forward_madds == 1350 + 108
+    assert rep.bias_adds == conv_out + classes == 79
+    assert rep.activations == conv_out == 75
+    # overlapping windows: every window visit counts, and pooling is not
+    # a contraction
+    assert rep.pool_ops == pool_out * pool_size * pool_size == 243
+    assert rep.layer_sizes == [c_in * side * side, conv_out, classes]
+
+    d = param_count(spec)
+    assert d == c_out * c_in * k * k + c_out + 27 * classes + classes == 169
+    assert rep.d == d
+    assert rep.de_mutation_touches == d
+    assert rep.de_selections == 1
+    # the crossover count is the realised mask of the same draw
+    gen = RngStream(0).generator()
+    mutate(Population([np.zeros(d)] * 4, np.zeros(4)), 0, 0.5, gen)
+    trial = crossover(np.zeros(d), np.ones(d), 0.5, False, gen)
+    assert rep.de_crossover_touches == int(trial.sum()) <= d
 
 
 def test_count_costs_as_dict_round_trips_via_json():

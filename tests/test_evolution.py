@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from nevo.errors import MissingArtifactError, PopulationError
-from nevo.evaluation import CostCounter
+from nevo.evaluation import count_costs
 from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
                             ensure_fitness, evolve_generation, fitness,
                             grid_search, mutate, run_de, sample_context,
                             seed_population)
-from nevo.network import param_count
+from nevo.network import Dense, NetworkSpec, param_count
 from nevo.rng import RngStream
 from nevo.training import CheckpointRing, TrainConfig
 
@@ -90,10 +90,10 @@ def test_mutation_needs_four_members():
 
 
 def test_mutation_counter_counts_d():
-    c = CostCounter()
     pop = Population([np.zeros(7)] * 4, np.zeros(4))
-    mutate(pop, 0, 0.5, RngStream(0).generator(), c)
-    assert c.de_mutation == 7
+    assert mutate(pop, 0, 0.5, RngStream(0).generator()).shape == (7,)
+    spec = NetworkSpec((6,), (Dense(6, 1),))  # d = 6 + 1
+    assert count_costs(spec).de_mutation_touches == 7
 
 
 def test_crossover_bounds_exact():
@@ -125,10 +125,12 @@ def test_crossover_rate_is_binomial():
 
 
 def test_crossover_counter_bounded_by_d():
-    gen = RngStream(6).generator()
-    c = CostCounter()
-    out = crossover(np.zeros(100), np.ones(100), 0.3, False, gen, c)
-    assert c.de_crossover == int(out.sum()) <= 100
+    # replay count_costs' own draw: mutate, then crossover, on RngStream(0)
+    gen = RngStream(0).generator()
+    mutate(Population([np.zeros(100)] * 4, np.zeros(4)), 0, 0.5, gen)
+    out = crossover(np.zeros(100), np.ones(100), 0.5, False, gen)
+    spec = NetworkSpec((99,), (Dense(99, 1),))  # d = 99 + 1
+    assert count_costs(spec).de_crossover_touches == int(out.sum()) <= 100
 
 
 class Quadratic:

@@ -106,7 +106,7 @@ def relu_preact_margin(spec, theta, x):
     """Smallest |pre-activation| reaching a relu; guards the FD check
     against kink crossings."""
     from nevo.network import _run
-    _, caches = _run(spec, theta, x, None, True)
+    _, caches = _run(spec, theta, x, True)
     margins = []
     for layer, cache in zip(spec.layers, caches):
         if isinstance(layer, Activation) and layer.kind == "relu":

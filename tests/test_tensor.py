@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from nevo.errors import LabelError, ShapeMismatchError
-from nevo.evaluation import CostCounter
+from nevo.evaluation import count_costs
+from nevo.network import Conv, Dense, Flatten, NetworkSpec, Pool
 from nevo.tensor import (activate, conv2d, conv2d_backward, matmul, pool2d,
                          pool2d_backward, softmax_ce)
 
@@ -65,13 +66,13 @@ def test_matmul_f32_close_and_counted():
     gen = np.random.default_rng(12)
     a = gen.normal(size=(8, 20)).astype(np.float32)
     b = gen.normal(size=(20, 6)).astype(np.float32)
-    c = CostCounter()
-    got = matmul(a, b, c)
+    got = matmul(a, b)
     assert got.dtype == np.float32
     np.testing.assert_allclose(got, matmul_loops(a.astype(np.float64),
                                                  b.astype(np.float64)),
                                rtol=1e-5, atol=1e-6)
-    assert c.madds == 8 * 20 * 6
+    rep = count_costs(NetworkSpec((20,), (Dense(20, 6),)), n_g=8)
+    assert rep.bp_madds == 8 * 20 * 6
 
 
 def test_matmul_shape_errors():
@@ -97,14 +98,14 @@ def test_conv2d_f32_close_and_counted():
     x = gen.normal(size=(3, 2, 8, 8)).astype(np.float32)
     w = gen.normal(size=(5, 2, 3, 3)).astype(np.float32)
     b = gen.normal(size=5).astype(np.float32)
-    c = CostCounter()
-    got = conv2d(x, w, b, 1, 0, c)
+    got = conv2d(x, w, b, 1, 0)
     want = conv_loops(x.astype(np.float64), w.astype(np.float64),
                       b.astype(np.float64), 1, 0)
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
-    # madds: n*oc*oh*ow*c*kh*kw; bias adds: n*oc*oh*ow
-    assert c.madds == 3 * 5 * 6 * 6 * 2 * 3 * 3
-    assert c.bias_adds == 3 * 5 * 6 * 6
+    # per sample, madds: oc*oh*ow*c*kh*kw; bias adds: oc*oh*ow
+    rep = count_costs(NetworkSpec((2, 8, 8), (Conv(2, 5, 3), Flatten())))
+    assert 3 * rep.forward_madds == 3 * 5 * 6 * 6 * 2 * 3 * 3
+    assert 3 * rep.bias_adds == 3 * 5 * 6 * 6
 
 
 def test_conv2d_rejects_impossible_geometry():
@@ -168,10 +169,11 @@ def test_pool2d_matches_loops(kind):
 
 
 def test_pool2d_counts_and_rejects_bad_kind():
-    c = CostCounter()
-    pool2d(np.zeros((1, 2, 4, 4)), "max", 2, 2, c)
-    assert c.pool_ops == 2 * 2 * 2 * 2 * 2  # windows * window elements
-    assert c.madds == 0, "pooling must not count as contractions"
+    out, _ = pool2d(np.zeros((1, 2, 4, 4)), "max", 2, 2)
+    assert out.shape == (1, 2, 2, 2)
+    rep = count_costs(NetworkSpec((2, 4, 4), (Pool("max", 2, 2), Flatten())))
+    assert rep.pool_ops == 2 * 2 * 2 * 2 * 2  # windows * window elements
+    assert rep.forward_madds == 0, "pooling must not count as contractions"
     with pytest.raises(ShapeMismatchError):
         pool2d(np.zeros((1, 1, 4, 4)), "median", 2, 2)
 
