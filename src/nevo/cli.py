@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -209,7 +210,10 @@ def _cmd_train(args) -> int:
     text, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
     run_dir = Path(args.out)
-    if (run_dir / "config.json").exists():
+    # train writes final.ckpt and evolve writes de_* before either writes
+    # summary.json; a train that diverged or was killed before final.ckpt
+    # leaves neither, and the retry below replaces its records
+    if (run_dir / "final.ckpt").exists() or any(run_dir.glob("de_*")):
         raise MissingArtifactError(
             f"run directory {run_dir} is already initialized; pick a new --out")
 
@@ -222,6 +226,12 @@ def _cmd_train(args) -> int:
     # created only after the data loads, so a failed load leaves nothing
     # behind that would refuse a retry
     run_dir.mkdir(parents=True, exist_ok=True)
+    # drop an unfinished train's records so the retry's files are
+    # byte-identical to a fresh run's
+    for name in ("metrics.jsonl", "timings.jsonl"):
+        (run_dir / name).unlink(missing_ok=True)
+    if (run_dir / "ring").is_dir():
+        shutil.rmtree(run_dir / "ring")
     (run_dir / "config.json").write_text(text)
     writer = _RunWriter(run_dir)
 
@@ -481,7 +491,7 @@ def _cmd_gridsearch(args) -> int:
 
 def _cmd_costs(args) -> int:
     text, cfg = _read_config_arg(args.config)
-    rep = count_costs(cfg.spec, args.n_g, args.n_e)
+    rep = count_costs(cfg.spec, args.n_g, args.n_e, cfg.de.F, cfg.de.Cr)
     print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     return 0
 

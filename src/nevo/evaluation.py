@@ -132,7 +132,8 @@ class CostReport:
                 "madds_per_neuron": self.madds_per_neuron}
 
 
-def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1) -> CostReport:
+def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1,
+                F: float = 0.5, Cr: float = 0.5) -> CostReport:
     """Operation counts of a single-sample forward pass and of one
     member's evolutionary update; the one place that knows the cost
     model.
@@ -141,8 +142,9 @@ def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1) -> CostReport:
     multiply-accumulates and out bias adds.  Conv: out_elems*C_in*k^2
     multiply-accumulates and out_elems bias adds.  Pool: out_elems*size^2
     window visits.  Activation: out_elems queries.  The DE side replays
-    one real mutation and crossover draw, so the crossover count is the
-    number of slots that draw takes from the mutant."""
+    one real mutation and crossover draw at the given F and Cr, so the
+    crossover count is the number of slots that draw takes from the
+    mutant."""
     from .evolution import Population, crossover, mutate
 
     madds = bias_adds = activations = pool_ops = 0
@@ -163,9 +165,9 @@ def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1) -> CostReport:
     gen = RngStream(0).generator()
     pop = Population([np.zeros(d, dtype=np.float32) for _ in range(4)],
                      np.full(4, np.nan))
-    mutate(pop, 0, 0.5, gen)  # advances gen exactly as a real update does
+    mutate(pop, 0, F, gen)  # advances gen exactly as a real update does
     trial = crossover(np.zeros(d, dtype=np.float32),
-                      np.ones(d, dtype=np.float32), 0.5, False, gen)
+                      np.ones(d, dtype=np.float32), Cr, False, gen)
 
     return CostReport(d, activation_sizes(spec), madds, bias_adds,
                       activations, pool_ops, d, int(trial.sum()), 1,

@@ -212,7 +212,8 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
             f"crossover: parent {tuple(parent.shape)} vs mutant "
             f"{tuple(mutant.shape)}")
     d = parent.shape[0]
-    u = 1.0 - gen.random(d)
+    u = gen.random(d)
+    np.subtract(1.0, u, out=u)
     mask = u <= Cr
     if force_jrand:
         mask[int(gen.integers(d))] = True

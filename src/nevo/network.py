@@ -392,17 +392,22 @@ def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
     params = _views(spec, theta)
     grad = np.zeros_like(theta)
     gviews = _views(spec, grad)
-    for i in range(len(spec.layers) - 1, -1, -1):
+    # nothing below the first parameterized layer needs a gradient, so
+    # that layer skips its input gradient and the loop stops there
+    first = min((slot.layer_index for slot in layout(spec)),
+                default=len(spec.layers))
+    for i in range(len(spec.layers) - 1, first - 1, -1):
         layer = spec.layers[i]
         cache = caches[i]
         if isinstance(layer, Dense):
-            w = params[i]["w"]
             gviews[i]["w"][...] = cache.T @ g
             gviews[i]["b"][...] = g.sum(axis=0)
-            g = g @ w.T
+            if i > first:
+                g = g @ params[i]["w"].T
         elif isinstance(layer, Conv):
             dx, dw, db = tensor.conv2d_backward(cache, params[i]["w"],
-                                                layer.stride, layer.pad, g)
+                                                layer.stride, layer.pad, g,
+                                                need_dx=i > first)
             gviews[i]["w"][...] = dw
             gviews[i]["b"][...] = db
             g = dx

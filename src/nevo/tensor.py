@@ -10,6 +10,21 @@ All functions are pure and total on finite inputs.  Two precision modes:
   accumulation (ascending contraction index), so they match naive
   nested-loop oracles to the last ulp.
 
+The float32 conv forward pass is one GEMM over an im2col matrix
+(Chellapilla, Puri & Simard, 2006).  The matrix is K-major: row
+(c, u, v) holds input pixel (c, oy*stride+u, ox*stride+v) for every
+output position (n, oy, ox), so it is filled with kh*kw slice copies
+whose inner axis (ox) is contiguous in the destination.  Each output
+element is the same length-c*kh*kw dot product, in ascending (c, u, v)
+order, as with a pixel-major (n*oh*ow, c*kh*kw) matrix, so BLAS's
+blocked GEMM kernels return the same bits for either layout.
+OpenBLAS's small-matrix kernels (OpenBLAS 0.3.31 on x86-64 uses them
+below about 1e6 multiply-adds) and its one-output-channel GEMV path
+are the exception: they round the transposed operand differently in
+the last bit.  The kernel gradient contracts over n*oh*ow, where that
+exception covers every lenet1 batch of up to 17 samples, so it keeps
+the pixel-major window matrix.
+
 The kernels do no bookkeeping; operation counts for the cost model are
 derived from layer shapes by ``evaluation.count_costs``.
 """
@@ -81,47 +96,80 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         return out
 
     out = np.empty((n, k, oh, ow), dtype=x.dtype)
-    chunk = max(1, _CONV_CHUNK_ELEMS // max(1, c * kh * kw * oh * ow))
+    bt = np.ascontiguousarray(kernels.transpose(1, 2, 3, 0).reshape(c * kh * kw, k))
+    chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        blk = np.tensordot(win, kernels, axes=([1, 4, 5], [1, 2, 3]))
-        out[lo:hi] = blk.transpose(0, 3, 1, 2)
+        blk = np.dot(bt.T, _cols(xp[lo:hi], kh, kw, stride, oh, ow))
+        out[lo:hi] = blk.reshape(k, hi - lo, oh, ow).transpose(1, 0, 2, 3)
     out += bias[None, :, None, None]
     return out
 
 
+def _conv_chunk(c, kh, kw, oh, ow):
+    """Samples per im2col block of at most _CONV_CHUNK_ELEMS elements."""
+    return max(1, _CONV_CHUNK_ELEMS // max(1, c * kh * kw * oh * ow))
+
+
+def _cols(xp, kh, kw, stride, oh, ow):
+    """K-major im2col of a padded NCHW block: a (c*kh*kw, n*oh*ow)
+    matrix built from kh*kw slice copies."""
+    n, c = xp.shape[:2]
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xp[:, :, u:u + stride * oh:stride,
+                               v:v + stride * ow:stride].transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * oh * ow)
+
+
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
-                    grad_out: np.ndarray):
-    """Gradients of conv2d w.r.t. input, kernels, and bias."""
+                    grad_out: np.ndarray, need_dx: bool = True):
+    """Gradients of conv2d w.r.t. input, kernels, and bias.
+
+    Returns (dx, dw, db); dx is None when need_dx is False, which saves
+    the input-gradient work for a first layer whose dx nobody reads.
+    """
     n, c, h, w = x.shape
-    _, _, kh, kw = kernels.shape
+    k, _, kh, kw = kernels.shape
     _, _, oh, ow = grad_out.shape
     db = grad_out.sum(axis=(0, 2, 3))
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     dw = np.zeros_like(kernels)
-    chunk = max(1, _CONV_CHUNK_ELEMS // max(1, c * kh * kw * oh * ow))
+    chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
         win = win[:, :, ::stride, ::stride]
         dw += np.tensordot(grad_out[lo:hi], win, axes=([0, 2, 3], [0, 2, 3]))
+    if not need_dx:
+        return None, dw, db
 
+    # one pixel-major grad_out serves all kh*kw input-gradient GEMMs; for
+    # n == 1 reshape returns a transposed view, which BLAS rounds
+    # differently from a copy, so it is not forced contiguous
+    g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, k)
     dxp = np.zeros_like(xp)
     for u in range(kh):
         for v in range(kw):
-            g = np.tensordot(grad_out, kernels[:, :, u, v], axes=([1], [0]))
+            g = np.dot(g2, kernels[:, :, u, v])
             dxp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
-                g.transpose(0, 3, 1, 2)
+                g.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
     return dx, dw, db
 
 
 def pool2d(x: np.ndarray, kind: str, size: int, stride: int):
     """Per-window max or mean.  Max pooling also returns flat argmax
-    indices (row-major within the window) for backprop routing."""
+    indices (row-major within the window) for backprop routing.
+
+    Max pooling visits the size*size strided slices in row-major window
+    order and takes a slice only where it is strictly greater, or NaN
+    where the running maximum is not, which is np.argmax's
+    first-occurrence rule (ties and -0.0 keep the earlier element, the
+    first NaN wins) without copying the windows.
+    """
     if kind not in ("max", "avg"):
         raise ShapeMismatchError(f"pool2d: unknown kind {kind!r}")
     if size < 1 or stride < 1:
@@ -131,13 +179,22 @@ def pool2d(x: np.ndarray, kind: str, size: int, stride: int):
     if size > h or size > w:
         raise ShapeMismatchError(
             f"pool2d: window {size} larger than input {h}x{w}")
-    win = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(win.shape[:4] + (size * size,))
-    if kind == "max":
-        idx = flat.argmax(axis=4)
-        out = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
-        return out, idx
-    return flat.mean(axis=4, dtype=x.dtype), None
+    if kind == "avg":
+        win = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
+        flat = win.reshape(win.shape[:4] + (size * size,))
+        return flat.mean(axis=4, dtype=x.dtype), None
+    oh = (h - size) // stride + 1
+    ow = (w - size) // stride + 1
+    out = x[:, :, :stride * oh:stride, :stride * ow:stride].copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for j in range(1, size * size):
+        u, v = divmod(j, size)
+        s = x[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+        take = ~(s <= out) & (out == out)
+        out = np.where(take, s, out)
+        # j grows, so the largest j * take is the last slice taken
+        np.maximum(idx, np.multiply(take, j, dtype=np.intp), out=idx)
+    return out, idx
 
 
 def pool2d_backward(grad_out: np.ndarray, x_shape, kind: str, size: int,
@@ -152,13 +209,17 @@ def pool2d_backward(grad_out: np.ndarray, x_shape, kind: str, size: int,
             for v in range(size):
                 dx[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += g
         return dx
+    # flat input position of every window's argmax, in grad_out order
     u, v = np.divmod(argmax, size)
-    oy = np.arange(oh)[None, None, :, None] * stride + u
-    ox = np.arange(ow)[None, None, None, :] * stride + v
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    np.add.at(dx, (np.broadcast_to(ni, argmax.shape),
-                   np.broadcast_to(ci, argmax.shape), oy, ox), grad_out)
+    u += np.arange(oh)[:, None] * stride
+    v += np.arange(ow) * stride
+    flat = (np.arange(n * c).reshape(n, c, 1, 1) * h + u) * w + v
+    if stride >= size:
+        # windows are disjoint, so each position receives at most one
+        # gradient; 0.0 + g is what np.add.at would store (-0.0 -> +0.0)
+        dx.reshape(-1)[flat.reshape(-1)] = grad_out.reshape(-1) + 0.0
+    else:
+        np.add.at(dx.reshape(-1), flat.reshape(-1), grad_out.reshape(-1))
     return dx
 
 

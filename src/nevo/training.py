@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeMismatchError, TrainingDiverged
-from .network import NetworkSpec, backward, init_params, loss, predict
+from .network import NetworkSpec, backward, forward, init_params, loss
 from .rng import RngStream
+from .tensor import softmax_ce
 from .data import batches
 
 
@@ -182,9 +183,10 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
 
         test_loss = test_acc = None
         if test_data is not None:
-            test_loss = loss(spec, theta, test_data.images, test_data.labels, 0.0)
-            preds = predict(spec, theta, test_data.images)
-            test_acc = float(np.mean(preds == test_data.labels))
+            # one pass gives both: loss(..., 0.0) is softmax_ce of forward
+            logits = forward(spec, theta, test_data.images)
+            test_loss, _, _ = softmax_ce(logits, test_data.labels)
+            test_acc = float(np.mean(logits.argmax(axis=1) == test_data.labels))
         wall_ms = (time.perf_counter() - t0) * 1000.0
         metrics = EpochMetrics(epoch, epoch_loss, test_loss, test_acc, wall_ms)
         history.append(metrics)

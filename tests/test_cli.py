@@ -261,6 +261,20 @@ def test_costs_command(tmp_path, capsys):
     assert abs(doc["madds_per_neuron"] - 101632 / 922) < 1e-12
 
 
+def test_costs_command_honours_de_section(tmp_path, capsys):
+    touches = {}
+    for cr in (1.0, 0.05):
+        cfg = tmp_path / f"c{cr}.json"
+        cfg.write_text(json.dumps({"model": {"name": "mlp"},
+                                   "de": {"F": 0.8, "Cr": cr}}))
+        assert cli_main(["costs", "--config", str(cfg)]) == 0
+        touches[cr] = json.loads(capsys.readouterr().out)[
+            "de_crossover_touches"]
+    assert touches[1.0] == 101770
+    # binomial(101770, 0.05): mean 5088.5, sd 69.5
+    assert abs(touches[0.05] - 5088.5) < 5 * 69.5
+
+
 def test_fetch_trust_on_first_use(tmp_path, capsys):
     site = tmp_path / "site"
     site.mkdir()
@@ -317,6 +331,74 @@ def test_divergence_exits_numeric(tmp_path, capsys):
                      "--out", str(tmp_path / "r")])
     assert code == 3
     assert "finite" in capsys.readouterr().err.lower()
+
+
+def run_files(run: Path) -> dict:
+    """Bytes of every deterministic file a train writes."""
+    files = {p.relative_to(run).as_posix(): p.read_bytes()
+             for p in sorted(run.rglob("*")) if p.is_file()}
+    for volatile in ("timings.jsonl", "manifest.json"):
+        assert volatile in files
+        del files[volatile]
+    return files
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_retry_after_divergence_matches_fresh_run(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(tiny_config(bp={"lr": 1e18, "max_epochs": 2,
+                                   "ring_size": 4}))
+    good = tmp_path / "good.json"
+    good.write_text(tiny_config())
+    fresh = tmp_path / "fresh"
+    assert cli_main(["train", "--config", str(good), "--out", str(fresh)]) == 0
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(bad), "--out", str(run)]) == 3
+    assert cli_main(["train", "--config", str(good), "--out", str(run)]) == 0
+    assert run_files(run) == run_files(fresh)
+    assert "already initialized" not in capsys.readouterr().err
+    # a longer train killed before final.ckpt left records and ring
+    # entries behind; the retry must neither append to nor keep them
+    longer = tmp_path / "longer.json"
+    longer.write_text(tiny_config(bp={"max_epochs": 6}))
+    killed = tmp_path / "killed"
+    assert cli_main(["train", "--config", str(longer),
+                     "--out", str(killed)]) == 0
+    for name in ("final.ckpt", "summary.json", "manifest.json"):
+        (killed / name).unlink()
+    assert cli_main(["train", "--config", str(good),
+                     "--out", str(killed)]) == 0
+    assert run_files(killed) == run_files(fresh)
+    # one killed after final.ckpt, before summary.json, is refused
+    (killed / "summary.json").unlink()
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(good),
+                     "--out", str(killed)]) == 2
+    assert "already initialized" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_retry_refused_after_evolve_on_diverged_run(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(tiny_config(bp={"lr": 1e18, "max_epochs": 2,
+                                   "ring_size": 4}))
+    good = tmp_path / "good.json"
+    good.write_text(tiny_config())
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(bad), "--out", str(run)]) == 3
+    assert cli_main(["evolve", "--run", str(run), "--soup"]) == 0
+    assert not (run / "final.ckpt").exists()
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    assert any(p.name.startswith("de_best") for p in before)
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(good), "--out", str(run)]) == 2
+    assert "already initialized" in capsys.readouterr().err
+    after = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    assert after == before
+    # an evolve killed after saving de_* has not written summary.json yet
+    (run / "summary.json").unlink()
+    assert cli_main(["train", "--config", str(good), "--out", str(run)]) == 2
+    assert (run / "metrics.jsonl").read_bytes() == before[run / "metrics.jsonl"]
 
 
 def test_module_entry_point():

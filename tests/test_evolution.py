@@ -115,6 +115,28 @@ def test_crossover_force_jrand_touches_exactly_one_at_cr0():
         assert int(out.sum()) == 1
 
 
+@pytest.mark.parametrize("force_jrand", [False, True])
+@pytest.mark.parametrize("Cr", [0.0, 0.05, 0.5, 1.0])
+def test_crossover_bits_and_draws_match_reference(Cr, force_jrand):
+    d = 1000
+    data = np.random.default_rng(0)
+    parent = data.normal(size=d).astype(np.float32)
+    mutant = data.normal(size=d).astype(np.float32)
+    mutant[::7] = -0.0
+    mutant[::11] = np.nan
+    gen_ref = RngStream(7).generator()
+    gen = RngStream(7).generator()
+    for _ in range(3):
+        mask = 1.0 - gen_ref.random(d) <= Cr
+        if force_jrand:
+            mask[int(gen_ref.integers(d))] = True
+        want = np.where(mask, mutant, parent)
+        got = crossover(parent, mutant, Cr, force_jrand, gen)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert gen.random() == gen_ref.random(), "draw sequence must not change"
+
+
 def test_crossover_rate_is_binomial():
     gen = RngStream(5).generator()
     d = 10000

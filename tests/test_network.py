@@ -11,6 +11,7 @@ from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           init_params, layout, loss, param_count, predict,
                           zoo_spec)
 from nevo.rng import RngStream
+from nevo import tensor
 
 from synthdata import (fd_grad, max_rel_err, pooled_conv, random_batch,
                        random_theta, small_conv, small_mlp)
@@ -145,6 +146,59 @@ def test_gradients_match_finite_differences_pooled():
     _, grad = backward(spec, theta, x, y, 1e-3)
     fd = fd_grad(spec, theta, x, y, 1e-3)
     assert max_rel_err(grad, fd) < 1e-4
+
+
+def backward_every_dx(spec, theta, x, y):
+    """Reverse pass that still computes the input gradient of every
+    layer, including the one below the first parameterized layer."""
+    from nevo.network import _run, _views
+    logits, caches = _run(spec, theta, x, True)
+    ce, _, g = tensor.softmax_ce(logits, y)
+    params = _views(spec, theta)
+    grad = np.zeros_like(theta)
+    gviews = _views(spec, grad)
+    for i in range(len(spec.layers) - 1, -1, -1):
+        layer, cache = spec.layers[i], caches[i]
+        if isinstance(layer, Dense):
+            gviews[i]["w"][...] = cache.T @ g
+            gviews[i]["b"][...] = g.sum(axis=0)
+            g = g @ params[i]["w"].T
+        elif isinstance(layer, Conv):
+            g, gviews[i]["w"][...], gviews[i]["b"][...] = \
+                tensor.conv2d_backward(cache, params[i]["w"], layer.stride,
+                                       layer.pad, g)
+        elif isinstance(layer, Pool):
+            shape, idx = cache
+            g = tensor.pool2d_backward(g, shape, layer.kind, layer.size,
+                                       layer.stride, idx)
+        elif isinstance(layer, Activation):
+            g = g * tensor.activate(cache, layer.kind, "derivative")
+        else:
+            g = g.reshape(cache)
+    assert g.shape == x.shape
+    return ce, grad
+
+
+def pool_first():
+    return NetworkSpec((1, 10, 10), (
+        Pool("max", 2, 2),
+        Conv(1, 3, 3, 1, 1),
+        Activation("relu"),
+        Flatten(),
+        Dense(75, 4),
+    ))
+
+
+@pytest.mark.parametrize("name", ["lenet1", "mlp", "pool_first"])
+def test_backward_skipping_first_dx_is_bitwise_unchanged(name):
+    spec = pool_first() if name == "pool_first" else zoo_spec(name)
+    theta = init_params(spec, RngStream(3))
+    x, y = random_batch(spec, 37, 4, np.float32)
+    ce, want = backward_every_dx(spec, theta, x, y)
+    got_loss, got = backward(spec, theta, x, y, 0.0)
+    assert got_loss == ce
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_l2_term_touches_weights_only():

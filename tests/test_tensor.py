@@ -8,6 +8,9 @@ closeness.  Gradients are checked against central differences.
 import numpy as np
 import pytest
 
+from numpy.lib.stride_tricks import sliding_window_view
+
+from nevo import tensor
 from nevo.errors import LabelError, ShapeMismatchError
 from nevo.evaluation import count_costs
 from nevo.network import Conv, Dense, Flatten, NetworkSpec, Pool
@@ -145,6 +148,75 @@ def test_conv2d_backward_matches_finite_differences():
             assert abs(fd - gflat[i]) <= 1e-5 * max(1.0, abs(fd))
 
 
+def bits(a):
+    """Integer view, so array_equal also tells -0.0 from +0.0 and NaNs
+    compare equal to themselves."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_backward_without_dx_keeps_dw_and_db(dtype):
+    gen = np.random.default_rng(22)
+    x = gen.normal(size=(5, 3, 9, 8)).astype(dtype)
+    w = gen.normal(size=(4, 3, 3, 3)).astype(dtype)
+    g = gen.normal(size=(5, 4, 5, 4)).astype(dtype)
+    dx, dw, db = conv2d_backward(x, w, 2, 1, g)
+    none, dw2, db2 = conv2d_backward(x, w, 2, 1, g, need_dx=False)
+    assert dx.shape == x.shape and none is None
+    assert np.array_equal(bits(dw), bits(dw2))
+    assert np.array_equal(bits(db), bits(db2))
+
+
+def test_conv2d_f32_strided_padded_close_to_loops():
+    gen = np.random.default_rng(23)
+    x = gen.normal(size=(3, 2, 9, 8)).astype(np.float32)
+    w = gen.normal(size=(5, 2, 3, 3)).astype(np.float32)
+    b = gen.normal(size=5).astype(np.float32)
+    got = conv2d(x, w, b, 2, 1)
+    want = conv_loops(x.astype(np.float64), w.astype(np.float64),
+                      b.astype(np.float64), 2, 1)
+    assert got.dtype == np.float32 and got.shape == want.shape == (3, 5, 5, 4)
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+
+
+def test_conv2d_f32_batch_spanning_chunks_close_to_loops(monkeypatch):
+    gen = np.random.default_rng(24)
+    x = gen.normal(size=(7, 2, 8, 8)).astype(np.float32)
+    w = gen.normal(size=(3, 2, 3, 3)).astype(np.float32)
+    b = gen.normal(size=3).astype(np.float32)
+    g = gen.normal(size=(7, 3, 6, 6)).astype(np.float32)
+    _, dw_whole, db_whole = conv2d_backward(x, w, 1, 0, g)
+    # 2*3*3*6*6 = 648 im2col elements per sample: blocks of 3, 3 and 1
+    monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", 3 * 648)
+    got = conv2d(x, w, b, 1, 0)
+    want = conv_loops(x.astype(np.float64), w.astype(np.float64),
+                      b.astype(np.float64), 1, 0)
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+    _, dw, db = conv2d_backward(x, w, 1, 0, g)
+    np.testing.assert_allclose(dw, dw_whole, rtol=1e-5, atol=1e-5)
+    assert np.array_equal(db, db_whole)
+
+
+@pytest.mark.parametrize("layer", [0, 3])
+def test_conv2d_f32_chunked_equals_whole_batch(monkeypatch, layer):
+    """Every output element is the same GEMM dot product whichever
+    block of samples it is computed in, for lenet1's two convs at a
+    batch of 300 cut into blocks of at least 100 samples."""
+    shapes = {0: ((300, 1, 28, 28), (4, 1, 5, 5), 24),
+              3: ((300, 4, 12, 12), (12, 4, 5, 5), 8)}
+    xs, ws, side = shapes[layer]
+    gen = np.random.default_rng(25 + layer)
+    x = gen.normal(size=xs).astype(np.float32)
+    w = gen.normal(size=ws).astype(np.float32)
+    b = gen.normal(size=ws[0]).astype(np.float32)
+    per_sample = ws[1] * ws[2] * ws[3] * side * side
+    monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", 10 ** 9)
+    whole = conv2d(x, w, b, 1, 0)
+    for block in (100, 150, 299):
+        monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", block * per_sample)
+        assert np.array_equal(bits(conv2d(x, w, b, 1, 0)), bits(whole))
+
+
 def pool_loops(x, kind, size, stride):
     n, c, h, w = x.shape
     oh = (h - size) // stride + 1
@@ -207,6 +279,50 @@ def test_overlapping_max_pool_backward_accumulates():
         fu = float(np.sum(pool2d(xu.reshape(x.shape), "max", 3, 1)[0] * up))
         fd_ = float(np.sum(pool2d(xd.reshape(x.shape), "max", 3, 1)[0] * up))
         assert abs((fu - fd_) / (2 * eps) - g.reshape(-1)[i]) < 1e-6
+
+
+def argmax_pool_reference(x, size, stride):
+    """Reference max pool: np.argmax over a copy of every window."""
+    win = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = win.reshape(win.shape[:4] + (size * size,))
+    idx = flat.argmax(axis=4)
+    return np.take_along_axis(flat, idx[..., None], axis=4)[..., 0], idx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_matches_argmax_with_ties_signed_zero_and_nan(dtype):
+    gen = np.random.default_rng(26)
+    for size, stride in [(1, 1), (2, 2), (2, 1), (3, 2), (2, 3), (3, 3)]:
+        # few distinct values, so windows hold ties, -0.0 next to +0.0,
+        # and one or more NaNs
+        x = gen.integers(-2, 3, size=(3, 2, 9, 10)).astype(dtype)
+        r = gen.random(x.shape)
+        x[r < 0.15] = -0.0
+        x[r > 0.9] = np.nan
+        got, idx = pool2d(x, "max", size, stride)
+        want, want_idx = argmax_pool_reference(x, size, stride)
+        assert np.array_equal(idx, want_idx), (size, stride)
+        assert np.array_equal(bits(got), bits(want)), (size, stride)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size,stride", [(2, 2), (2, 3), (1, 2), (3, 4)])
+def test_disjoint_max_pool_backward_matches_add_at(dtype, size, stride):
+    gen = np.random.default_rng(27)
+    x = gen.normal(size=(2, 3, 11, 9)).astype(dtype)
+    _, argmax = pool2d(x, "max", size, stride)
+    g = gen.normal(size=argmax.shape).astype(dtype)
+    g[gen.random(g.shape) < 0.3] = -0.0
+    got = pool2d_backward(g, x.shape, "max", size, stride, argmax)
+    want = np.zeros_like(x)
+    u, v = np.divmod(argmax, size)
+    n, c, oh, ow = argmax.shape
+    np.add.at(want, (np.arange(n)[:, None, None, None],
+                     np.arange(c)[None, :, None, None],
+                     np.arange(oh)[None, None, :, None] * stride + u,
+                     np.arange(ow)[None, None, None, :] * stride + v), g)
+    assert got.dtype == dtype
+    assert np.array_equal(bits(got), bits(want))
 
 
 def test_activate_values_and_derivatives():

@@ -7,7 +7,7 @@ import pytest
 from nevo.data import Dataset, make_synthetic_pair
 from nevo.errors import (ConfigError, NumericError, ShapeMismatchError,
                          TrainingDiverged)
-from nevo.network import init_params, loss, param_count
+from nevo.network import init_params, loss, param_count, predict
 from nevo.rng import RngStream
 from nevo.training import (AdamState, CheckpointRing, TrainConfig, adam_step,
                            train)
@@ -188,11 +188,16 @@ def test_train_reports_test_metrics():
                                             stream=RngStream(11))
     cfg = TrainConfig(max_epochs=2, batch_size=32, seed=8)
     seen = []
-    _, _, history = train(spec, train_ds, cfg, test_data=test_ds,
-                          callback=seen.append)
+    theta, _, history = train(spec, train_ds, cfg, test_data=test_ds,
+                              callback=seen.append)
     assert len(seen) == len(history) == 2
     for m in history:
         assert m.test_loss is not None and 0.0 <= m.test_acc <= 1.0
+    # the single epoch-end pass equals separate loss and predict passes
+    assert history[-1].test_loss == loss(spec, theta, test_ds.images,
+                                         test_ds.labels, 0.0)
+    assert history[-1].test_acc == float(np.mean(
+        predict(spec, theta, test_ds.images) == test_ds.labels))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
