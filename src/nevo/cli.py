@@ -24,6 +24,7 @@ failure (divergence).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import shutil
@@ -38,12 +39,13 @@ import numpy as np
 from . import data as datasets
 from .errors import MissingArtifactError, NevoError, NumericError
 from .evaluation import count_costs, evaluate, report
-from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, ensure_fitness,
-                        grid_search, run_de, sample_context, seed_population)
+from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
+                        seed_population, subset_factory)
 from .network import param_count
 from .persistence import (Checkpoint, load_checkpoint, load_manifest,
-                          load_ring, parse_config, save_checkpoint,
-                          save_population, save_ring, write_manifest)
+                          load_ring, load_summary, parse_config,
+                          save_checkpoint, save_population, save_ring,
+                          write_manifest)
 from .rng import RngStream
 from .training import TrainingDiverged, train
 
@@ -190,6 +192,15 @@ class _RunWriter:
         self.timings.close()
 
 
+def _load_or(loader, run_dir: Path, default: dict) -> dict:
+    """loader(run_dir), or default when the file is absent; a malformed
+    file still raises."""
+    try:
+        return loader(run_dir)
+    except MissingArtifactError:
+        return default
+
+
 def _read_config_arg(path) -> tuple:
     p = Path(path)
     if not p.is_file():
@@ -294,7 +305,6 @@ def _cmd_evolve(args) -> int:
     config_path = Path(args.config) if args.config else run_dir / "config.json"
     text, cfg = _read_config_arg(config_path)
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
-    pool = ThreadPoolExecutor(args.threads) if args.threads > 1 else None
     mode = "soup" if args.soup else "ancestors"
 
     train_ds, test_ds = _load_split_pair(cfg.data)
@@ -307,16 +317,14 @@ def _cmd_evolve(args) -> int:
         ring, spec = load_ring(run_dir / "ring")
         pop = seed_population("ancestors", ring, m, args.jitter,
                               base.child(_NS_SOUP))
-
-    def factory(r):
-        return sample_context(spec, train_ds, de.fitness_subset,
-                              base.child(_NS_SUBSET, r), r)
-
-    ensure_fitness(pop, factory(0), pool)
-    seed_best_i = pop.best_index
-    seed_fit = float(pop.fitness[seed_best_i])
-    seed_eval = evaluate(spec, pop.members[seed_best_i], test_ds,
-                         cfg.eval.batch_size)
+    # read before anything is written, so a malformed file leaves the run
+    # directory as it was
+    summary = _load_or(load_summary, run_dir,
+                       {"model": cfg.model_name or "custom",
+                        "dataset": cfg.data.name,
+                        "params": param_count(spec), "stages": []})
+    manifest = _load_or(load_manifest, run_dir,
+                        {"run_id": run_dir.name, "artifacts": {}})
 
     writer = _RunWriter(run_dir)
 
@@ -326,17 +334,18 @@ def _cmd_evolve(args) -> int:
                        "accepts": g.accepts},
                       {"stage": "de", "gen": g.generation}, g.wall_ms)
 
-    try:
+    factory = subset_factory(spec, train_ds, de.fitness_subset,
+                             base.child(_NS_SUBSET))
+    with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
+          contextlib.nullcontext()) as pool, contextlib.closing(writer):
         out = run_de(pop, de, factory, stream=base.child(_NS_DE), pool=pool,
                      callback=on_gen)
-    finally:
-        writer.close()
-        if pool is not None:
-            pool.shutdown()
 
     suffix = "_soup" if args.soup else ""
     save_population(out.population, run_dir / f"de_pop{suffix}", spec,
                     {"stage": "de", "mode": mode, "seed": de.seed})
+    seed_eval = evaluate(spec, pop.members[out.seed_index], test_ds,
+                         cfg.eval.batch_size)
     best_eval = evaluate(spec, out.best, test_ds, cfg.eval.batch_size)
     save_checkpoint(Checkpoint(spec, out.best,
                                {"stage": "de", "mode": mode,
@@ -345,33 +354,23 @@ def _cmd_evolve(args) -> int:
                                 "seed": de.seed}),
                     run_dir / f"de_best{suffix}.ckpt")
 
-    summary_path = run_dir / "summary.json"
-    if summary_path.is_file():
-        summary = json.loads(summary_path.read_text())
-    else:
-        summary = {"model": cfg.model_name or "custom",
-                   "dataset": cfg.data.name,
-                   "params": param_count(spec), "stages": []}
     summary["stages"].append({
         "stage": "de", "mode": mode,
         "generations": len(out.history),
-        "seed_best_fitness": seed_fit,
+        "seed_best_fitness": out.seed_fitness,
         "seed_test_accuracy": seed_eval.accuracy,
         "best_fitness": out.best_fitness,
         "test_accuracy": best_eval.accuracy,
         "test_ce": best_eval.mean_ce,
     })
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (run_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    try:
-        manifest = load_manifest(run_dir)
-    except NevoError:
-        manifest = {"run_id": run_dir.name, "artifacts": {}}
     manifest["artifacts"][f"de_best{suffix}"] = f"de_best{suffix}.ckpt"
     manifest["artifacts"][f"de_pop{suffix}"] = f"de_pop{suffix}"
     write_manifest(run_dir, manifest)
     print(f"evolved ({mode}) for {len(out.history)} generations: fitness "
-          f"{seed_fit:.6f} -> {out.best_fitness:.6f}, test accuracy "
+          f"{out.seed_fitness:.6f} -> {out.best_fitness:.6f}, test accuracy "
           f"{seed_eval.accuracy:.4f} -> {best_eval.accuracy:.4f}")
     return 0
 
@@ -464,15 +463,12 @@ def _cmd_report(args) -> int:
 def _cmd_gridsearch(args) -> int:
     text, cfg = _read_config_arg(args.config)
     master_seed = args.seed if args.seed is not None else cfg.de.seed
-    pool = ThreadPoolExecutor(args.threads) if args.threads > 1 else None
     train_ds, test_ds = _load_split_pair(cfg.data)
-    try:
+    with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
+          contextlib.nullcontext()) as pool:
         rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, cfg.de,
                            cfg.grid, master_seed, jitter_sigma=args.jitter,
                            pool=pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

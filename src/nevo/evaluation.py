@@ -14,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, NumericError, ShapeMismatchError
+from .errors import (ConfigError, LabelError, NevoError, NumericError,
+                     ShapeMismatchError)
 from .network import (Activation, Conv, Dense, NetworkSpec, Pool,
                       activation_sizes, forward, param_count)
 from .data import Dataset, batches
+from .persistence import load_summary
 from .rng import RngStream
 
 
@@ -36,8 +38,11 @@ def evaluate(spec: NetworkSpec, params: np.ndarray, data: Dataset,
     """Argmax classification accuracy plus mean cross-entropy.
 
     Ties in the logits resolve to the lowest class index.  Per-sample
-    terms are accumulated in float64, so the report does not depend on
-    batch_size.
+    terms are summed in float64 in one flat reduction, so the sum does
+    not depend on how batches are cut.  The float32 logits themselves
+    can: OpenBLAS picks small-matrix or GEMV kernels by shape, and those
+    round differently, so `mean_ce` bits and near-tie argmaxes may move
+    with batch_size (a last partial batch included).
     """
     correct = 0
     ce_parts = []
@@ -181,17 +186,13 @@ def published_tables() -> dict:
 
 
 def _load_run_rows(run_dir: Path, problems: list) -> list:
-    summary_path = run_dir / "summary.json"
-    if not summary_path.is_file():
-        problems.append(f"{run_dir}: missing summary.json")
-        return []
     try:
-        summary = json.loads(summary_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        problems.append(f"{run_dir}: unreadable summary.json ({exc})")
+        summary = load_summary(run_dir)
+    except NevoError as exc:
+        problems.append(str(exc))
         return []
     rows = []
-    for stage in summary.get("stages", []):
+    for stage in summary["stages"]:
         rows.append({
             "run": run_dir.name,
             "model": summary.get("model", ""),

@@ -12,6 +12,11 @@ any worker count.
 RNG namespaces under the config seed: child(2, g, i) drives member i of
 generation g, child(3, r) draws fitness subset r, child(4, i) seeds
 soup member i, and child(4) also seeds the ancestors-mode jitter top-up.
+
+`nevo evolve` and `grid_search` share one pipeline: seed_population,
+then run_de, then evaluate.  run_de primes generation 0 (evaluates its
+stale fitness on subset round 0) and reports the seed's best member, so
+callers never score the population themselves.
 """
 
 from __future__ import annotations
@@ -132,6 +137,13 @@ def sample_context(spec: NetworkSpec, data, size: int, stream: RngStream,
     return FitnessContext(spec, data.images[idx], data.labels[idx], subset_id)
 
 
+def subset_factory(spec: NetworkSpec, data, size: int,
+                   stream: RngStream) -> Callable:
+    """round r -> the context of fitness subset r, drawn from
+    stream.child(r)."""
+    return lambda r: sample_context(spec, data, size, stream.child(r), r)
+
+
 def fitness(member: np.ndarray, ctx) -> float:
     """Score one member on the context's data (lower is better)."""
     return ctx.evaluate(member)
@@ -141,10 +153,11 @@ def seed_population(mode: str, source, m: int, jitter_sigma: float = 0.0,
                     stream: Optional[RngStream] = None) -> Population:
     """Build the generation-0 population.
 
-    mode 'ancestors': members are the checkpoint ring's vectors, newest
-    last; a ring longer than m contributes its newest m.  A ring shorter
-    than m is topped up with jittered copies of the newest vector
-    (Gaussian, sd jitter_sigma), or rejected when jitter is disabled.
+    mode 'ancestors': members are the vectors of `source` (a
+    CheckpointRing), newest last; a ring longer than m contributes its
+    newest m.  A ring shorter than m is topped up with jittered copies of
+    the newest vector (Gaussian, sd jitter_sigma), or rejected when
+    jitter is disabled.
 
     mode 'soup': m independent fresh initializations of `source` (a
     NetworkSpec) — no pretraining signal at all.
@@ -152,14 +165,9 @@ def seed_population(mode: str, source, m: int, jitter_sigma: float = 0.0,
     if m < 4:
         raise PopulationError(f"population size must be >= 4, got {m}")
     if mode == "ancestors":
-        if hasattr(source, "entries"):
-            vectors = [e.params for e in source.entries]
-        else:
-            vectors = list(source)
-        if not vectors:
+        members = [np.array(e.params) for e in list(source)[-m:]]
+        if not members:
             raise PopulationError("ancestor ring is empty")
-        vectors = [np.asarray(v) for v in vectors[-m:]]
-        members = [v.copy() for v in vectors]
         missing = m - len(members)
         if missing > 0:
             if jitter_sigma <= 0:
@@ -222,15 +230,10 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
 
 def ensure_fitness(pop: Population, ctx, pool=None):
     """Evaluate members whose cached fitness is stale (NaN), in place."""
-    stale = [i for i in range(pop.m) if np.isnan(pop.fitness[i])]
-    if not stale:
-        return
-    if pool is not None:
-        values = list(pool.map(lambda i: fitness(pop.members[i], ctx), stale))
-    else:
-        values = [fitness(pop.members[i], ctx) for i in stale]
-    for i, v in zip(stale, values):
-        pop.fitness[i] = v
+    stale = np.flatnonzero(np.isnan(pop.fitness))
+    run = map if pool is None else pool.map
+    pop.fitness[stale] = list(run(lambda i: fitness(pop.members[i], ctx),
+                                  stale))
 
 
 def evolve_generation(pop: Population, cfg: DeConfig, ctx,
@@ -252,10 +255,8 @@ def evolve_generation(pop: Population, cfg: DeConfig, ctx,
         trial = crossover(pop.members[i], mutant, cfg.Cr, cfg.force_jrand, gen)
         return trial, fitness(trial, ctx)
 
-    if pool is not None:
-        results = list(pool.map(build_and_score, range(pop.m)))
-    else:
-        results = [build_and_score(i) for i in range(pop.m)]
+    run = map if pool is None else pool.map
+    results = list(run(build_and_score, range(pop.m)))
 
     members = []
     fit = np.empty(pop.m, dtype=np.float64)
@@ -284,6 +285,8 @@ class DeResult:
     best_fitness: float
     population: Population
     history: list
+    seed_index: int  # best member of the primed generation 0
+    seed_fitness: float
 
 
 def run_de(pop: Population, cfg: DeConfig, ctx_factory,
@@ -294,9 +297,11 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
     ctx_factory is either a fixed context or a callable round -> context;
     with resample_every > 0 the round advances at that cadence and all
     cached fitness is re-evaluated on the new context before any
-    comparison.  Stops at max_generations, when best fitness drops below
-    delta2, or when the best fitness gained less than min_improve over
-    the last `window` generations (windows never straddle a resample).
+    comparison.  Generation 0's stale fitness is evaluated on round 0
+    first, and its best member is reported as seed_index/seed_fitness.
+    Stops at max_generations, when best fitness drops below delta2, or
+    when the best fitness gained less than min_improve over the last
+    `window` generations (windows never straddle a resample).
     """
     factory: Callable = ctx_factory if callable(ctx_factory) else (lambda r: ctx_factory)
     if stream is None:
@@ -304,6 +309,8 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
     round_no = 0
     ctx = factory(round_no)
     ensure_fitness(pop, ctx, pool)
+    seed_index = pop.best_index
+    seed_fitness = float(pop.fitness[seed_index])
     history: list = []
     round_start = 0
 
@@ -334,7 +341,8 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
                 break
 
     i = pop.best_index
-    return DeResult(pop.members[i].copy(), float(pop.fitness[i]), pop, history)
+    return DeResult(pop.members[i].copy(), float(pop.fitness[i]), pop, history,
+                    seed_index, seed_fitness)
 
 
 @dataclass(frozen=True)
@@ -349,8 +357,7 @@ class GridResult:
 
 def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
                 grid=None, master_seed: int = 0, rings=None,
-                jitter_sigma: float = 0.0, pool=None,
-                callback=None) -> list:
+                jitter_sigma: float = 0.0, pool=None) -> list:
     """Cartesian sweep over {lr} x {F} x {Cr}.
 
     One gradient pretraining per lr (reused from `rings` when given:
@@ -379,29 +386,16 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
         else:
             bp = replace(bp_cfg, lr=lr)
             _, ring, _ = train(spec, train_data, bp, stream=master.child(0, li))
-        m = max(4, bp_cfg.ring_size)
-
-        def make_factory(li):
-            def factory(r):
-                return sample_context(spec, train_data, de_cfg.fitness_subset,
-                                      master.child(_NS_SUBSET, li, r), r)
-            return factory
-
-        factory = make_factory(li)
+        factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
+                                 master.child(_NS_SUBSET, li))
         for fi, F in enumerate(grid["F"]):
             for ci, Cr in enumerate(grid["Cr"]):
-                de = replace(de_cfg, F=F, Cr=Cr)
-                seed_stream = master.child(1, li, fi, ci)
-                pop = seed_population("ancestors", ring, m, jitter_sigma,
-                                      seed_stream)
-                ensure_fitness(pop, factory(0), pool)
-                seed_fit = float(np.min(pop.fitness))
-                de_stream = master.child(_NS_DE, li, fi, ci)
-                out = run_de(pop, de, factory, stream=de_stream, pool=pool)
+                pop = seed_population("ancestors", ring, bp_cfg.ring_size,
+                                      jitter_sigma, master.child(1, li, fi, ci))
+                out = run_de(pop, replace(de_cfg, F=F, Cr=Cr), factory,
+                             stream=master.child(_NS_DE, li, fi, ci), pool=pool)
                 acc = evaluate(spec, out.best, test_data).accuracy
-                row = GridResult(lr, F, Cr, seed_fit, out.best_fitness, acc)
-                results.append(row)
-                if callback is not None:
-                    callback(row)
+                results.append(GridResult(lr, F, Cr, out.seed_fitness,
+                                          out.best_fitness, acc))
     return sorted(results,
                   key=lambda r: (-r.test_accuracy, r.lr, r.F, r.Cr))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,9 +177,72 @@ def load_checkpoint(path) -> Checkpoint:
     return parse_checkpoint(path.read_bytes(), str(path))
 
 
-# --- population directories -------------------------------------------------
+# --- run-directory JSON ------------------------------------------------------
 
 _INDEX_NAME = "index.json"
+
+
+def _require(doc, keys, where: str) -> dict:
+    """doc, if it is a JSON object holding every key in keys."""
+    if not isinstance(doc, dict):
+        raise CheckpointFormatError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise CheckpointFormatError(f"{where}: missing key {key!r}")
+    return doc
+
+
+def _read_json(path: Path, what: str, keys=()) -> dict:
+    """The JSON object stored at path; every failure is a typed error.
+    Only an absent path counts as missing: a directory in its place is
+    unreadable, so a caller never falls back and later writes over it."""
+    if not path.exists():
+        raise MissingArtifactError(f"no {what} at {path}")
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise CheckpointFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise CheckpointFormatError(f"{path}: unreadable: {exc}") from exc
+    return _require(doc, keys, str(path))
+
+
+def _number(value, where: str, integral: bool = False):
+    """value if it is a JSON number (an integer when integral)."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if integral else (int, float)):
+        raise CheckpointFormatError(
+            f"{where}: expected {'an integer' if integral else 'a number'}, "
+            f"got {value!r}")
+    return value
+
+
+def _load_listed(in_dir: Path, index_path: Path, names, what: str) -> tuple:
+    """(params list, spec) of the checkpoints an index lists.  Each name
+    must be a plain file name inside in_dir, and every checkpoint must
+    share the first one's spec."""
+    params, spec = [], None
+    for name in names:
+        if (not isinstance(name, str) or name in ("", "..") or "\0" in name
+                or Path(name).name != name):
+            raise CheckpointFormatError(
+                f"{index_path}: {what} {name!r} is not a file name inside "
+                f"{in_dir}")
+        path = in_dir / name
+        if not path.is_file():
+            raise MissingArtifactError(
+                f"{what} {name} listed in {index_path} is missing")
+        ckpt = load_checkpoint(path)
+        if spec is None:
+            spec = ckpt.spec
+        elif ckpt.spec != spec:
+            raise CheckpointFormatError(
+                f"{path}: spec differs from the first {what}'s")
+        params.append(ckpt.params)
+    return params, spec
+
+
+# --- population directories -------------------------------------------------
 
 
 def _member_name(i: int) -> str:
@@ -216,37 +280,23 @@ def load_population(in_dir):
     share the spec of member 0."""
     in_dir = Path(in_dir)
     index_path = in_dir / _INDEX_NAME
-    if not index_path.is_file():
-        raise MissingArtifactError(f"no population index at {index_path}")
-    try:
-        index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{index_path}: invalid JSON: {exc}") from exc
-    for key in ("generation", "m", "members", "fitness"):
-        if key not in index:
-            raise CheckpointFormatError(f"{index_path}: missing key {key!r}")
-    names = index["members"]
-    if len(names) != index["m"] or len(index["fitness"]) != index["m"]:
+    index = _read_json(index_path, "population index",
+                       ("generation", "m", "members", "fitness"))
+    m = _number(index["m"], f"{index_path}: m", integral=True)
+    generation = _number(index["generation"], f"{index_path}: generation",
+                         integral=True)
+    names, fit = index["members"], index["fitness"]
+    if not isinstance(fit, list) or not isinstance(names, list) or \
+            len(names) != m or len(fit) != m:
         raise CheckpointFormatError(
-            f"{index_path}: m={index['m']} but {len(names)} members and "
-            f"{len(index['fitness'])} fitness entries")
-    members = []
-    spec = None
-    for i, name in enumerate(names):
-        member_path = in_dir / name
-        if not member_path.is_file():
-            raise MissingArtifactError(
-                f"population member {name} listed in {index_path} is missing")
-        ckpt = load_checkpoint(member_path)
-        if spec is None:
-            spec = ckpt.spec
-        elif ckpt.spec != spec:
-            raise CheckpointFormatError(
-                f"{member_path}: spec differs from member 0's")
-        members.append(ckpt.params)
-    fitness = np.array([np.nan if f is None else float(f)
-                        for f in index["fitness"]], dtype=np.float64)
-    return Population(members, fitness, int(index["generation"])), spec
+            f"{index_path}: m={m} needs lists of {m} members and {m} "
+            f"fitness entries")
+    fitness = np.array([np.nan if f is None else
+                        _number(f, f"{index_path}: fitness") for f in fit],
+                       dtype=np.float64)
+    members, spec = _load_listed(in_dir, index_path, names,
+                                 "population member")
+    return Population(members, fitness, generation), spec
 
 
 # --- checkpoint rings ---------------------------------------------------------
@@ -278,31 +328,26 @@ def load_ring(in_dir):
     """Returns (CheckpointRing, NetworkSpec)."""
     in_dir = Path(in_dir)
     index_path = in_dir / _INDEX_NAME
-    if not index_path.is_file():
-        raise MissingArtifactError(f"no ring index at {index_path}")
-    try:
-        index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{index_path}: invalid JSON: {exc}") from exc
-    for key in ("capacity", "entries"):
-        if key not in index:
-            raise CheckpointFormatError(f"{index_path}: missing key {key!r}")
-    ring = CheckpointRing(int(index["capacity"]))
-    spec = None
-    for row in index["entries"]:
-        path = in_dir / row["file"]
-        if not path.is_file():
-            raise MissingArtifactError(
-                f"ring entry {row['file']} listed in {index_path} is missing")
-        ckpt = load_checkpoint(path)
-        if spec is None:
-            spec = ckpt.spec
-        elif ckpt.spec != spec:
-            raise CheckpointFormatError(
-                f"{path}: spec differs from the first ring entry's")
-        ring.push(int(row["epoch"]), ckpt.params, float(row["train_loss"]))
-    if spec is None:
+    index = _read_json(index_path, "ring index", ("capacity", "entries"))
+    capacity = _number(index["capacity"], f"{index_path}: capacity",
+                       integral=True)
+    rows = index["entries"]
+    if not isinstance(rows, list) or not rows:
         raise CheckpointFormatError(f"{index_path}: ring has no entries")
+    if not len(rows) <= capacity <= sys.maxsize:
+        raise CheckpointFormatError(
+            f"{index_path}: capacity {capacity} cannot hold {len(rows)} "
+            f"entries")
+    for i, row in enumerate(rows):
+        where = f"{index_path}: entries[{i}]"
+        _require(row, ("file", "epoch", "train_loss"), where)
+        _number(row["epoch"], f"{where}.epoch", integral=True)
+        _number(row["train_loss"], f"{where}.train_loss")
+    params, spec = _load_listed(in_dir, index_path,
+                                [row["file"] for row in rows], "ring entry")
+    ring = CheckpointRing(capacity)
+    for row, theta in zip(rows, params):
+        ring.push(row["epoch"], theta, row["train_loss"])
     return ring, spec
 
 
@@ -593,10 +638,24 @@ def write_manifest(run_dir, manifest: dict):
 
 
 def load_manifest(run_dir) -> dict:
+    """manifest.json of a run; its `artifacts` maps labels to paths."""
     path = Path(run_dir) / "manifest.json"
-    if not path.is_file():
-        raise MissingArtifactError(f"no manifest at {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: invalid JSON: {exc}") from exc
+    manifest = _read_json(path, "manifest", ("artifacts",))
+    artifacts = manifest["artifacts"]
+    if not isinstance(artifacts, dict) or not all(
+            isinstance(rel, str) for rel in artifacts.values()):
+        raise CheckpointFormatError(
+            f"{path}: 'artifacts' must map labels to relative paths")
+    return manifest
+
+
+def load_summary(run_dir) -> dict:
+    """summary.json of a run; its `stages` is a list of objects."""
+    path = Path(run_dir) / "summary.json"
+    summary = _read_json(path, "summary", ("stages",))
+    stages = summary["stages"]
+    if not isinstance(stages, list) or not all(
+            isinstance(stage, dict) for stage in stages):
+        raise CheckpointFormatError(
+            f"{path}: 'stages' must be a list of objects")
+    return summary

@@ -1,5 +1,6 @@
 """Shared fuzz engine: seeded truncation/bit-flip corpora over the
-binary formats, with a bytes-in parse adapter per format.
+binary formats and the run-directory JSON files, with a bytes-in parse
+adapter per format.
 
 Two corpus flavours:
   structural_corpus -- every generated case is invalid by construction
@@ -10,14 +11,20 @@ Two corpus flavours:
     requirement is no crash.
 """
 
+import json
 import struct
 
 import numpy as np
 
 from nevo.data import load_idx, load_npy, save_npy
 from nevo.errors import NevoError
+from nevo.evolution import Population
 from nevo.network import param_count
-from nevo.persistence import Checkpoint, checkpoint_bytes, parse_checkpoint
+from nevo.persistence import (Checkpoint, checkpoint_bytes, load_manifest,
+                              load_population, load_ring, load_summary,
+                              parse_checkpoint, save_population, save_ring,
+                              write_manifest)
+from nevo.training import CheckpointRing
 
 from synthdata import random_theta, small_conv, small_mlp
 
@@ -159,6 +166,91 @@ def build_corpora(tmp_path):
         Corpus("ckpt-f32", ck_a, parse_checkpoint, checkpoint_regions(ck_a)),
         Corpus("ckpt-f64", ck_b, parse_checkpoint, checkpoint_regions(ck_b)),
     ]
+
+
+def json_structural_regions(buf, keys):
+    """Bytes of a JSON document whose single-bit corruption must be
+    detected: punctuation, whitespace, quotes, and the names of the keys
+    a reader requires.  String values, numbers, literals and the names of
+    keys nobody checks are free: a flip there may still parse."""
+    free = bytearray(len(buf))
+    i = 0
+    while i < len(buf):
+        c = buf[i:i + 1]
+        if c == b'"':
+            end = buf.index(b'"', i + 1)
+            assert b"\\" not in buf[i:end], "escapes are not handled"
+            is_key = buf[end + 1:].lstrip()[:1] == b":"
+            if not (is_key and buf[i + 1:end].decode() in keys):
+                free[i + 1:end] = b"\x01" * (end - i - 1)
+            i = end + 1
+        elif c.isalnum() or c in b"-+.":
+            free[i] = 1
+            i += 1
+        else:
+            i += 1
+    out, start = [], None
+    for k, flag in enumerate(list(free) + [1]):
+        if not flag and start is None:
+            start = k
+        elif flag and start is not None:
+            out.append((start, k))
+            start = None
+    return out
+
+
+def build_json_corpora(tmp_path):
+    """The JSON files a run directory holds: ring and population
+    index.json, manifest.json and summary.json, each as written by the
+    package.  The trailing newline is dropped so that every proper
+    prefix is invalid JSON."""
+    spec = small_mlp()
+    ring = CheckpointRing(4)
+    for epoch in range(1, 4):
+        ring.push(epoch, random_theta(spec, epoch, np.float32), 1.0 / epoch)
+    ring_dir = tmp_path / "ring"
+    save_ring(ring, ring_dir, spec, {"seed": 0})
+    pop_dir = tmp_path / "de_pop"
+    pop = Population([random_theta(spec, i, np.float32) for i in range(4)],
+                     np.array([0.5, np.nan, 1.25, 0.75]), 3)
+    save_population(pop, pop_dir, spec, {"stage": "de"})
+    run_dir = tmp_path
+    (run_dir / "final.ckpt").write_bytes(b"x")
+    write_manifest(run_dir, {
+        "run_id": "fuzz", "created": "2024-01-01T00:00:00+0000",
+        "config_sha256": "ab" * 32, "seed": 3,
+        "dataset": {"name": "synthetic", "n_train": 96, "n_test": 48},
+        "artifacts": {"final": "final.ckpt", "ring": "ring",
+                      "de_pop": "de_pop"}})
+    (run_dir / "summary.json").write_text(json.dumps({
+        "model": "mlp", "dataset": "synthetic", "params": 214,
+        "stages": [{"stage": "bp", "epochs": 3, "train_loss": 0.25,
+                    "test_accuracy": 0.75, "test_ce": 0.5},
+                   {"stage": "de", "mode": "ancestors", "generations": 2,
+                    "best_fitness": 0.125, "test_accuracy": 0.8}]},
+        indent=2, sort_keys=True) + "\n")
+
+    def adapter(path, load):
+        def parse(blob):
+            path.write_bytes(blob)
+            return load(path.parent)
+        return parse
+
+    specs = [
+        ("ring-index", ring_dir / "index.json", load_ring,
+         {"capacity", "entries", "file", "epoch", "train_loss"}),
+        ("population-index", pop_dir / "index.json", load_population,
+         {"generation", "m", "members", "fitness"}),
+        ("manifest", run_dir / "manifest.json", load_manifest,
+         {"artifacts"}),
+        ("summary", run_dir / "summary.json", load_summary, {"stages"}),
+    ]
+    corpora = []
+    for name, path, load, keys in specs:
+        base = path.read_bytes().rstrip(b"\n")
+        corpora.append(Corpus(name, base, adapter(path, load),
+                              json_structural_regions(base, keys)))
+    return corpora
 
 
 def fuzz_everything(tmp_path, total, seed=0):

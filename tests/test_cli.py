@@ -401,6 +401,74 @@ def test_train_retry_refused_after_evolve_on_diverged_run(tmp_path, capsys):
     assert (run / "metrics.jsonl").read_bytes() == before[run / "metrics.jsonl"]
 
 
+def files_under(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def drop_first_ring_file(doc):
+    del doc["entries"][0]["file"]
+    return doc
+
+
+def ring_file_escapes(doc):
+    # names the run's own final.ckpt, a valid checkpoint of the same spec
+    doc["entries"][0]["file"] = "../final.ckpt"
+    return doc
+
+
+MALFORMED_RUN_FILES = {
+    "summary_stages_not_a_list": ("summary.json", '{"stages": 5}'),
+    "summary_invalid_json": ("summary.json", "{bad"),
+    "manifest_not_an_object": ("manifest.json", "[1]"),
+    "manifest_invalid_json": ("manifest.json", "{bad"),
+    "ring_entry_without_file": ("ring/index.json", drop_first_ring_file),
+    "ring_file_escapes": ("ring/index.json", ring_file_escapes),
+}
+
+
+@pytest.mark.parametrize("case,soup", [
+    (case, soup) for case in sorted(MALFORMED_RUN_FILES)
+    for soup in (False, True)
+    # soup seeding does not read the ring
+    if not (soup and MALFORMED_RUN_FILES[case][0].startswith("ring/"))])
+def test_evolve_malformed_run_file_exits_2_and_writes_nothing(
+        trained_run, capsys, case, soup):
+    rel, content = MALFORMED_RUN_FILES[case]
+    path = trained_run / rel
+    if callable(content):
+        content = json.dumps(content(json.loads(path.read_text())))
+    path.write_text(content)
+    before = files_under(trained_run)
+    capsys.readouterr()
+    argv = ["evolve", "--run", str(trained_run)] + (["--soup"] if soup else [])
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert files_under(trained_run) == before
+
+
+def test_evolve_refuses_a_directory_in_place_of_summary(trained_run, capsys):
+    (trained_run / "summary.json").unlink()
+    (trained_run / "summary.json").mkdir()
+    before = files_under(trained_run)
+    capsys.readouterr()
+    assert cli_main(["evolve", "--run", str(trained_run)]) == 2
+    assert "summary.json: unreadable" in capsys.readouterr().err
+    assert files_under(trained_run) == before
+    assert not (trained_run / "de_best.ckpt").exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"stages": 5}', "{bad"])
+def test_report_warns_on_malformed_summary(trained_run, capsys, text):
+    (trained_run / "summary.json").write_text(text)
+    capsys.readouterr()
+    assert cli_main(["report", "--runs", str(trained_run)]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip().splitlines() == [
+        "run,model,dataset,stage,params,accuracy"]
+    assert err.startswith("warning:") and "summary.json" in err
+
+
 def test_module_entry_point():
     # the child must import the same nevo as this process, installed or not
     src = str(Path(nevo.__file__).resolve().parents[1])

@@ -202,7 +202,7 @@ def fake_dataset_files():
 def fake_manifest(files, pin=True):
     entries = {}
     for logical, payload in files.items():
-        gz = gzip.compress(payload)
+        gz = gzip.compress(payload, mtime=0)
         entries[logical] = {
             "gz": logical + ".gz",
             "sha256": hashlib.sha256(gz).hexdigest() if pin else None,
@@ -219,7 +219,7 @@ class CountingOpener:
     def __call__(self, url):
         self.calls.append(url)
         name = url.rsplit("/", 1)[1][:-3]
-        blob = gzip.compress(self.files[name])
+        blob = gzip.compress(self.files[name], mtime=0)
         if url in self.corrupt_urls:
             blob = blob[:-1] + bytes([blob[-1] ^ 0xFF])
         return blob

@@ -15,6 +15,7 @@ from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
                             ensure_fitness, evolve_generation, fitness,
                             grid_search, mutate, run_de, sample_context,
                             seed_population)
+from nevo import evolution
 from nevo.network import Dense, NetworkSpec, param_count
 from nevo.rng import RngStream
 from nevo.training import CheckpointRing, TrainConfig
@@ -262,6 +263,51 @@ def test_run_de_resample_invalidates_fitness():
                    window=50, seed=0)
     run_de(pop, cfg, factory, stream=RngStream(3))
     assert rounds == [0, 1, 2]
+
+
+def test_run_de_primes_generation_zero_and_reports_the_seed():
+    contexts = []
+
+    def factory(r):
+        contexts.append(Quadratic(np.full(5, float(r))))
+        return contexts[-1]
+
+    pop = rand_pop(6, 5, 8, scale=2.0)
+    pop.fitness[2] = 1e-3  # a cached value is kept, not re-scored
+    seed_members = list(pop.members)
+    cfg = DeConfig(max_generations=6, resample_every=2, min_improve=0.0,
+                   window=50, seed=0)
+    res = run_de(pop, cfg, factory, stream=RngStream(9))
+    assert len(contexts) == 3  # rounds 0, 1 and 2: one draw each
+    assert contexts[0].calls == 5 + 2 * 6  # five stale, two generations
+    assert res.seed_index == 2 and res.seed_fitness == 1e-3
+    assert all(a is b for a, b in zip(pop.members, seed_members))
+    assert pop.fitness.tolist() == [1e-3 if i == 2 else float(v @ v)
+                                    for i, v in enumerate(seed_members)]
+
+
+def test_run_de_seed_is_best_of_primed_population():
+    pop = rand_pop(7, 3, 10, scale=3.0)
+    cfg = DeConfig(max_generations=3, seed=0)
+    res = run_de(pop, cfg, Quadratic(np.zeros(3)), stream=RngStream(11))
+    norms = [float(v @ v) for v in pop.members]
+    assert res.seed_index == int(np.argmin(norms))
+    assert res.seed_fitness == min(norms)
+    assert res.best_fitness <= res.seed_fitness
+
+
+def test_subset_factory_draws_round_r_from_child_r():
+    from nevo.data import make_synthetic_pair
+    data, _ = make_synthetic_pair(100, 10, classes=4, shape=(1, 4, 4),
+                                  noise=0.1, stream=RngStream(10))
+    spec = small_mlp()
+    factory = evolution.subset_factory(spec, data, 30, RngStream(5).child(3))
+    for r in (0, 1, 4):
+        got = factory(r)
+        want = sample_context(spec, data, 30, RngStream(5, (3, r)), r)
+        assert got.subset_id == r
+        assert np.array_equal(got.images, want.images)
+        assert np.array_equal(got.labels, want.labels)
 
 
 def test_run_de_accept_counts_are_consistent():

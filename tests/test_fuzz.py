@@ -13,12 +13,17 @@ from nevo.data import load_cifar10
 from nevo.errors import NevoError
 from nevo.persistence import parse_config
 
-from fuzzutil import build_corpora, run_corpus
+from fuzzutil import build_corpora, build_json_corpora, run_corpus
 
 
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     return build_corpora(tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.fixture(scope="module")
+def json_corpora(tmp_path_factory):
+    return build_json_corpora(tmp_path_factory.mktemp("fuzz-json"))
 
 
 def by_name(corpora, name):
@@ -115,3 +120,22 @@ def test_engine_is_deterministic(corpora):
     b = list(corpus.cases(50, 7, corpus.regions))
     assert a == b
     assert struct.unpack("<I", corpus.base[4:8])[0] == 1
+
+
+def test_run_directory_json_structural_flips_raise_typed(json_corpora):
+    # ring/population index.json, manifest.json and summary.json
+    for corpus in json_corpora:
+        corpus.parse(corpus.base)
+        ok, typed, crashes = run_corpus(corpus, 300, seed=31)
+        assert crashes == [], crashes
+        assert ok == 0, f"{corpus.name}: {ok} corrupted cases parsed"
+        assert typed == 300
+
+
+def test_run_directory_json_free_region_flips_never_crash(json_corpora):
+    for corpus in json_corpora:
+        ok, typed, crashes = run_corpus(corpus, 300, seed=37,
+                                        structural=False)
+        assert crashes == [], crashes
+        assert ok + typed == 300
+        assert ok > 0, f"{corpus.name}: no flip landed in a free region"

@@ -331,3 +331,156 @@ def test_manifest_refuses_dangling_artifacts(tmp_path):
     (tmp_path / "manifest.json").write_text("{broken")
     with pytest.raises(CheckpointFormatError):
         load_manifest(tmp_path)
+
+
+def saved_ring(tmp_path):
+    spec = small_mlp()
+    ring = CheckpointRing(4)
+    for epoch in (1, 2):
+        ring.push(epoch, random_theta(spec, epoch, np.float32), 1.0 / epoch)
+    save_ring(ring, tmp_path / "ring", spec)
+    return tmp_path / "ring"
+
+
+def edit_index(directory, edit):
+    path = directory / "index.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(doc)))
+
+
+def escaping_names(tmp_path, inside):
+    """A valid checkpoint outside `inside` and in a subdirectory of it,
+    with the index names that would reach each one."""
+    spec = small_mlp()
+    outside = tmp_path / "outside.ckpt"
+    save_checkpoint(Checkpoint(spec, random_theta(spec, 7, np.float32)),
+                    outside)
+    (inside / "sub").mkdir()
+    save_checkpoint(Checkpoint(spec, random_theta(spec, 8, np.float32)),
+                    inside / "sub" / "x.ckpt")
+    return {"parent": "../outside.ckpt", "absolute": str(outside),
+            "subdir": "sub/x.ckpt"}
+
+
+def set_entry(i, **fields):
+    def edit(doc):
+        doc["entries"][i].update(fields)
+        return doc
+    return edit
+
+
+def drop_entry_key(key):
+    def edit(doc):
+        del doc["entries"][0][key]
+        return doc
+    return edit
+
+
+RING_INDEX_DEFECTS = {
+    "not_an_object": lambda doc: ["capacity", "entries"],
+    "entry_not_an_object": lambda doc: {**doc, "entries": [5]},
+    "entries_not_a_list": lambda doc: {**doc, "entries": 5},
+    "file_missing": drop_entry_key("file"),
+    "file_not_a_string": set_entry(0, file=7),
+    "capacity_not_numeric": lambda doc: {**doc, "capacity": "four"},
+    "capacity_too_large": lambda doc: {**doc, "capacity": 10 ** 30},
+    "epoch_not_numeric": set_entry(1, epoch="two"),
+    "epoch_missing": drop_entry_key("epoch"),
+    "train_loss_string": set_entry(0, train_loss="0.5"),
+    "train_loss_list": set_entry(0, train_loss=[1]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(RING_INDEX_DEFECTS))
+def test_ring_index_defects_raise_typed(tmp_path, defect):
+    ring_dir = saved_ring(tmp_path)
+    edit_index(ring_dir, RING_INDEX_DEFECTS[defect])
+    with pytest.raises(CheckpointFormatError):
+        load_ring(ring_dir)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "subdir"])
+def test_ring_index_file_must_stay_inside_the_ring(tmp_path, where):
+    ring_dir = saved_ring(tmp_path)
+    name = escaping_names(tmp_path, ring_dir)[where]
+    edit_index(ring_dir, set_entry(0, file=name))
+    with pytest.raises(CheckpointFormatError, match="not a file name"):
+        load_ring(ring_dir)
+
+
+def saved_population(tmp_path):
+    spec = small_mlp()
+    pop = Population([random_theta(spec, i, np.float32) for i in range(4)],
+                     np.array([0.5, np.nan, 1.25, 0.75]), 2)
+    save_population(pop, tmp_path / "pop", spec)
+    return tmp_path / "pop"
+
+
+def set_member(i, name):
+    def edit(doc):
+        doc["members"][i] = name
+        return doc
+    return edit
+
+
+POPULATION_INDEX_DEFECTS = {
+    "not_an_object": lambda doc: ["generation", "m", "members", "fitness"],
+    "members_not_a_list": lambda doc: {**doc, "members": 4},
+    "member_not_a_string": set_member(1, {"file": "member-001.ckpt"}),
+    "fitness_not_a_list": lambda doc: {**doc, "fitness": 4},
+    "generation_not_numeric": lambda doc: {**doc, "generation": "2"},
+    "fitness_not_numeric": lambda doc: {**doc,
+                                        "fitness": ["a", None, 1.0, 2.0]},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(POPULATION_INDEX_DEFECTS))
+def test_population_index_defects_raise_typed(tmp_path, defect):
+    pop_dir = saved_population(tmp_path)
+    edit_index(pop_dir, POPULATION_INDEX_DEFECTS[defect])
+    with pytest.raises(CheckpointFormatError):
+        load_population(pop_dir)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "subdir"])
+def test_population_member_must_stay_inside_the_directory(tmp_path, where):
+    pop_dir = saved_population(tmp_path)
+    name = escaping_names(tmp_path, pop_dir)[where]
+    edit_index(pop_dir, set_member(0, name))
+    with pytest.raises(CheckpointFormatError, match="not a file name"):
+        load_population(pop_dir)
+
+
+@pytest.mark.parametrize("text", ["[1]", '"run"',
+                                  '{"artifacts": [1]}',
+                                  '{"artifacts": {"final": 5}}',
+                                  '{"run_id": "x"}'])
+def test_manifest_structure_is_checked(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(CheckpointFormatError):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]", '{"stages": 5}',
+                                  '{"stages": [1]}', '{"model": "mlp"}',
+                                  b'{"stages": []}\xff'])
+def test_summary_reader_raises_typed(tmp_path, text):
+    from nevo.persistence import load_summary
+
+    with pytest.raises(MissingArtifactError):
+        load_summary(tmp_path)
+    path = tmp_path / "summary.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(CheckpointFormatError):
+        load_summary(tmp_path)
+
+
+def test_summary_reader_round_trip(tmp_path):
+    from nevo.persistence import load_summary
+
+    doc = {"model": "mlp", "stages": [{"stage": "bp", "test_accuracy": 0.5}]}
+    (tmp_path / "summary.json").write_text(json.dumps(doc))
+    assert load_summary(tmp_path) == doc
