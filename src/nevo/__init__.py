@@ -8,15 +8,54 @@ and a cost model whose operation counts are derived from layer shapes.
 """
 
 import os
+import sys
 
 # Pin BLAS to one thread unless the caller configured otherwise.  All
 # user-facing parallelism happens at the Python level (per-individual
 # fitness evaluation), so results stay bitwise reproducible no matter
-# how many workers are requested.  Must run before numpy is imported.
+# how many workers are requested.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
+
+
+def _pin_loaded_openblas():
+    """Apply OPENBLAS_NUM_THREADS to the OpenBLAS bundled with an
+    already-imported numpy, which read the variable when it loaded.
+    Warns once, and never fails, when that library cannot be found."""
+    import ctypes
+    import glob
+    import warnings
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs")
+    try:
+        threads = int(os.environ["OPENBLAS_NUM_THREADS"])
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            for symbol in ("scipy_openblas_set_num_threads64_",
+                           "openblas_set_num_threads64_",
+                           "openblas_set_num_threads"):
+                fn = getattr(lib, symbol, None)
+                if fn is not None:
+                    fn.argtypes = [ctypes.c_int]
+                    fn.restype = None
+                    fn(threads)
+                    return
+    except (ValueError, OSError):
+        pass
+    warnings.warn(
+        "nevo could not set the BLAS thread count of the numpy imported "
+        "before it; import nevo first, or set OPENBLAS_NUM_THREADS=1, for "
+        "bitwise-reproducible results", RuntimeWarning, stacklevel=2)
+
+
+# once numpy has loaded OpenBLAS, only a runtime call changes its count
+if "numpy" in sys.modules:
+    _pin_loaded_openblas()
 
 from .errors import (  # noqa: E402
     NevoError,

@@ -100,7 +100,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--split", default="test", choices=("train", "test"))
     v.add_argument("--corrupted", default=None,
                    help="directory of precomputed NPY corruption sets")
-    v.add_argument("--batch-size", type=int, default=256)
     v.set_defaults(func=_cmd_eval)
 
     c = sub.add_parser("corrupt", help="synthesize a corrupted split")
@@ -270,7 +269,7 @@ def _cmd_train(args) -> int:
                                 "loss": last_loss, "seed": bp.seed}),
                     run_dir / "final.ckpt")
 
-    clean = evaluate(cfg.spec, theta, test_ds, cfg.eval.batch_size)
+    clean = evaluate(cfg.spec, theta, test_ds)
     summary = {
         "model": cfg.model_name or "custom",
         "dataset": cfg.data.name,
@@ -344,9 +343,8 @@ def _cmd_evolve(args) -> int:
     suffix = "_soup" if args.soup else ""
     save_population(out.population, run_dir / f"de_pop{suffix}", spec,
                     {"stage": "de", "mode": mode, "seed": de.seed})
-    seed_eval = evaluate(spec, pop.members[out.seed_index], test_ds,
-                         cfg.eval.batch_size)
-    best_eval = evaluate(spec, out.best, test_ds, cfg.eval.batch_size)
+    seed_eval = evaluate(spec, pop.members[out.seed_index], test_ds)
+    best_eval = evaluate(spec, out.best, test_ds)
     save_checkpoint(Checkpoint(spec, out.best,
                                {"stage": "de", "mode": mode,
                                 "generation": out.population.generation,
@@ -418,13 +416,13 @@ def _cmd_eval(args) -> int:
             labels = datasets.load_npy(lab_path, scale_u8=False)
             ds = datasets.Dataset(images, labels.astype(np.int64).ravel(),
                                   name)
-            rows.append(evaluate(ckpt.spec, ckpt.params, ds, args.batch_size))
+            rows.append(evaluate(ckpt.spec, ckpt.params, ds))
     else:
         from .persistence import DataSection
         train_ds, test_ds = _load_split_pair(
             DataSection(name=args.dataset, dir=args.data_dir))
         ds = train_ds if args.split == "train" else test_ds
-        rows.append(evaluate(ckpt.spec, ckpt.params, ds, args.batch_size))
+        rows.append(evaluate(ckpt.spec, ckpt.params, ds))
     doc = [{"dataset": r.dataset, "n": r.n_samples, "accuracy": r.accuracy,
             "error": r.error, "mean_ce": r.mean_ce} for r in rows]
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -417,43 +417,54 @@ def load_idx_dir(ds_dir, name: str) -> tuple:
 # --- geometry -------------------------------------------------------------
 
 
+# _affine_bilinear warps this many input elements at a time; the chunk
+# size depends only on the image shape, so memory does not grow with N.
+_WARP_CHUNK_ELEMS = 1 << 16
+
+
 def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
                      shifts: np.ndarray, zooms: np.ndarray) -> np.ndarray:
     """Per-sample rotate/zoom about the center plus translate, bilinear
     sampling, zero fill outside the canvas.
 
     With angle 0, shift (0,0), zoom 1 the output is bitwise the input.
+    Every sample is computed on its own, so warping in chunks of
+    samples changes no bit of the output.
     """
     n, c, h, w = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = np.deg2rad(angles_deg).astype(np.float64)
-    cos, sin = np.cos(theta), np.sin(theta)
+    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
-    # destination -> source mapping (inverse transform)
-    dy = yy[None] - cy - shifts[:, 0, None, None]
-    dx = xx[None] - cx - shifts[:, 1, None, None]
-    inv = 1.0 / zooms[:, None, None]
-    sy = (cos[:, None, None] * dy - sin[:, None, None] * dx) * inv + cy
-    sx = (sin[:, None, None] * dy + cos[:, None, None] * dx) * inv + cx
-
-    y0 = np.floor(sy).astype(np.int64)
-    x0 = np.floor(sx).astype(np.int64)
-    wy = (sy - y0).astype(images.dtype)
-    wx = (sx - x0).astype(images.dtype)
-
     out = np.zeros_like(images)
-    ni = np.arange(n)[:, None, None]
-    for oy, ox, wgt in ((y0, x0, (1 - wy) * (1 - wx)),
-                        (y0, x0 + 1, (1 - wy) * wx),
-                        (y0 + 1, x0, wy * (1 - wx)),
-                        (y0 + 1, x0 + 1, wy * wx)):
-        inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
-        yc = np.clip(oy, 0, h - 1)
-        xc = np.clip(ox, 0, w - 1)
-        vals = images[ni, :, yc, xc]          # [n, h, w, c]
-        vals = vals.transpose(0, 3, 1, 2)
-        out += vals * (wgt * inside)[:, None, :, :].astype(images.dtype)
+    step = max(1, _WARP_CHUNK_ELEMS // (c * h * w))
+    for lo in range(0, n, step):
+        k = slice(lo, lo + step)
+        # destination -> source mapping (inverse transform)
+        dy = yy[None] - cy - shifts[k, 0, None, None]
+        dx = xx[None] - cx - shifts[k, 1, None, None]
+        inv = 1.0 / zooms[k, None, None]
+        sy = (cos[k] * dy - sin[k] * dx) * inv + cy
+        sx = (sin[k] * dy + cos[k] * dx) * inv + cx
+
+        y0 = np.floor(sy).astype(np.int64)
+        x0 = np.floor(sx).astype(np.int64)
+        wy = (sy - y0).astype(images.dtype)
+        wx = (sx - x0).astype(images.dtype)
+
+        src, dst = images[k], out[k]
+        ni = np.arange(len(src))[:, None, None]
+        for oy, ox, wgt in ((y0, x0, (1 - wy) * (1 - wx)),
+                            (y0, x0 + 1, (1 - wy) * wx),
+                            (y0 + 1, x0, wy * (1 - wx)),
+                            (y0 + 1, x0 + 1, wy * wx)):
+            inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
+            yc = np.clip(oy, 0, h - 1)
+            xc = np.clip(ox, 0, w - 1)
+            vals = src[ni, :, yc, xc]          # [chunk, h, w, c]
+            vals = vals.transpose(0, 3, 1, 2)
+            dst += vals * (wgt * inside)[:, None, :, :].astype(images.dtype)
     return out
 
 

@@ -18,9 +18,11 @@ from .errors import (ConfigError, LabelError, NevoError, NumericError,
                      ShapeMismatchError)
 from .network import (Activation, Conv, Dense, NetworkSpec, Pool,
                       activation_sizes, forward, param_count)
-from .data import Dataset, batches
-from .persistence import load_summary
+from .data import Dataset
 from .rng import RngStream
+
+# elements of the widest activation that one evaluate chunk may hold
+_EVAL_CHUNK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,16 +35,20 @@ class EvalReport:
     mean_ce: float
 
 
-def evaluate(spec: NetworkSpec, params: np.ndarray, data: Dataset,
-             batch_size: int = 256) -> EvalReport:
-    """Argmax classification accuracy plus mean cross-entropy.
+def evaluate(spec: NetworkSpec, params: np.ndarray,
+             data: Dataset) -> EvalReport:
+    """Argmax classification accuracy plus mean cross-entropy: the one
+    no-gradient pass over a split (held-out scores, the epoch-end ring
+    loss in `train`, and DE fitness).
 
-    Ties in the logits resolve to the lowest class index.  Per-sample
-    terms are summed in float64 in one flat reduction, so the sum does
-    not depend on how batches are cut.  The float32 logits themselves
-    can: OpenBLAS picks small-matrix or GEMV kernels by shape, and those
-    round differently, so `mean_ce` bits and near-tie argmaxes may move
-    with batch_size (a last partial batch included).
+    The split runs in chunks of _EVAL_CHUNK_ELEMS // (widest activation
+    in spec.shapes()) samples, so memory does not grow with N.  Ties in
+    the logits resolve to the lowest class index.  Per-sample terms are
+    summed in float64 in one flat reduction, so the sum does not depend
+    on how chunks are cut.  The float32 logits themselves can: OpenBLAS
+    picks small-matrix or GEMV kernels by shape, and those round
+    differently, so `mean_ce` bits and near-tie argmaxes may move with
+    the chunk size (a last partial chunk included).
     """
     correct = 0
     ce_parts = []
@@ -54,7 +60,11 @@ def evaluate(spec: NetworkSpec, params: np.ndarray, data: Dataset,
         raise LabelError(
             f"label {int(data.labels[i])} at index {i} outside "
             f"[0, {n_classes})")
-    for xb, yb in batches(data, batch_size):
+    widest = max(math.prod(shape) for shape in spec.shapes())
+    step = max(1, _EVAL_CHUNK_ELEMS // widest)
+    for lo in range(0, n, step):
+        # slices are views, so no chunk copies its images
+        xb, yb = data.images[lo:lo + step], data.labels[lo:lo + step]
         logits = forward(spec, params, xb)
         preds = logits.argmax(axis=1)
         correct += int(np.sum(preds == yb))
@@ -62,7 +72,7 @@ def evaluate(spec: NetworkSpec, params: np.ndarray, data: Dataset,
         z -= z.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         ce_parts.append(-logp[np.arange(len(yb)), yb])
-    # one flat sum so the value cannot depend on how batches were cut
+    # one flat sum so the value cannot depend on how chunks were cut
     ce_sum = float(np.sum(np.concatenate(ce_parts)))
     accuracy = correct / n
     return EvalReport(data.name, n, correct, accuracy, 1.0 - accuracy,
@@ -186,6 +196,8 @@ def published_tables() -> dict:
 
 
 def _load_run_rows(run_dir: Path, problems: list) -> list:
+    from .persistence import load_summary
+
     try:
         summary = load_summary(run_dir)
     except NevoError as exc:

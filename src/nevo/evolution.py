@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import (ConfigError, MissingArtifactError, PopulationError,
                      ShapeMismatchError)
-from .network import NetworkSpec, init_params, loss
+from .data import Dataset
+from .evaluation import evaluate
+from .network import NetworkSpec, init_params
 from .rng import RngStream
 
 _NS_DE = 2
@@ -114,27 +116,27 @@ class Population:
 @dataclass(frozen=True)
 class FitnessContext:
     """Frozen evaluation data; equal subset_id means equal data, so
-    comparisons within a generation are paired."""
+    comparisons within a generation are paired.  Fitness is the mean
+    cross-entropy of `evaluation.evaluate` on `data`, with no penalty."""
 
     spec: NetworkSpec
-    images: np.ndarray
-    labels: np.ndarray
+    data: Dataset
     subset_id: int = 0
 
     def evaluate(self, member: np.ndarray) -> float:
-        # fitness is plain mean cross-entropy: no penalty term
-        return loss(self.spec, member, self.images, self.labels, 0.0)
+        return evaluate(self.spec, member, self.data).mean_ce
 
 
 def sample_context(spec: NetworkSpec, data, size: int, stream: RngStream,
                    subset_id: int = 0) -> FitnessContext:
     """Fixed evaluation subset drawn without replacement (all data if
     size >= N)."""
-    n = len(data.labels)
+    n = len(data)
     if size >= n:
-        return FitnessContext(spec, data.images, data.labels, subset_id)
+        return FitnessContext(spec, data, subset_id)
     idx = np.sort(stream.generator().choice(n, size=size, replace=False))
-    return FitnessContext(spec, data.images[idx], data.labels[idx], subset_id)
+    return FitnessContext(spec, Dataset(data.images[idx], data.labels[idx],
+                                        data.name), subset_id)
 
 
 def subset_factory(spec: NetworkSpec, data, size: int,
@@ -366,7 +368,6 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
     ranked by held-out accuracy, ties broken by (lr, F, Cr).  Every
     stochastic piece derives from master_seed.
     """
-    from .evaluation import evaluate
     from .training import train
 
     grid = dict(DEFAULT_GRID if grid is None else grid)

@@ -365,7 +365,9 @@ def _l2_penalty(spec, theta):
     return total
 
 
-def _total_loss(spec, theta, ce, lam):
+def total_loss(spec: NetworkSpec, theta: np.ndarray, ce: float,
+               lam: float) -> float:
+    """Mean cross-entropy ce plus lam * sum(w^2) over weights only."""
     if lam == 0.0:
         return ce
     return ce + lam * _l2_penalty(spec, theta)
@@ -373,10 +375,11 @@ def _total_loss(spec, theta, ce, lam):
 
 def loss(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
          lam: float = 0.0) -> float:
-    """Mean cross-entropy plus lam * sum(w^2) over weights only."""
+    """Mean cross-entropy plus lam * sum(w^2) over weights only; the
+    reference that `backward`'s loss equals bitwise."""
     logits, _ = _run(spec, theta, x, keep=False)
     ce, _, _ = tensor.softmax_ce(logits, y)
-    return _total_loss(spec, theta, ce, lam)
+    return total_loss(spec, theta, ce, lam)
 
 
 def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
@@ -387,7 +390,7 @@ def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
     """
     logits, caches = _run(spec, theta, x, keep=True)
     ce, _, g = tensor.softmax_ce(logits, y)
-    total = _total_loss(spec, theta, ce, lam)
+    total = total_loss(spec, theta, ce, lam)
 
     params = _views(spec, theta)
     grad = np.zeros_like(theta)
@@ -425,11 +428,6 @@ def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
                 seg = slice(slot.start, slot.stop)
                 grad[seg] += (2.0 * lam) * theta[seg]
     return total, grad
-
-
-def predict(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Argmax class per sample."""
-    return forward(spec, theta, x).argmax(axis=1)
 
 
 def _mlp():

@@ -377,18 +377,12 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class EvalSection:
-    batch_size: int = 256
-
-
-@dataclass(frozen=True)
 class Config:
     model_name: Optional[str]
     spec: NetworkSpec
     data: DataSection
     bp: TrainConfig
     de: DeConfig
-    eval: EvalSection
     grid: dict
     document: dict
 
@@ -580,18 +574,12 @@ def parse_config(text: str) -> Config:
     except json.JSONDecodeError as exc:
         raise ConfigError("/", f"invalid JSON: {exc}") from exc
     doc = _expect_obj(doc, "/")
-    _reject_unknown(doc, {"model", "data", "bp", "de", "eval", "grid"}, "")
+    _reject_unknown(doc, {"model", "data", "bp", "de", "grid"}, "")
 
     model_name, spec = _parse_model(doc.get("model"))
     data = _parse_data(doc.get("data"))
     bp = _parse_fields(doc.get("bp"), _BP_KEYS, _BP_INTS, "/bp", TrainConfig)
     de = _parse_fields(doc.get("de"), _DE_KEYS, _DE_INTS, "/de", DeConfig)
-    eval_doc = _expect_obj(doc.get("eval"), "/eval")
-    _reject_unknown(eval_doc, {"batch_size"}, "/eval")
-    eval_section = EvalSection(
-        batch_size=_get_num(eval_doc, "batch_size", 256, "/eval", True))
-    if eval_section.batch_size < 1:
-        raise ConfigError("/eval/batch_size", "must be >= 1")
     grid = _parse_grid(doc.get("grid"))
 
     document = {
@@ -614,10 +602,9 @@ def parse_config(text: str) -> Config:
                "window": de.window, "fitness_subset": de.fitness_subset,
                "resample_every": de.resample_every,
                "force_jrand": de.force_jrand, "seed": de.seed},
-        "eval": {"batch_size": eval_section.batch_size},
         "grid": grid,
     }
-    return Config(model_name, spec, data, bp, de, eval_section, grid, document)
+    return Config(model_name, spec, data, bp, de, grid, document)
 
 
 # --- run manifests ------------------------------------------------------------

@@ -4,7 +4,9 @@ parameter snapshots.
 The ring is the bridge to the evolutionary stage; its newest entries
 become the seed population.  Epoch losses stored in the ring are full
 training-set re-evaluations with the snapshot parameters, not running
-batch averages, so a stored (params, loss) pair is self-consistent.
+batch averages, so a stored (params, loss) pair is self-consistent:
+`evaluation.evaluate`'s mean cross-entropy plus `network.total_loss`'s
+weight penalty.  The test metrics come from `evaluate` too.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeMismatchError, TrainingDiverged
-from .network import NetworkSpec, backward, forward, init_params, loss
+from .network import NetworkSpec, backward, init_params, total_loss
 from .rng import RngStream
-from .tensor import softmax_ce
 from .data import batches
+from .evaluation import evaluate
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,8 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
         except NumericError as exc:
             raise TrainingDiverged(str(exc), ring=ring, history=history) from exc
 
-        epoch_loss = loss(spec, theta, data.images, data.labels, cfg.lam)
+        ce = evaluate(spec, theta, data).mean_ce
+        epoch_loss = total_loss(spec, theta, ce, cfg.lam)
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(
                 f"epoch {epoch}: non-finite epoch loss", ring=ring,
@@ -183,10 +186,8 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
 
         test_loss = test_acc = None
         if test_data is not None:
-            # one pass gives both: loss(..., 0.0) is softmax_ce of forward
-            logits = forward(spec, theta, test_data.images)
-            test_loss, _, _ = softmax_ce(logits, test_data.labels)
-            test_acc = float(np.mean(logits.argmax(axis=1) == test_data.labels))
+            rep = evaluate(spec, theta, test_data)
+            test_loss, test_acc = rep.mean_ce, rep.accuracy
         wall_ms = (time.perf_counter() - t0) * 1000.0
         metrics = EpochMetrics(epoch, epoch_loss, test_loss, test_acc, wall_ms)
         history.append(metrics)

@@ -187,7 +187,7 @@ def test_criterion_04_pipeline_gain_mnist():
         cfg = TrainConfig(lr=lr, max_epochs=10, ring_size=10, seed=2026)
         params, ring, _ = train(spec, train_ds, cfg)
         rings[lr] = ring
-        ancestor_acc[lr] = evaluate(spec, params, test_ds, 512).accuracy
+        ancestor_acc[lr] = evaluate(spec, params, test_ds).accuracy
     best_ancestor = max(ancestor_acc.values())
     assert best_ancestor >= 0.97
 
@@ -221,7 +221,7 @@ def test_criterion_04_evidence_synthetic():
     bp_cfg = TrainConfig(lr=0.05, batch_size=16, max_epochs=6, ring_size=4,
                          patience=10, seed=1)
     params, ring, _ = train(spec, train_ds, bp_cfg)
-    ancestor_acc = evaluate(spec, params, test_ds, 64).accuracy
+    ancestor_acc = evaluate(spec, params, test_ds).accuracy
     de_cfg = DeConfig(F=0.5, Cr=0.5, max_generations=40, fitness_subset=240,
                       min_improve=0.0, window=41, seed=3)
     rows = grid_search(spec, train_ds, test_ds, bp_cfg, de_cfg,
@@ -321,7 +321,7 @@ def soup_vs_ancestors(spec, train_ds, test_ds, bp_cfg, de_cfg, m, seed):
     for mode, source in (("ancestors", ring), ("soup", spec)):
         pop = seed_population(mode, source, m, stream=stream.child(1))
         result = run_de(pop, de_cfg, factory, stream=stream.child(2))
-        accs[mode] = evaluate(spec, result.best, test_ds, 256).accuracy
+        accs[mode] = evaluate(spec, result.best, test_ds).accuracy
     return accs
 
 

@@ -35,7 +35,6 @@ def tiny_config(**over) -> str:
                "patience": 10, "seed": 0},
         "de": {"F": 0.5, "Cr": 0.5, "max_generations": 3,
                "fitness_subset": 500, "window": 50, "seed": 0},
-        "eval": {"batch_size": 32},
         "grid": {"lr": [0.05], "F": [0.5], "Cr": [0.5, 1.0]},
     }
     for key, value in over.items():
@@ -469,12 +468,55 @@ def test_report_warns_on_malformed_summary(trained_run, capsys, text):
     assert err.startswith("warning:") and "summary.json" in err
 
 
-def test_module_entry_point():
-    # the child must import the same nevo as this process, installed or not
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the same nevo as
+    this process, installed or not."""
     src = str(Path(nevo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "nevo", "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "train" in proc.stdout and "evolve" in proc.stdout
+
+
+# prints the thread count of numpy's bundled OpenBLAS after importing
+# numpy and then nevo, or "none" when that library cannot be read
+_BLAS_THREADS_AFTER_NUMPY_FIRST = """
+import ctypes, glob, os
+import numpy
+import nevo
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                    "numpy.libs")
+count = "none"
+for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+    lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None and count == "none":
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            count = str(fn())
+print(count)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS starts with one thread on one CPU")
+def test_blas_is_pinned_when_numpy_is_imported_first():
+    # this process has imported nevo, which set the variables; the child
+    # must start without them, as a user's interpreter does
+    env = {k: v for k, v in child_env().items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c",
+                           _BLAS_THREADS_AFTER_NUMPY_FIRST],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy bundles no readable OpenBLAS here")
+    assert proc.stdout.strip() == "1"

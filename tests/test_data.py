@@ -6,10 +6,12 @@ import gzip
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nevo import data as data_mod
 from nevo.data import (Dataset, SEVERITY_TABLES, augment, batches, corrupt,
                        fetch, load_cifar10, load_idx, load_idx_dir, load_npy,
                        make_synthetic, make_synthetic_pair, save_npy)
@@ -330,6 +332,43 @@ def test_augment_multiplier_one_is_noop():
     assert augment(ds, 1) is ds
     with pytest.raises(ConfigError):
         augment(ds, 0)
+
+
+def warp_inputs(n, seed=0):
+    """n random 28x28 images with per-sample rotations, integer shifts
+    and zooms."""
+    gen = np.random.default_rng(seed)
+    images = gen.random((n, 1, 28, 28), dtype=np.float32)
+    return (images, gen.uniform(-35.0, 35.0, n),
+            gen.integers(-3, 4, (n, 2)).astype(np.float64),
+            gen.uniform(0.8, 1.5, n))
+
+
+def warp_scratch_bytes(n):
+    """Peak traced memory of one warp of n images, less its output."""
+    args = warp_inputs(n)
+    tracemalloc.start()
+    try:
+        out = data_mod._affine_bilinear(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_affine_bilinear_scratch_memory_is_flat_in_n():
+    small, large = warp_scratch_bytes(250), warp_scratch_bytes(2000)
+    assert large <= 1.5 * small
+
+
+def test_affine_bilinear_chunks_equal_per_sample_warps():
+    n = data_mod._WARP_CHUNK_ELEMS // (28 * 28) + 3
+    images, angles, shifts, zooms = warp_inputs(n, seed=1)
+    out = data_mod._affine_bilinear(images, angles, shifts, zooms)
+    for i in range(n):
+        one = data_mod._affine_bilinear(images[i:i + 1], angles[i:i + 1],
+                                        shifts[i:i + 1], zooms[i:i + 1])
+        assert np.array_equal(out[i], one[0]), i
 
 
 def test_translate_shifts_content():

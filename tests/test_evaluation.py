@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from nevo import evaluation
 from nevo.data import make_synthetic_pair
 from nevo.errors import (ConfigError, LabelError, NumericError,
                          ShapeMismatchError)
@@ -126,7 +127,7 @@ def eval_fixture(n=120):
 
 def test_evaluate_report_fields_are_consistent():
     spec, theta, data = eval_fixture()
-    rep = evaluate(spec, theta, data, 32)
+    rep = evaluate(spec, theta, data)
     assert rep.n_samples == len(data)
     assert isinstance(rep.correct, int)
     assert rep.accuracy == rep.correct / rep.n_samples
@@ -135,9 +136,13 @@ def test_evaluate_report_fields_are_consistent():
     assert rep.dataset == data.name
 
 
-def test_evaluate_is_batch_size_invariant():
+def test_evaluate_is_batch_size_invariant(monkeypatch):
     spec, theta, data = eval_fixture()
-    reports = [evaluate(spec, theta, data, bs) for bs in (1, 7, 32, 120, 999)]
+    widest = max(math.prod(shape) for shape in spec.shapes())
+    reports = []
+    for bs in (1, 7, 32, 120, 999):
+        monkeypatch.setattr(evaluation, "_EVAL_CHUNK_ELEMS", bs * widest)
+        reports.append(evaluate(spec, theta, data))
     first = reports[0]
     for rep in reports[1:]:
         assert rep.correct == first.correct
@@ -147,7 +152,7 @@ def test_evaluate_is_batch_size_invariant():
 def test_evaluate_zero_weights_baseline():
     spec, _, data = eval_fixture()
     theta = np.zeros(param_count(spec), dtype=np.float32)
-    rep = evaluate(spec, theta, data, 64)
+    rep = evaluate(spec, theta, data)
     # uniform logits: picks class 0, CE is ln(n_classes)
     assert rep.correct == int(np.sum(data.labels == 0))
     assert abs(rep.mean_ce - math.log(4)) < 1e-6
@@ -157,12 +162,12 @@ def test_evaluate_rejects_out_of_range_labels():
     spec, theta, data = eval_fixture()
     bad = type(data)(data.images, data.labels + 10, data.name)
     with pytest.raises(LabelError):
-        evaluate(spec, theta, bad, 32)
+        evaluate(spec, theta, bad)
 
 
 def test_evaluate_counts_forward_madds():
     spec, theta, data = eval_fixture(50)
-    rep = evaluate(spec, theta, data, 16)
+    rep = evaluate(spec, theta, data)
     per_sample = 16 * 10 + 10 * 4
     assert count_costs(spec, n_g=rep.n_samples).bp_madds == 50 * per_sample
 

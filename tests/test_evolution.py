@@ -6,6 +6,8 @@ own sampling code.  Selection and crossover bounds are exact claims;
 convergence checks run on a quadratic surrogate fitness.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
                             grid_search, mutate, run_de, sample_context,
                             seed_population)
 from nevo import evolution
-from nevo.network import Dense, NetworkSpec, param_count
+from nevo.network import Dense, NetworkSpec, init_params, param_count, zoo_spec
 from nevo.rng import RngStream
 from nevo.training import CheckpointRing, TrainConfig
 
@@ -306,8 +308,8 @@ def test_subset_factory_draws_round_r_from_child_r():
         got = factory(r)
         want = sample_context(spec, data, 30, RngStream(5, (3, r)), r)
         assert got.subset_id == r
-        assert np.array_equal(got.images, want.images)
-        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.data.images, want.data.images)
+        assert np.array_equal(got.data.labels, want.data.labels)
 
 
 def test_run_de_accept_counts_are_consistent():
@@ -400,24 +402,44 @@ def test_sample_context_fixed_subset():
     spec = small_mlp()
     c1 = sample_context(spec, data, 30, RngStream(11), subset_id=2)
     c2 = sample_context(spec, data, 30, RngStream(11), subset_id=2)
-    assert np.array_equal(c1.images, c2.images)
-    assert len(c1.labels) == 30
+    assert np.array_equal(c1.data.images, c2.data.images)
+    assert len(c1.data.labels) == 30
     assert c1.subset_id == 2
     full = sample_context(spec, data, 1000, RngStream(12))
-    assert full.images is data.images
+    assert full.data.images is data.images
 
 
 def test_fitness_has_no_penalty_term():
     from nevo.data import make_synthetic_pair
-    from nevo.network import loss
+    from nevo.evaluation import evaluate
     data, _ = make_synthetic_pair(40, 10, classes=4, shape=(1, 4, 4),
                                   noise=0.1, stream=RngStream(13))
     spec = small_mlp()
     ctx = sample_context(spec, data, 40, RngStream(14))
     gen = np.random.default_rng(15)
     member = gen.normal(0.0, 0.3, param_count(spec)).astype(np.float32)
-    assert fitness(member, ctx) == loss(spec, member, data.images,
-                                        data.labels, 0.0)
+    assert fitness(member, ctx) == evaluate(spec, member, data).mean_ce
+
+
+def fitness_peak_bytes(data, size):
+    """Peak traced memory of one fitness call on a lenet1 context of
+    `size` samples."""
+    spec = zoo_spec("lenet1")
+    ctx = sample_context(spec, data, size, RngStream(16))
+    member = init_params(spec, RngStream(17))
+    tracemalloc.start()
+    try:
+        fitness(member, ctx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fitness_memory_is_flat_in_subset_size():
+    from nevo.data import make_synthetic
+    data = make_synthetic(4000, stream=RngStream(18))
+    small, large = fitness_peak_bytes(data, 500), fitness_peak_bytes(data, 4000)
+    assert large <= 1.5 * small
 
 
 def test_default_grid_shape():

@@ -8,8 +8,7 @@ import pytest
 from nevo.errors import ConfigError, ShapeMismatchError
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, activation_sizes, backward, forward,
-                          init_params, layout, loss, param_count, predict,
-                          zoo_spec)
+                          init_params, layout, loss, param_count, zoo_spec)
 from nevo.rng import RngStream
 from nevo import tensor
 
@@ -228,7 +227,7 @@ def test_predict_zero_weights_picks_class_zero():
     spec = small_mlp()
     theta = np.zeros(param_count(spec), dtype=np.float32)
     x, _ = random_batch(spec, 10, 11)
-    preds = predict(spec, theta, x.astype(np.float32))
+    preds = forward(spec, theta, x.astype(np.float32)).argmax(axis=1)
     assert np.all(preds == 0), "argmax tie must resolve to lowest index"
 
 

@@ -7,7 +7,8 @@ import pytest
 from nevo.data import Dataset, make_synthetic_pair
 from nevo.errors import (ConfigError, NumericError, ShapeMismatchError,
                          TrainingDiverged)
-from nevo.network import init_params, loss, param_count, predict
+from nevo.evaluation import evaluate
+from nevo.network import forward, init_params, param_count, total_loss
 from nevo.rng import RngStream
 from nevo.training import (AdamState, CheckpointRing, TrainConfig, adam_step,
                            train)
@@ -142,7 +143,8 @@ def test_ring_losses_are_reevaluations():
     cfg = TrainConfig(max_epochs=3, batch_size=50, ring_size=4, seed=2)
     _, ring, _ = train(spec, data, cfg)
     for entry in ring.entries:
-        again = loss(spec, entry.params, data.images, data.labels, cfg.lam)
+        ce = evaluate(spec, entry.params, data).mean_ce
+        again = total_loss(spec, entry.params, ce, cfg.lam)
         assert again == entry.train_loss
 
 
@@ -193,11 +195,12 @@ def test_train_reports_test_metrics():
     assert len(seen) == len(history) == 2
     for m in history:
         assert m.test_loss is not None and 0.0 <= m.test_acc <= 1.0
-    # the single epoch-end pass equals separate loss and predict passes
-    assert history[-1].test_loss == loss(spec, theta, test_ds.images,
-                                         test_ds.labels, 0.0)
+    # the epoch-end test metrics are evaluate's, and its accuracy is
+    # the argmax of forward
+    assert history[-1].test_loss == evaluate(spec, theta, test_ds).mean_ce
     assert history[-1].test_acc == float(np.mean(
-        predict(spec, theta, test_ds.images) == test_ds.labels))
+        forward(spec, theta, test_ds.images).argmax(axis=1)
+        == test_ds.labels))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
