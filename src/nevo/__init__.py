@@ -20,37 +20,64 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
 del _var
 
 
-def _pin_loaded_openblas():
-    """Apply OPENBLAS_NUM_THREADS to the OpenBLAS bundled with an
-    already-imported numpy, which read the variable when it loaded.
-    Warns once, and never fails, when that library cannot be found."""
+def _loaded_openblas(name: str):
+    """The OpenBLAS function `name` (such as "get_num_threads") in the
+    library bundled with the imported numpy, looked up without loading
+    anything new, or None when no such library or symbol is found."""
     import ctypes
     import glob
-    import warnings
 
     import numpy
 
     libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
                         "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_",
+                       f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _pin_loaded_openblas():
+    """Apply OPENBLAS_NUM_THREADS to the OpenBLAS bundled with an
+    already-imported numpy, which read the variable when it loaded.
+    Warns once, and never fails, when that library cannot be found."""
+    import ctypes
+    import warnings
+
     try:
         threads = int(os.environ["OPENBLAS_NUM_THREADS"])
-        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-            for symbol in ("scipy_openblas_set_num_threads64_",
-                           "openblas_set_num_threads64_",
-                           "openblas_set_num_threads"):
-                fn = getattr(lib, symbol, None)
-                if fn is not None:
-                    fn.argtypes = [ctypes.c_int]
-                    fn.restype = None
-                    fn(threads)
-                    return
-    except (ValueError, OSError):
-        pass
-    warnings.warn(
-        "nevo could not set the BLAS thread count of the numpy imported "
-        "before it; import nevo first, or set OPENBLAS_NUM_THREADS=1, for "
-        "bitwise-reproducible results", RuntimeWarning, stacklevel=2)
+        fn = _loaded_openblas("set_num_threads")
+    except ValueError:
+        fn = None
+    if fn is None:
+        warnings.warn(
+            "nevo could not set the BLAS thread count of the numpy imported "
+            "before it; import nevo first, or set OPENBLAS_NUM_THREADS=1, "
+            "for bitwise-reproducible results", RuntimeWarning, stacklevel=2)
+        return
+    fn.argtypes = [ctypes.c_int]
+    fn.restype = None
+    fn(threads)
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS that numpy uses, or None when it
+    cannot be read."""
+    import ctypes
+
+    fn = _loaded_openblas("get_num_threads")
+    if fn is None:
+        return None
+    fn.argtypes = []
+    fn.restype = ctypes.c_int
+    return int(fn())
 
 
 # once numpy has loaded OpenBLAS, only a runtime call changes its count

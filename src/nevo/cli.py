@@ -6,7 +6,8 @@ corrupt -> report, plus gridsearch for the hyper-parameter sweep.
 Run-directory layout produced by `train` and extended by `evolve`:
 
     config.json     byte-identical copy of the input config
-    manifest.json   run id, config digest, dataset fingerprint, artifacts
+    manifest.json   run id, config digest, dataset fingerprint, BLAS
+                    thread count, artifacts
     metrics.jsonl   one record per epoch/generation (deterministic fields)
     timings.jsonl   wall-clock per epoch/generation (kept out of metrics
                     so metrics files are comparable across machines and
@@ -36,16 +37,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas_threads
 from . import data as datasets
 from .errors import MissingArtifactError, NevoError, NumericError
 from .evaluation import count_costs, evaluate, report
 from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
                         seed_population, subset_factory)
 from .network import param_count
-from .persistence import (Checkpoint, load_checkpoint, load_manifest,
-                          load_ring, load_summary, parse_config,
-                          save_checkpoint, save_population, save_ring,
-                          write_manifest)
+from .persistence import (Checkpoint, DataSection, load_checkpoint,
+                          load_manifest, load_ring, load_summary,
+                          parse_config, save_checkpoint, save_population,
+                          save_ring, write_manifest)
 from .rng import RngStream
 from .training import TrainingDiverged, train
 
@@ -136,15 +138,16 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_split_pair(data_cfg):
-    """(train, test) datasets for a parsed data section."""
+def _load_split_pair(data_cfg, splits=datasets.SPLITS):
+    """(train, test) datasets for a parsed data section.  A split not
+    named in `splits` is neither read nor built, and comes back None."""
     if data_cfg.name not in ("synthetic", "mnist", "fashion_mnist", "cifar10"):
         raise MissingArtifactError(f"unknown dataset {data_cfg.name!r}")
     if data_cfg.name == "synthetic":
         s = data_cfg.synthetic
-        train_ds, test_ds = datasets.make_synthetic_pair(
+        pair = datasets.make_synthetic_pair(
             s.n_train, s.n_test, s.classes, s.shape, s.noise,
-            RngStream(s.seed))
+            RngStream(s.seed), splits=splits)
     elif data_cfg.name in ("mnist", "fashion_mnist"):
         ds_dir = Path(data_cfg.dir) if data_cfg.dir else \
             datasets.cache_dir() / data_cfg.name
@@ -152,17 +155,25 @@ def _load_split_pair(data_cfg):
             raise MissingArtifactError(
                 f"dataset directory {ds_dir} not found; run "
                 f"`nevo fetch --dataset {data_cfg.name}` first")
-        train_ds, test_ds = datasets.load_idx_dir(ds_dir, data_cfg.name)
+        pair = datasets.load_idx_dir(ds_dir, data_cfg.name, splits)
     else:
         ds_dir = Path(data_cfg.dir) if data_cfg.dir else \
             datasets.cache_dir() / "cifar10"
-        batch_files = [ds_dir / f"data_batch_{i}.bin" for i in range(1, 6)]
-        train_ds = datasets.load_cifar10(batch_files, "cifar10/train")
-        test_ds = datasets.load_cifar10(ds_dir / "test_batch.bin",
-                                        "cifar10/test")
-    train_ds = train_ds.take(data_cfg.train_limit)
-    test_ds = test_ds.take(data_cfg.test_limit)
-    return train_ds, test_ds
+        files = {"train": [ds_dir / f"data_batch_{i}.bin" for i in range(1, 6)],
+                 "test": [ds_dir / "test_batch.bin"]}
+        pair = tuple(datasets.load_cifar10(files[split], f"cifar10/{split}")
+                     if split in splits else None
+                     for split in datasets.SPLITS)
+    limits = (data_cfg.train_limit, data_cfg.test_limit)
+    return tuple(None if ds is None else ds.take(limit)
+                 for ds, limit in zip(pair, limits))
+
+
+def _load_arg_split(args) -> datasets.Dataset:
+    """The `--split` of `--dataset`/`--data-dir`, read or built alone."""
+    pair = _load_split_pair(DataSection(name=args.dataset, dir=args.data_dir),
+                            (args.split,))
+    return pair[datasets.SPLITS.index(args.split)]
 
 
 def _dataset_fingerprint(data_cfg, train_ds, test_ds) -> dict:
@@ -269,15 +280,21 @@ def _cmd_train(args) -> int:
                                 "loss": last_loss, "seed": bp.seed}),
                     run_dir / "final.ckpt")
 
-    clean = evaluate(cfg.spec, theta, test_ds)
+    # train scored the theta it returns on the test split at its last
+    # epoch; only a run without epochs needs a pass of its own
+    if history:
+        test_accuracy, test_ce = history[-1].test_acc, history[-1].test_loss
+    else:
+        clean = evaluate(cfg.spec, theta, test_ds)
+        test_accuracy, test_ce = clean.accuracy, clean.mean_ce
     summary = {
         "model": cfg.model_name or "custom",
         "dataset": cfg.data.name,
         "params": param_count(cfg.spec),
         "stages": [{"stage": "bp", "epochs": last_epoch,
                     "train_loss": last_loss,
-                    "test_accuracy": clean.accuracy,
-                    "test_ce": clean.mean_ce}],
+                    "test_accuracy": test_accuracy,
+                    "test_ce": test_ce}],
     }
     (run_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -288,13 +305,14 @@ def _cmd_train(args) -> int:
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "seed": bp.seed,
         "dataset": _dataset_fingerprint(cfg.data, train_ds, test_ds),
+        "blas_threads": blas_threads(),
         "artifacts": {"config": "config.json", "metrics": "metrics.jsonl",
                       "timings": "timings.jsonl", "summary": "summary.json",
                       "ring": "ring", "final": "final.ckpt"},
     }
     write_manifest(run_dir, manifest)
     print(f"trained {summary['model']} on {train_ds.name}: "
-          f"test accuracy {clean.accuracy:.4f} "
+          f"test accuracy {test_accuracy:.4f} "
           f"({len(ring)} ring checkpoints)")
     return 0
 
@@ -366,6 +384,7 @@ def _cmd_evolve(args) -> int:
 
     manifest["artifacts"][f"de_best{suffix}"] = f"de_best{suffix}.ckpt"
     manifest["artifacts"][f"de_pop{suffix}"] = f"de_pop{suffix}"
+    manifest["blas_threads"] = blas_threads()
     write_manifest(run_dir, manifest)
     print(f"evolved ({mode}) for {len(out.history)} generations: fitness "
           f"{out.seed_fitness:.6f} -> {out.best_fitness:.6f}, test accuracy "
@@ -418,11 +437,7 @@ def _cmd_eval(args) -> int:
                                   name)
             rows.append(evaluate(ckpt.spec, ckpt.params, ds))
     else:
-        from .persistence import DataSection
-        train_ds, test_ds = _load_split_pair(
-            DataSection(name=args.dataset, dir=args.data_dir))
-        ds = train_ds if args.split == "train" else test_ds
-        rows.append(evaluate(ckpt.spec, ckpt.params, ds))
+        rows.append(evaluate(ckpt.spec, ckpt.params, _load_arg_split(args)))
     doc = [{"dataset": r.dataset, "n": r.n_samples, "accuracy": r.accuracy,
             "error": r.error, "mean_ce": r.mean_ce} for r in rows]
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -430,10 +445,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    from .persistence import DataSection
-    train_ds, test_ds = _load_split_pair(
-        DataSection(name=args.dataset, dir=args.data_dir))
-    ds = train_ds if args.split == "train" else test_ds
+    ds = _load_arg_split(args)
     out = datasets.corrupt(ds, args.kind, args.severity,
                            RngStream(args.seed))
     out_dir = Path(args.out)

@@ -29,6 +29,10 @@ from .errors import (ChecksumError, ConfigError, DataFormatError,
 from .rng import RngStream
 
 
+# The two splits every source provides, in the order loaders return them.
+SPLITS = ("train", "test")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable image-classification split.
@@ -403,15 +407,16 @@ def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
     return out
 
 
-def load_idx_dir(ds_dir, name: str) -> tuple:
-    """(train, test) Dataset pair from a directory of the four
-    conventionally named IDX files."""
+def load_idx_dir(ds_dir, name: str, splits=SPLITS) -> tuple:
+    """(train, test) Dataset pair from a directory of the conventionally
+    named IDX files.  Only the `train-*` or `t10k-*` pair of a split
+    named in `splits` is read; the other split comes back None."""
     ds_dir = Path(ds_dir)
-    train = load_idx(ds_dir / "train-images-idx3-ubyte",
-                     ds_dir / "train-labels-idx1-ubyte", f"{name}/train")
-    test = load_idx(ds_dir / "t10k-images-idx3-ubyte",
-                    ds_dir / "t10k-labels-idx1-ubyte", f"{name}/test")
-    return train, test
+    return tuple(
+        load_idx(ds_dir / f"{stem}-images-idx3-ubyte",
+                 ds_dir / f"{stem}-labels-idx1-ubyte", f"{name}/{split}")
+        if split in splits else None
+        for split, stem in zip(SPLITS, ("train", "t10k")))
 
 
 # --- geometry -------------------------------------------------------------
@@ -610,38 +615,51 @@ def batches(data: Dataset, batch_size: int, shuffle: bool = False, rng=None):
         yield data.images[idx], data.labels[idx]
 
 
-def make_synthetic(n: int, classes: int = 10, shape=(1, 28, 28),
-                   noise: float = 0.15,
-                   stream: Optional[RngStream] = None,
-                   name: str = "synthetic") -> Dataset:
-    """Blob dataset: one coarse random template per class plus pixel
-    noise.  Linearly separable enough that small networks train on it in
-    seconds, which makes it the stand-in for integration runs."""
-    if stream is None:
-        stream = RngStream(0)
-    gen = stream.generator()
-    c, h, w = shape
-    coarse = gen.random((classes, c, 7, 7))
-    reps_h = -(-h // 7)
-    reps_w = -(-w // 7)
-    templates = np.kron(coarse, np.ones((1, 1, reps_h, reps_w)))[:, :, :h, :w]
-    templates = (0.1 + 0.8 * templates).astype(np.float32)
-    labels = gen.integers(0, classes, n).astype(np.int64)
-    images = templates[labels] + gen.normal(0.0, noise, (n, c, h, w)).astype(np.float32)
-    return Dataset(np.clip(images, 0.0, 1.0).astype(np.float32), labels, name)
+# Named child streams of a synthetic data seed.  The class templates and
+# each split draw from their own stream, so a split built alone is
+# bitwise the one built together with the other.
+_NS_SYNTH_TEMPLATES = 0
+_NS_SYNTH_TRAIN = 1
+_NS_SYNTH_TEST = 2
 
 
 def make_synthetic_pair(n_train: int, n_test: int, classes: int = 10,
                         shape=(1, 28, 28), noise: float = 0.15,
                         stream: Optional[RngStream] = None,
-                        name: str = "synthetic") -> tuple:
-    """Train/test splits drawn from one pool so both use the same class
-    templates.  Separate make_synthetic calls would invent disjoint
-    classes and make held-out accuracy meaningless."""
-    whole = make_synthetic(n_train + n_test, classes, shape, noise, stream,
-                           name)
-    train = Dataset(whole.images[:n_train], whole.labels[:n_train],
-                    f"{name}/train")
-    test = Dataset(whole.images[n_train:], whole.labels[n_train:],
-                   f"{name}/test")
-    return train, test
+                        name: str = "synthetic", splits=SPLITS) -> tuple:
+    """(train, test) blob datasets: one coarse random template per class
+    plus pixel noise.  Linearly separable enough that small networks
+    train on it in seconds, which makes it the stand-in for integration
+    runs.
+
+    The templates, the train split and the test split draw from the
+    child streams _NS_SYNTH_TEMPLATES, _NS_SYNTH_TRAIN and _NS_SYNTH_TEST
+    of `stream`.  Both splits share the templates (independent draws
+    would invent disjoint classes and make held-out accuracy
+    meaningless), and only the splits named in `splits` are built; the
+    other comes back None, so a command pays only for the split it
+    reads.
+    """
+    if stream is None:
+        stream = RngStream(0)
+    c, h, w = shape
+    gen = stream.child(_NS_SYNTH_TEMPLATES).generator()
+    coarse = gen.random((classes, c, 7, 7))
+    reps_h = -(-h // 7)
+    reps_w = -(-w // 7)
+    templates = np.kron(coarse, np.ones((1, 1, reps_h, reps_w)))[:, :, :h, :w]
+    templates = (0.1 + 0.8 * templates).astype(np.float32)
+
+    def build(split: str, n: int, tag: int) -> Optional[Dataset]:
+        if split not in splits:
+            return None
+        gen = stream.child(tag).generator()
+        labels = gen.integers(0, classes, n, dtype=np.int64)
+        images = gen.standard_normal((n, c, h, w), dtype=np.float32)
+        images *= np.float32(noise)
+        images += templates[labels]
+        np.clip(images, 0.0, 1.0, out=images)
+        return Dataset(images, labels, f"{name}/{split}")
+
+    return (build("train", n_train, _NS_SYNTH_TRAIN),
+            build("test", n_test, _NS_SYNTH_TEST))

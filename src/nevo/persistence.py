@@ -249,12 +249,24 @@ def _member_name(i: int) -> str:
     return f"member-{i:03d}.ckpt"
 
 
+def _write_index(out_dir: Path, index: dict, listed, pattern: str):
+    """Write index.json, then delete every `pattern` file it does not
+    list, so a smaller population or ring written over a larger one
+    leaves no stale checkpoints behind."""
+    from .data import _atomic_write
+
+    _atomic_write(out_dir / _INDEX_NAME,
+                  (json.dumps(index, indent=2, sort_keys=True) + "\n").encode())
+    keep = set(listed)
+    for path in out_dir.glob(pattern):
+        if path.name not in keep:
+            path.unlink()
+
+
 def save_population(pop: Population, out_dir, spec: NetworkSpec,
                     meta: Optional[dict] = None):
     """One checkpoint per member plus an index carrying the fitness
     cache (NaN as null) and the generation counter."""
-    from .data import _atomic_write
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -271,8 +283,7 @@ def save_population(pop: Population, out_dir, spec: NetworkSpec,
         "members": names,
         "fitness": [None if math.isnan(f) else float(f) for f in pop.fitness],
     }
-    _atomic_write(out_dir / _INDEX_NAME,
-                  (json.dumps(index, indent=2, sort_keys=True) + "\n").encode())
+    _write_index(out_dir, index, names, "member-*.ckpt")
 
 
 def load_population(in_dir):
@@ -305,8 +316,6 @@ def load_population(in_dir):
 def save_ring(ring: CheckpointRing, out_dir, spec: NetworkSpec,
               meta: Optional[dict] = None):
     """One checkpoint per retained epoch plus an index with losses."""
-    from .data import _atomic_write
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -320,8 +329,7 @@ def save_ring(ring: CheckpointRing, out_dir, spec: NetworkSpec,
         entries.append({"file": name, "epoch": entry.epoch,
                         "train_loss": entry.train_loss})
     index = {"version": 1, "capacity": ring.capacity, "entries": entries}
-    _atomic_write(out_dir / _INDEX_NAME,
-                  (json.dumps(index, indent=2, sort_keys=True) + "\n").encode())
+    _write_index(out_dir, index, [e["file"] for e in entries], "epoch-*.ckpt")
 
 
 def load_ring(in_dir):
@@ -385,11 +393,6 @@ class Config:
     de: DeConfig
     grid: dict
     document: dict
-
-    @property
-    def canonical(self) -> str:
-        """Stable rendering of the defaults-filled document."""
-        return json.dumps(self.document, indent=2, sort_keys=True) + "\n"
 
 
 def _expect_obj(value, path: str) -> dict:

@@ -209,6 +209,98 @@ def test_corrupt_then_eval_corrupted(trained_run, tmp_path, capsys):
     assert all(r["n"] == 16 for r in rows)
 
 
+def test_idx_test_files_alone_serve_corrupt_and_eval(trained_run, tmp_path,
+                                                   capsys):
+    root = idx_dir(tmp_path)
+    for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+        (root / name).unlink()
+    data = ["--dataset", "mnist", "--data-dir", str(root)]
+    assert cli_main(["corrupt", *data, "--kind", "rotate", "--severity", "2",
+                     "--out", str(tmp_path / "rot")]) == 0
+    assert json.loads((tmp_path / "rot" / "meta.json").read_text())["n"] == 16
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
+                     *data]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["n"] == 16
+    # the train split still needs its own files
+    assert cli_main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
+                     *data, "--split", "train"]) == 2
+    assert "train-images-idx3-ubyte" in capsys.readouterr().err
+
+
+def test_eval_builds_the_test_split_train_scored(tmp_path, capsys):
+    # no data section: train, eval and corrupt all use the default
+    # synthetic split, which eval builds without the train split
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"name": "mlp"},
+                               "bp": {"max_epochs": 1}}))
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(run / "final.ckpt")]) == 0
+    row, = json.loads(capsys.readouterr().out)
+    stage = json.loads((run / "summary.json").read_text())["stages"][0]
+    assert row["n"] == 1000
+    assert row["accuracy"] == stage["test_accuracy"]
+    assert row["mean_ce"] == stage["test_ce"]
+
+
+@pytest.mark.parametrize("epochs", [4, 0])
+def test_train_scores_the_test_split_once_per_epoch(tmp_path, monkeypatch,
+                                                     epochs):
+    import nevo.cli
+    import nevo.training
+
+    calls = []
+
+    def counting(spec, params, data):
+        calls.append(data.name)
+        return nevo.evaluation.evaluate(spec, params, data)
+
+    monkeypatch.setattr(nevo.cli, "evaluate", counting)
+    monkeypatch.setattr(nevo.training, "evaluate", counting)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config(bp={"max_epochs": epochs}))
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    # each epoch scores the training loss and the test split, and a run
+    # without epochs scores the test split once for its summary
+    assert calls == (["synthetic/train", "synthetic/test"] * epochs
+                     or ["synthetic/test"])
+    stage = json.loads((run / "summary.json").read_text())["stages"][0]
+    if epochs:
+        last = jsonl(run / "metrics.jsonl")[-1]
+        assert last["epoch"] == epochs
+        assert stage["test_ce"] == last["test_loss"]
+        assert stage["test_accuracy"] == last["test_acc"]
+    else:
+        final = load_checkpoint(run / "final.ckpt")
+        clean = nevo.evaluation.evaluate(
+            final.spec, final.params,
+            nevo.data.make_synthetic_pair(96, 48, 4, (1, 8, 8), 0.1,
+                                          nevo.RngStream(0))[1])
+        assert stage["test_ce"] == clean.mean_ce
+        assert stage["test_accuracy"] == clean.accuracy
+
+
+def test_smaller_population_leaves_no_stale_members(trained_run, tmp_path,
+                                                    capsys):
+    big = tmp_path / "big.json"
+    big.write_text(tiny_config(bp={"ring_size": 6}))
+    assert cli_main(["evolve", "--run", str(trained_run), "--config",
+                     str(big), "--jitter", "0.01"]) == 0
+    assert len(list((trained_run / "de_pop").glob("member-*.ckpt"))) == 6
+    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+    capsys.readouterr()
+    pop_dir = trained_run / "de_pop"
+    index = json.loads((pop_dir / "index.json").read_text())
+    assert len(index["members"]) == 4
+    assert sorted(p.name for p in pop_dir.iterdir()) == sorted(
+        index["members"] + ["index.json"])
+    pop, _ = load_population(pop_dir)
+    assert pop.m == 4
+
+
 def test_report_formats(trained_run, tmp_path, capsys):
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
     capsys.readouterr()
@@ -520,3 +612,15 @@ def test_blas_is_pinned_when_numpy_is_imported_first():
     if proc.stdout.strip() == "none":
         pytest.skip("numpy bundles no readable OpenBLAS here")
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS starts with one thread on one CPU")
+def test_manifest_records_blas_threads(trained_run):
+    manifest = json.loads((trained_run / "manifest.json").read_text())
+    if manifest["blas_threads"] is None:
+        pytest.skip("numpy bundles no readable OpenBLAS here")
+    assert manifest["blas_threads"] == 1
+    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+    manifest = json.loads((trained_run / "manifest.json").read_text())
+    assert manifest["blas_threads"] == 1

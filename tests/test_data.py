@@ -14,7 +14,7 @@ import pytest
 from nevo import data as data_mod
 from nevo.data import (Dataset, SEVERITY_TABLES, augment, batches, corrupt,
                        fetch, load_cifar10, load_idx, load_idx_dir, load_npy,
-                       make_synthetic, make_synthetic_pair, save_npy)
+                       make_synthetic_pair, save_npy)
 from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          MissingArtifactError, NevoError,
                          UnsupportedCorruptionError)
@@ -307,8 +307,9 @@ def test_fetch_unknown_dataset():
 
 
 def blob_dataset(n=40, seed=0, shape=(1, 8, 8)):
-    return make_synthetic(n, classes=4, shape=shape, noise=0.1,
-                          stream=RngStream(seed))
+    train, _ = make_synthetic_pair(n, 0, classes=4, shape=shape, noise=0.1,
+                                   stream=RngStream(seed))
+    return train
 
 
 def test_augment_multiplier_and_label_tiling():
@@ -471,6 +472,20 @@ def test_make_synthetic_pair_shares_templates():
         b = test.images[test.labels == label]
         if len(a) and len(b):
             assert float(np.abs(a.mean(axis=0) - b.mean(axis=0)).mean()) < 0.1
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_make_synthetic_pair_builds_a_split_alone_bitwise(split):
+    kw = dict(classes=3, shape=(1, 6, 6), noise=0.2, stream=RngStream(4))
+    both = dict(zip(("train", "test"), make_synthetic_pair(50, 20, **kw)))
+    alone = dict(zip(("train", "test"),
+                     make_synthetic_pair(50, 20, splits=(split,), **kw)))
+    assert [k for k, ds in alone.items() if ds is None] == [
+        k for k in ("train", "test") if k != split]
+    assert alone[split].name == both[split].name
+    assert alone[split].images.dtype == np.float32
+    assert alone[split].images.tobytes() == both[split].images.tobytes()
+    assert alone[split].labels.tobytes() == both[split].labels.tobytes()
 
 
 def test_dataset_take():

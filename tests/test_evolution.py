@@ -436,8 +436,8 @@ def fitness_peak_bytes(data, size):
 
 
 def test_fitness_memory_is_flat_in_subset_size():
-    from nevo.data import make_synthetic
-    data = make_synthetic(4000, stream=RngStream(18))
+    from nevo.data import make_synthetic_pair
+    data, _ = make_synthetic_pair(4000, 0, stream=RngStream(18))
     small, large = fitness_peak_bytes(data, 500), fitness_peak_bytes(data, 4000)
     assert large <= 1.5 * small
 
