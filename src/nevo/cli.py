@@ -227,6 +227,14 @@ def _cmd_fetch(args) -> int:
     return 0
 
 
+def _write_summary(run_dir: Path, summary: dict):
+    """Replace summary.json in one rename, so a kill leaves the old or
+    the new file, never a torn one that a later evolve cannot read."""
+    datasets._atomic_write(
+        run_dir / "summary.json",
+        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+
+
 def _cmd_train(args) -> int:
     text, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
@@ -253,7 +261,7 @@ def _cmd_train(args) -> int:
         (run_dir / name).unlink(missing_ok=True)
     if (run_dir / "ring").is_dir():
         shutil.rmtree(run_dir / "ring")
-    (run_dir / "config.json").write_text(text)
+    datasets._atomic_write(run_dir / "config.json", text.encode())
     writer = _RunWriter(run_dir)
 
     def on_epoch(m):
@@ -296,8 +304,7 @@ def _cmd_train(args) -> int:
                     "test_accuracy": test_accuracy,
                     "test_ce": test_ce}],
     }
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_summary(run_dir, summary)
 
     manifest = {
         "run_id": run_dir.name,
@@ -379,8 +386,7 @@ def _cmd_evolve(args) -> int:
         "test_accuracy": best_eval.accuracy,
         "test_ce": best_eval.mean_ce,
     })
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_summary(run_dir, summary)
 
     manifest["artifacts"][f"de_best{suffix}"] = f"de_best{suffix}.ckpt"
     manifest["artifacts"][f"de_pop{suffix}"] = f"de_pop{suffix}"

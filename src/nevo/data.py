@@ -434,15 +434,19 @@ def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
 
     With angle 0, shift (0,0), zoom 1 the output is bitwise the input.
     Every sample is computed on its own, so warping in chunks of
-    samples changes no bit of the output.
+    samples changes no bit of the output.  Each corner is gathered with
+    one np.take on the chunk's (m*h*w, c) pixel rows; a corner outside
+    the canvas reads a clipped pixel and gets weight 0.
     """
     n, c, h, w = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = np.deg2rad(angles_deg).astype(np.float64)
     cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    out = np.zeros_like(images)
+    # dy varies along rows only and dx along columns only, so they stay
+    # (m, h, 1) and (m, 1, w) until the rotation combines them
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)[None, :]
+    out = np.empty_like(images)
     step = max(1, _WARP_CHUNK_ELEMS // (c * h * w))
     for lo in range(0, n, step):
         k = slice(lo, lo + step)
@@ -458,18 +462,25 @@ def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
         wy = (sy - y0).astype(images.dtype)
         wx = (sx - x0).astype(images.dtype)
 
-        src, dst = images[k], out[k]
-        ni = np.arange(len(src))[:, None, None]
-        for oy, ox, wgt in ((y0, x0, (1 - wy) * (1 - wx)),
-                            (y0, x0 + 1, (1 - wy) * wx),
-                            (y0 + 1, x0, wy * (1 - wx)),
-                            (y0 + 1, x0 + 1, wy * wx)):
-            inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
-            yc = np.clip(oy, 0, h - 1)
-            xc = np.clip(ox, 0, w - 1)
-            vals = src[ni, :, yc, xc]          # [chunk, h, w, c]
-            vals = vals.transpose(0, 3, 1, 2)
-            dst += vals * (wgt * inside)[:, None, :, :].astype(images.dtype)
+        src = images[k]
+        m = len(src)
+        pixels = src.transpose(0, 2, 3, 1).reshape(m * h * w, c)
+        base = (np.arange(m) * (h * w))[:, None, None]
+        # per axis and offset: (inside the canvas, clipped flat index);
+        # a negative int64 viewed as uint64 is >= 2**63, so one unsigned
+        # compare tests 0 <= o < size
+        rows = [(oy.view(np.uint64) < h, np.clip(oy, 0, h - 1) * w + base)
+                for oy in (y0, y0 + 1)]
+        cols = [(ox.view(np.uint64) < w, np.clip(ox, 0, w - 1))
+                for ox in (x0, x0 + 1)]
+        acc = np.zeros((m, h, w, c), dtype=images.dtype)
+        for (yin, yi), (xin, xi), wgt in ((rows[0], cols[0], (1 - wy) * (1 - wx)),
+                                          (rows[0], cols[1], (1 - wy) * wx),
+                                          (rows[1], cols[0], wy * (1 - wx)),
+                                          (rows[1], cols[1], wy * wx)):
+            vals = np.take(pixels, yi + xi, axis=0)          # [m, h, w, c]
+            acc += vals * (wgt * (yin & xin))[..., None].astype(images.dtype)
+        out[k] = acc.transpose(0, 3, 1, 2)
     return out
 
 

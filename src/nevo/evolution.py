@@ -216,18 +216,30 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
     The draw is mapped to (0, 1], so Cr=0 never takes the mutant and
     Cr=1 always does, both exactly.  force_jrand additionally copies one
     uniformly chosen coordinate from the mutant (off by default).
+
+    The select works on the bits: with an all-ones or all-zeros word per
+    coordinate, ((p ^ m) & word) ^ p is m or p, which is np.where's
+    result without its branch on a random mask.
     """
     if parent.shape != mutant.shape:
         raise ShapeMismatchError(
             f"crossover: parent {tuple(parent.shape)} vs mutant "
             f"{tuple(mutant.shape)}")
+    if parent.dtype != mutant.dtype:
+        raise ShapeMismatchError(
+            f"crossover: parent dtype {parent.dtype} vs mutant {mutant.dtype}")
     d = parent.shape[0]
     u = gen.random(d)
     np.subtract(1.0, u, out=u)
     mask = u <= Cr
     if force_jrand:
         mask[int(gen.integers(d))] = True
-    return np.where(mask, mutant, parent)
+    word = np.dtype(f"u{parent.dtype.itemsize}")
+    p, m = parent.view(word), mutant.view(word)
+    out = np.bitwise_xor(p, m)
+    out &= np.negative(mask, dtype=word)
+    out ^= p
+    return out.view(parent.dtype)
 
 
 def ensure_fitness(pop: Population, ctx, pool=None):

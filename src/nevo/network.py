@@ -336,7 +336,8 @@ def _run(spec, theta, x, keep):
                               layer.stride, layer.pad)
         elif isinstance(layer, Pool):
             shape = x.shape
-            x, idx = tensor.pool2d(x, layer.kind, layer.size, layer.stride)
+            x, idx = tensor.pool2d(x, layer.kind, layer.size, layer.stride,
+                                   need_argmax=keep)
             cache = (shape, idx)
         elif isinstance(layer, Activation):
             cache = x

@@ -160,15 +160,25 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
     return dx, dw, db
 
 
-def pool2d(x: np.ndarray, kind: str, size: int, stride: int):
-    """Per-window max or mean.  Max pooling also returns flat argmax
-    indices (row-major within the window) for backprop routing.
+def pool2d(x: np.ndarray, kind: str, size: int, stride: int,
+           need_argmax: bool = True):
+    """Per-window max or mean.  Returns (out, idx): for max pooling idx
+    holds flat argmax indices (row-major within the window) for backprop
+    routing; it is None for mean pooling and when need_argmax is False,
+    which saves the index work for a pass that takes no gradient.
 
     Max pooling visits the size*size strided slices in row-major window
-    order and takes a slice only where it is strictly greater, or NaN
-    where the running maximum is not, which is np.argmax's
-    first-occurrence rule (ties and -0.0 keep the earlier element, the
-    first NaN wins) without copying the windows.
+    order without copying the windows and follows np.argmax's
+    first-occurrence rule: ties and -0.0 keep the earlier element, the
+    first NaN wins.  With the argmax, a slice is taken only where it is
+    strictly greater, or NaN where the running maximum is not.  Without
+    it, each slice s is folded in as np.maximum(s, out).  The argument
+    order is the rule: on a tie np.maximum returns its second operand,
+    so an earlier -0.0 stays against a later +0.0 (np.maximum(out, s)
+    would return the +0.0), and a NaN in either operand propagates.
+    When both are NaN it returns the first, the later NaN, whose bits
+    may differ, so windows whose maximum is NaN get their first NaN
+    written back.
     """
     if kind not in ("max", "avg"):
         raise ShapeMismatchError(f"pool2d: unknown kind {kind!r}")
@@ -185,11 +195,22 @@ def pool2d(x: np.ndarray, kind: str, size: int, stride: int):
         return flat.mean(axis=4, dtype=x.dtype), None
     oh = (h - size) // stride + 1
     ow = (w - size) // stride + 1
-    out = x[:, :, :stride * oh:stride, :stride * ow:stride].copy()
+    # window slice j holds element (u, v) = divmod(j, size) of every window
+    slices = [x[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+              for u, v in (divmod(j, size) for j in range(size * size))]
+    out = slices[0].copy()
+    if not need_argmax:
+        for s in slices[1:]:
+            np.maximum(s, out, out=out)
+        nan = np.isnan(out)
+        if nan.any():
+            # write each window's NaNs back last to first, so the first stays
+            for s in reversed(slices):
+                np.copyto(out, s, where=nan & np.isnan(s))
+        return out, None
     idx = np.zeros(out.shape, dtype=np.intp)
     for j in range(1, size * size):
-        u, v = divmod(j, size)
-        s = x[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+        s = slices[j]
         take = ~(s <= out) & (out == out)
         out = np.where(take, s, out)
         # j grows, so the largest j * take is the last slice taken

@@ -66,3 +66,44 @@ def fd_grad(spec, theta, x, y, lam, eps=1e-5) -> np.ndarray:
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.abs(a) + np.abs(b), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def affine_bilinear_reference(images, angles_deg, shifts, zooms,
+                              chunk_elems=1 << 16):
+    """Oracle for data._affine_bilinear: the same coordinate maths,
+    weights and accumulation order, gathering each corner with a 3-D
+    fancy index per chunk of samples."""
+    n, c, h, w = images.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = np.deg2rad(angles_deg).astype(np.float64)
+    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    out = np.zeros_like(images)
+    step = max(1, chunk_elems // (c * h * w))
+    for lo in range(0, n, step):
+        k = slice(lo, lo + step)
+        dy = yy[None] - cy - shifts[k, 0, None, None]
+        dx = xx[None] - cx - shifts[k, 1, None, None]
+        inv = 1.0 / zooms[k, None, None]
+        sy = (cos[k] * dy - sin[k] * dx) * inv + cy
+        sx = (sin[k] * dy + cos[k] * dx) * inv + cx
+
+        y0 = np.floor(sy).astype(np.int64)
+        x0 = np.floor(sx).astype(np.int64)
+        wy = (sy - y0).astype(images.dtype)
+        wx = (sx - x0).astype(images.dtype)
+
+        src, dst = images[k], out[k]
+        ni = np.arange(len(src))[:, None, None]
+        for oy, ox, wgt in ((y0, x0, (1 - wy) * (1 - wx)),
+                            (y0, x0 + 1, (1 - wy) * wx),
+                            (y0 + 1, x0, wy * (1 - wx)),
+                            (y0 + 1, x0 + 1, wy * wx)):
+            inside = (oy >= 0) & (oy < h) & (ox >= 0) & (ox < w)
+            yc = np.clip(oy, 0, h - 1)
+            xc = np.clip(ox, 0, w - 1)
+            vals = src[ni, :, yc, xc]          # [chunk, h, w, c]
+            vals = vals.transpose(0, 3, 1, 2)
+            dst += vals * (wgt * inside)[:, None, :, :].astype(images.dtype)
+    return out

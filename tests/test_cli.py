@@ -549,6 +549,30 @@ def test_evolve_refuses_a_directory_in_place_of_summary(trained_run, capsys):
     assert not (trained_run / "de_best.ckpt").exists()
 
 
+def test_killed_summary_write_keeps_the_previous_summary(trained_run,
+                                                         monkeypatch, capsys):
+    class Killed(BaseException):
+        pass
+
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "summary.json":
+            raise Killed
+        real_replace(src, dst)
+
+    before = (trained_run / "summary.json").read_bytes()
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(Killed):
+        cli_main(["evolve", "--run", str(trained_run)])
+    assert (trained_run / "summary.json").read_bytes() == before
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+    stages = json.loads((trained_run / "summary.json").read_text())["stages"]
+    assert [s["stage"] for s in stages] == ["bp", "de"]
+
+
 @pytest.mark.parametrize("text", ["[1]", '{"stages": 5}', "{bad"])
 def test_report_warns_on_malformed_summary(trained_run, capsys, text):
     (trained_run / "summary.json").write_text(text)

@@ -20,6 +20,8 @@ from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          UnsupportedCorruptionError)
 from nevo.rng import RngStream
 
+from synthdata import affine_bilinear_reference
+
 
 def idx_images_bytes(arr):
     arr = np.asarray(arr, dtype=np.uint8)
@@ -370,6 +372,23 @@ def test_affine_bilinear_chunks_equal_per_sample_warps():
         one = data_mod._affine_bilinear(images[i:i + 1], angles[i:i + 1],
                                         shifts[i:i + 1], zooms[i:i + 1])
         assert np.array_equal(out[i], one[0]), i
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_affine_bilinear_matches_fancy_index_oracle(c):
+    # a partial last chunk, shifts past the canvas edge, zooms in and
+    # out, negative pixels (so -0.0 products) and a few non-finite ones
+    n = 2 * (data_mod._WARP_CHUNK_ELEMS // (c * 28 * 28)) + 5
+    gen = np.random.default_rng(30 + c)
+    images = gen.normal(size=(n, c, 28, 28)).astype(np.float32)
+    flat = images.reshape(-1)
+    flat[gen.integers(0, flat.size, 6)] = [np.nan, np.inf, -np.inf] * 2
+    args = (images, gen.uniform(-180.0, 180.0, n),
+            gen.uniform(-40.0, 40.0, (n, 2)), gen.choice([0.5, 1.0, 1.52], n))
+    got = data_mod._affine_bilinear(*args)
+    want = affine_bilinear_reference(*args, data_mod._WARP_CHUNK_ELEMS)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
 
 
 def test_translate_shifts_content():

@@ -200,6 +200,29 @@ def test_backward_skipping_first_dx_is_bitwise_unchanged(name):
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
+@pytest.mark.parametrize("name", ["lenet1", "lenet5"])
+def test_forward_without_argmax_matches_the_recording_pass(name):
+    from nevo.network import _run, _views
+    spec = zoo_spec(name)
+    theta = init_params(spec, RngStream(5))
+    # piecewise-constant images in 4x4 blocks, so conv outputs repeat
+    # inside a block and the max pools see exact ties after ReLU
+    gen = np.random.default_rng(6)
+    c, h, w = spec.input_shape
+    blocks = gen.integers(-1, 2, size=(23, c, h // 4, w // 4))
+    x = np.kron(blocks, np.ones((4, 4))).astype(np.float32)
+    first = _views(spec, theta)[0]
+    act = tensor.activate(tensor.conv2d(x, first["w"], first["b"]), "relu")
+    n, k, oh, ow = act.shape
+    win = act.reshape(n, k, oh // 2, 2, ow // 2, 2)
+    top = win.max(axis=(3, 5), keepdims=True)
+    assert ((win == top).sum(axis=(3, 5)) > 1)[top[:, :, :, 0, :, 0] > 0].any()
+    want, _ = _run(spec, theta, x, True)
+    got = forward(spec, theta, x)
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_l2_term_touches_weights_only():
     spec = small_mlp()
     theta = np.zeros(param_count(spec), dtype=np.float64)

@@ -299,10 +299,29 @@ def test_max_pool_matches_argmax_with_ties_signed_zero_and_nan(dtype):
         r = gen.random(x.shape)
         x[r < 0.15] = -0.0
         x[r > 0.9] = np.nan
-        got, idx = pool2d(x, "max", size, stride)
         want, want_idx = argmax_pool_reference(x, size, stride)
+        got, idx = pool2d(x, "max", size, stride)
         assert np.array_equal(idx, want_idx), (size, stride)
         assert np.array_equal(bits(got), bits(want)), (size, stride)
+        # the max-only path of no-gradient passes
+        got, idx = pool2d(x, "max", size, stride, need_argmax=False)
+        assert idx is None
+        assert np.array_equal(bits(got), bits(want)), (size, stride)
+
+
+@pytest.mark.parametrize("need_argmax", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_keeps_the_first_nan_bits(dtype, need_argmax):
+    # NaNs of both signs: in a window holding both, whichever comes
+    # first must be the one returned, bit for bit
+    gen = np.random.default_rng(28)
+    x = gen.normal(size=(2, 3, 8, 8)).astype(dtype)
+    r = gen.random(x.shape)
+    x[r < 0.2] = -np.nan
+    x[r > 0.8] = np.nan
+    got, _ = pool2d(x, "max", 2, 2, need_argmax=need_argmax)
+    want, _ = argmax_pool_reference(x, 2, 2)
+    assert np.array_equal(bits(got), bits(want))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
