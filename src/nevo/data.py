@@ -11,6 +11,7 @@ synthetic blob dataset for network-free runs.
 from __future__ import annotations
 
 import ast
+import fcntl
 import gzip
 import hashlib
 import json
@@ -281,7 +282,12 @@ def _atomic_write(path: Path, blob: bytes):
 
 
 class _FileLock:
-    """Advisory lock via exclusive creation of <path>.lock."""
+    """Advisory lock: flock on an open descriptor of <path>.lock (POSIX).
+
+    The kernel drops the lock when its holder closes the file or dies,
+    so a killed fetch never blocks the next one.  The lock file itself
+    stays: unlinking it would let a waiter lock an orphaned inode.
+    """
 
     def __init__(self, path: Path, timeout: float = 30.0):
         self.lock = path.with_name(path.name + ".lock")
@@ -289,22 +295,21 @@ class _FileLock:
 
     def __enter__(self):
         self.lock.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.lock, os.O_CREAT | os.O_RDWR, 0o644)
         deadline = time.monotonic() + self.timeout
         while True:
             try:
-                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                self.fd = fd
                 return self
-            except FileExistsError:
+            except BlockingIOError:
                 if time.monotonic() > deadline:
+                    os.close(fd)
                     raise NevoError(f"timed out waiting for lock {self.lock}")
                 time.sleep(0.05)
 
     def __exit__(self, *exc):
-        try:
-            os.unlink(self.lock)
-        except FileNotFoundError:
-            pass
+        os.close(self.fd)  # closing the descriptor releases the flock
         return False
 
 

@@ -13,6 +13,7 @@ path and are bitwise equal for identical inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -244,8 +245,12 @@ class ParamSlot:
     shape: tuple
 
 
+@functools.lru_cache(maxsize=64)
 def layout(spec: NetworkSpec) -> tuple:
-    """Flat-vector slots in layer order, weights before bias."""
+    """Flat-vector slots in layer order, weights before bias.
+
+    Memoized on the frozen spec: forward, loss and backward ask for it
+    several times per call, and the slots are immutable."""
     slots = []
     offset = 0
     for i, layer in enumerate(spec.layers):
@@ -253,7 +258,7 @@ def layout(spec: NetworkSpec) -> tuple:
         if shapes is None:
             continue
         for name, shape in zip(("w", "b"), shapes):
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             slots.append(ParamSlot(i, name, offset, offset + size, shape))
             offset += size
     return tuple(slots)

@@ -21,9 +21,18 @@ blocked GEMM kernels return the same bits for either layout.
 OpenBLAS's small-matrix kernels (OpenBLAS 0.3.31 on x86-64 uses them
 below about 1e6 multiply-adds) and its one-output-channel GEMV path
 are the exception: they round the transposed operand differently in
-the last bit.  The kernel gradient contracts over n*oh*ow, where that
-exception covers every lenet1 batch of up to 17 samples, so it keeps
-the pixel-major window matrix.
+the last bit.
+
+The backward pass reuses that layout.  The kernel gradient is the same
+im2col matrix times grad_out as a (k, n*oh*ow) matrix, contracted over
+n*oh*ow in ascending (n, oy, ox) order.  The input gradient is one GEMM
+to (c, kh, kw, oy, ox, n) columns, then a col2im that adds the kh*kw
+tap slices with the sample index innermost.  On the blocked GEMM
+kernels both return the bits of the tensordot / per-tap reference
+``tests/synthdata.conv2d_backward_reference``.  The small-matrix and
+GEMV exceptions above, which include the input gradient of a
+one-channel input, can differ from it in the last bit, as can some
+float64 kernel gradients.
 
 The kernels do no bookkeeping; operation counts for the cost model are
 derived from layer shapes by ``evaluation.count_costs``.
@@ -129,35 +138,50 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
 
     Returns (dx, dw, db); dx is None when need_dx is False, which saves
     the input-gradient work for a first layer whose dx nobody reads.
+    Both gradients are GEMMs over the forward's blocks of samples, so
+    the scratch does not grow with N.
     """
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape
     _, _, oh, ow = grad_out.shape
     db = grad_out.sum(axis=(0, 2, 3))
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    dw = np.zeros_like(kernels)
+    dwt = np.zeros((c * kh * kw, k), dtype=kernels.dtype)
+    dx = np.empty_like(x) if need_dx else None
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        dw += np.tensordot(grad_out[lo:hi], win, axes=([0, 2, 3], [0, 2, 3]))
-    if not need_dx:
-        return None, dw, db
-
-    # one pixel-major grad_out serves all kh*kw input-gradient GEMMs; for
-    # n == 1 reshape returns a transposed view, which BLAS rounds
-    # differently from a copy, so it is not forced contiguous
-    g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, k)
-    dxp = np.zeros_like(xp)
-    for u in range(kh):
-        for v in range(kw):
-            g = np.dot(g2, kernels[:, :, u, v])
-            dxp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
-                g.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
-    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+        dwt += _conv_backward_block(x[lo:hi], kernels, stride, pad,
+                                    grad_out[lo:hi],
+                                    None if dx is None else dx[lo:hi])
+    dw = np.ascontiguousarray(dwt.T).reshape(kernels.shape)
     return dx, dw, db
+
+
+def _conv_backward_block(x, kernels, stride, pad, g, dx):
+    """One block's kernel gradient as a (c*kh*kw, k) matrix; writes the
+    block's input gradient into dx unless dx is None.
+
+    The col2im buffer is (c, Hp, Wp, n), so each of its kh*kw tap adds
+    moves contiguous runs of ow*n elements.  Every temporary dies on
+    return, before the next block allocates its own.
+    """
+    n, c, h, w = x.shape
+    k, _, kh, kw = kernels.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    gk = g.transpose(1, 0, 2, 3).reshape(k, -1)
+    dwt = _cols(xp, kh, kw, stride, oh, ow) @ gk.T
+    if dx is not None:
+        cols = kernels.reshape(k, -1).T @ g.transpose(1, 2, 3, 0).reshape(k, -1)
+        cols = cols.reshape(c, kh, kw, oh, ow, n)
+        buf = np.zeros((c,) + xp.shape[2:] + (n,), dtype=x.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                buf[:, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
+                    cols[:, u, v]
+        dx[...] = buf[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+    return dwt
 
 
 def pool2d(x: np.ndarray, kind: str, size: int, stride: int,

@@ -1,11 +1,18 @@
-"""Shared builders for the test suite: small specs, random batches, and
-the finite-difference gradient used as an independent oracle."""
+"""Shared builders for the test suite: small specs, random batches, the
+finite-difference gradient and the kernel references used as
+independent oracles, and the environment of a child interpreter."""
+
+import os
+from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+import nevo
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, init_params, loss)
 from nevo.rng import RngStream
+from nevo.tensor import _conv_chunk
 
 
 def small_mlp() -> NetworkSpec:
@@ -63,6 +70,14 @@ def fd_grad(spec, theta, x, y, lam, eps=1e-5) -> np.ndarray:
     return g
 
 
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the same nevo as
+    this process, installed or not."""
+    src = str(Path(nevo.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.abs(a) + np.abs(b), floor)
     return float(np.max(np.abs(a - b) / denom))
@@ -107,3 +122,33 @@ def affine_bilinear_reference(images, angles_deg, shifts, zooms,
             vals = vals.transpose(0, 3, 1, 2)
             dst += vals * (wgt * inside)[:, None, :, :].astype(images.dtype)
     return out
+
+
+def conv2d_backward_reference(x, kernels, stride, pad, grad_out):
+    """Oracle for tensor.conv2d_backward: the kernel gradient is a
+    tensordot over a pixel-major window matrix per _conv_chunk block,
+    and the input gradient is kh*kw per-tap GEMMs added into the padded
+    NCHW input in row-major (u, v) order."""
+    n, c, h, w = x.shape
+    k, _, kh, kw = kernels.shape
+    _, _, oh, ow = grad_out.shape
+    db = grad_out.sum(axis=(0, 2, 3))
+
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    dw = np.zeros_like(kernels)
+    chunk = _conv_chunk(c, kh, kw, oh, ow)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]
+        dw += np.tensordot(grad_out[lo:hi], win, axes=([0, 2, 3], [0, 2, 3]))
+
+    g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, k)
+    dxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            g = np.dot(g2, kernels[:, :, u, v])
+            dxp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
+                g.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
+    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    return dx, dw, db

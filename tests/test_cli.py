@@ -19,6 +19,8 @@ from nevo.cli import cli_main
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
 from nevo.persistence import load_checkpoint, load_population
 
+from synthdata import child_env
+
 
 def tiny_spec() -> NetworkSpec:
     return NetworkSpec((1, 8, 8), (Flatten(), Dense(64, 16),
@@ -582,14 +584,6 @@ def test_report_warns_on_malformed_summary(trained_run, capsys, text):
     assert out.strip().splitlines() == [
         "run,model,dataset,stage,params,accuracy"]
     assert err.startswith("warning:") and "summary.json" in err
-
-
-def child_env() -> dict:
-    """Environment for a child interpreter that imports the same nevo as
-    this process, installed or not."""
-    src = str(Path(nevo.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_module_entry_point():

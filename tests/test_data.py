@@ -6,6 +6,9 @@ import gzip
 import hashlib
 import json
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +23,7 @@ from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          UnsupportedCorruptionError)
 from nevo.rng import RngStream
 
-from synthdata import affine_bilinear_reference
+from synthdata import affine_bilinear_reference, child_env
 
 
 def idx_images_bytes(arr):
@@ -301,6 +304,43 @@ def test_fetch_retries_once_then_fails(tmp_path):
         fetch("tiny", out_dir=tmp_path / "r", opener=flaky,
               manifest=manifest)
     assert len(attempts) == 2
+
+
+# takes the fetch lock of the file named in argv[1], says so, and waits
+_HOLD_FETCH_LOCK = """
+import sys, time
+from pathlib import Path
+from nevo.data import _FileLock
+_FileLock(Path(sys.argv[1])).__enter__()
+print("held", flush=True)
+time.sleep(600)
+"""
+
+
+def test_fetch_is_not_blocked_by_a_killed_lock_holder(tmp_path):
+    files = fake_dataset_files()
+    manifest = fake_manifest(files)
+    target = tmp_path / "k" / "train-images-idx3-ubyte"
+    holder = subprocess.Popen([sys.executable, "-c", _HOLD_FETCH_LOCK,
+                               str(target)],
+                              stdout=subprocess.PIPE, text=True,
+                              env=child_env())
+    try:
+        assert holder.stdout.readline().strip() == "held"
+        # while its holder lives, the lock excludes
+        with pytest.raises(NevoError):
+            with data_mod._FileLock(target, timeout=0.2):
+                pass
+    finally:
+        holder.kill()  # SIGKILL: the holder runs no cleanup
+        holder.wait()
+        holder.stdout.close()
+    start = time.monotonic()
+    out = fetch("tiny", out_dir=tmp_path / "k", opener=CountingOpener(files),
+                manifest=manifest)
+    assert time.monotonic() - start < 5.0
+    assert out["train-images-idx3-ubyte"].read_bytes() == \
+        files["train-images-idx3-ubyte"]
 
 
 def test_fetch_unknown_dataset():

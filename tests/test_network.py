@@ -12,8 +12,9 @@ from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
 from nevo.rng import RngStream
 from nevo import tensor
 
-from synthdata import (fd_grad, max_rel_err, pooled_conv, random_batch,
-                       random_theta, small_conv, small_mlp)
+from synthdata import (conv2d_backward_reference, fd_grad, max_rel_err,
+                       pooled_conv, random_batch, random_theta, small_conv,
+                       small_mlp)
 
 
 def count_by_hand(spec):
@@ -197,6 +198,27 @@ def test_backward_skipping_first_dx_is_bitwise_unchanged(name):
     got_loss, got = backward(spec, theta, x, y, 0.0)
     assert got_loss == ce
     assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("name", ["lenet1", "lenet5"])
+def test_backward_gradient_equals_reference_conv_backward_bitwise(
+        monkeypatch, name):
+    """A training batch of 128 gets the gradient bits of the earlier
+    tensordot / per-tap conv backward (tests/synthdata.py)."""
+    spec = zoo_spec(name)
+    theta = init_params(spec, RngStream(7))
+    x, y = random_batch(spec, 128, 8, np.float32)
+    got_loss, got = backward(spec, theta, x, y, 1e-4)
+
+    def reference(x, kernels, stride, pad, grad_out, need_dx=True):
+        dx, dw, db = conv2d_backward_reference(x, kernels, stride, pad,
+                                               grad_out)
+        return (dx if need_dx else None), dw, db
+
+    monkeypatch.setattr(tensor, "conv2d_backward", reference)
+    want_loss, want = backward(spec, theta, x, y, 1e-4)
+    assert got_loss == want_loss
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 

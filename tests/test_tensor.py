@@ -5,6 +5,8 @@ oracles must agree to the last bit; float32 kernels only promise
 closeness.  Gradients are checked against central differences.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from nevo.evaluation import count_costs
 from nevo.network import Conv, Dense, Flatten, NetworkSpec, Pool
 from nevo.tensor import (activate, conv2d, conv2d_backward, matmul, pool2d,
                          pool2d_backward, softmax_ce)
+
+from synthdata import conv2d_backward_reference
 
 
 def matmul_loops(a, b):
@@ -215,6 +219,89 @@ def test_conv2d_f32_chunked_equals_whole_batch(monkeypatch, layer):
     for block in (100, 150, 299):
         monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", block * per_sample)
         assert np.array_equal(bits(conv2d(x, w, b, 1, 0)), bits(whole))
+
+
+# (input CHW, kernels KCkhkw) of the convs of lenet1 and lenet5
+ZOO_CONVS = {
+    "lenet1.l0": ((1, 28, 28), (4, 1, 5, 5)),
+    "lenet1.l3": ((4, 12, 12), (12, 4, 5, 5)),
+    "lenet5.l0": ((3, 32, 32), (6, 3, 5, 5)),
+    "lenet5.l3": ((6, 14, 14), (16, 6, 5, 5)),
+}
+
+
+def conv_backward_inputs(xs, ws, n, stride, pad, seed, dtype=np.float32):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n,) + xs).astype(dtype)
+    w = gen.normal(size=ws).astype(dtype)
+    oh, ow = tensor._conv_out_dims(xs[1], xs[2], ws[2], ws[3], stride, pad)
+    g = gen.normal(size=(n, ws[0], oh, ow)).astype(dtype)
+    return x, w, g
+
+
+@pytest.mark.parametrize("n", [128, 112, 18])
+@pytest.mark.parametrize("conv", sorted(ZOO_CONVS))
+def test_conv2d_backward_matches_reference_bitwise_on_zoo_convs(conv, n):
+    """The two-GEMM backward returns the bits of the tensordot / per-tap
+    formulation on every lenet conv.  lenet5.l0 at 128 spans two
+    _conv_chunk blocks.  The input gradient of a one-channel input goes
+    through BLAS's GEMV path in the reference, which rounds differently,
+    and no network reads it (it is the first layer's dx)."""
+    xs, ws = ZOO_CONVS[conv]
+    x, w, g = conv_backward_inputs(xs, ws, n, 1, 0, seed=n)
+    dx, dw, db = conv2d_backward(x, w, 1, 0, g)
+    rx, rw, rb = conv2d_backward_reference(x, w, 1, 0, g)
+    assert np.array_equal(bits(dw), bits(rw))
+    assert np.array_equal(bits(db), bits(rb))
+    if xs[0] > 1:
+        assert np.array_equal(bits(dx), bits(rx))
+    else:
+        np.testing.assert_allclose(dx, rx, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", [
+    # (n, c, k, h, w, kernel, stride, pad)
+    (9, 3, 4, 11, 10, 3, 2, 1),
+    (7, 2, 5, 9, 12, 4, 2, 2),
+    (5, 1, 3, 10, 10, 5, 1, 2),
+    (6, 3, 1, 8, 9, 3, 1, 1),
+    (1, 4, 6, 12, 12, 5, 1, 0),
+    (1, 1, 1, 7, 7, 3, 2, 2),
+])
+def test_conv2d_backward_close_to_reference_off_the_zoo(case, dtype):
+    """Strides, paddings, one channel, one kernel and one sample: the
+    small-GEMM and GEMV cases where the last bit may differ."""
+    n, c, k, h, w, kk, stride, pad = case
+    x, wt, g = conv_backward_inputs((c, h, w), (k, c, kk, kk), n, stride,
+                                    pad, seed=sum(case), dtype=dtype)
+    got = conv2d_backward(x, wt, stride, pad, g)
+    want = conv2d_backward_reference(x, wt, stride, pad, g)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype == dtype
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+
+
+def conv_backward_scratch_bytes(n, need_dx):
+    """Peak traced memory of one conv2d_backward, less its outputs."""
+    x, w, g = conv_backward_inputs((4, 12, 12), (6, 4, 3, 3), n, 1, 1, seed=n)
+    tracemalloc.start()
+    try:
+        out = conv2d_backward(x, w, 1, 1, g, need_dx=need_dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in out if a is not None)
+
+
+@pytest.mark.parametrize("need_dx", [False, True])
+def test_conv2d_backward_scratch_memory_is_flat_in_n(monkeypatch, need_dx):
+    # 4*3*3*12*12 im2col elements per sample: blocks of 32 samples
+    monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", 32 * 4 * 9 * 144)
+    one = conv_backward_scratch_bytes(32, need_dx)
+    four = conv_backward_scratch_bytes(128, need_dx)
+    assert four <= 1.5 * one
 
 
 def pool_loops(x, kind, size, stride):
