@@ -44,10 +44,10 @@ from .evaluation import count_costs, evaluate, report
 from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
                         seed_population, subset_factory)
 from .network import param_count
-from .persistence import (Checkpoint, DataSection, load_checkpoint,
-                          load_manifest, load_ring, load_summary,
-                          parse_config, save_checkpoint, save_population,
-                          save_ring, write_manifest)
+from .persistence import (_DATASET_NAMES, Checkpoint, DataSection,
+                          load_checkpoint, load_manifest, load_ring,
+                          load_summary, parse_config, save_checkpoint,
+                          save_population, save_ring, write_manifest)
 from .rng import RngStream
 from .training import TrainingDiverged, train
 
@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("eval", help="evaluate a checkpoint")
     v.add_argument("--ckpt", required=True)
     v.add_argument("--dataset", default="synthetic",
-                   help="synthetic, mnist, fashion_mnist, or cifar10")
+                   help=", ".join(_DATASET_NAMES))
     v.add_argument("--data-dir", default=None)
     v.add_argument("--split", default="test", choices=("train", "test"))
     v.add_argument("--corrupted", default=None,
@@ -141,8 +141,6 @@ def _build_parser() -> _Parser:
 def _load_split_pair(data_cfg, splits=datasets.SPLITS):
     """(train, test) datasets for a parsed data section.  A split not
     named in `splits` is neither read nor built, and comes back None."""
-    if data_cfg.name not in ("synthetic", "mnist", "fashion_mnist", "cifar10"):
-        raise MissingArtifactError(f"unknown dataset {data_cfg.name!r}")
     if data_cfg.name == "synthetic":
         s = data_cfg.synthetic
         pair = datasets.make_synthetic_pair(
@@ -455,12 +453,12 @@ def _cmd_corrupt(args) -> int:
     out = datasets.corrupt(ds, args.kind, args.severity,
                            RngStream(args.seed))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     datasets.save_npy(out_dir / "images.npy", out.images)
     datasets.save_npy(out_dir / "labels.npy", out.labels)
-    (out_dir / "meta.json").write_text(json.dumps(
-        {"source": ds.name, "kind": args.kind, "severity": args.severity,
-         "seed": args.seed, "n": len(out)}, indent=2, sort_keys=True) + "\n")
+    meta = {"source": ds.name, "kind": args.kind, "severity": args.severity,
+            "seed": args.seed, "n": len(out)}
+    datasets._atomic_write(out_dir / "meta.json", (json.dumps(
+        meta, indent=2, sort_keys=True) + "\n").encode())
     print(f"wrote {len(out)} corrupted samples to {out_dir}")
     return 0
 
@@ -486,14 +484,12 @@ def _cmd_gridsearch(args) -> int:
                            cfg.grid, master_seed, jitter_sigma=args.jitter,
                            pool=pool)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         doc = [{"lr": r.lr, "F": r.F, "Cr": r.Cr,
                 "seed_fitness": r.seed_fitness,
                 "best_fitness": r.best_fitness,
                 "test_accuracy": r.test_accuracy} for r in rows]
-        (out_dir / "grid_results.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        datasets._atomic_write(Path(args.out) / "grid_results.json", (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
     print(f"{'lr':>8} {'F':>6} {'Cr':>6} {'fitness':>12} {'accuracy':>9}")
     for r in rows:
         print(f"{r.lr:>8g} {r.F:>6g} {r.Cr:>6g} {r.best_fitness:>12.6f} "

@@ -36,6 +36,13 @@ class ConfigError(NevoError):
         self.path = path
         super().__init__(f"{path}: {message}")
 
+    @classmethod
+    def check(cls, *checks):
+        """Raise for the first (ok, path, message) whose ok is false."""
+        for ok, path, message in checks:
+            if not ok:
+                raise cls(path, message)
+
 
 class MissingArtifactError(NevoError):
     """A required file, run, or population member is absent."""

@@ -60,7 +60,7 @@ class DeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checks = [
+        ConfigError.check(
             (math.isfinite(self.F), "/de/F", "must be finite"),
             (0.0 <= self.Cr <= 1.0, "/de/Cr", "must be in [0, 1]"),
             (self.max_generations >= 0, "/de/max_generations", "must be >= 0"),
@@ -69,11 +69,7 @@ class DeConfig:
             (self.window >= 1, "/de/window", "must be >= 1"),
             (self.fitness_subset >= 1, "/de/fitness_subset", "must be >= 1"),
             (self.resample_every >= 0, "/de/resample_every", "must be >= 0"),
-            (self.seed >= 0, "/de/seed", "must be >= 0"),
-        ]
-        for ok, path, msg in checks:
-            if not ok:
-                raise ConfigError(path, msg)
+            (self.seed >= 0, "/de/seed", "must be >= 0"))
 
 
 @dataclass

@@ -25,9 +25,9 @@ import json
 import math
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -362,14 +362,28 @@ def load_ring(in_dir):
 # --- configuration -----------------------------------------------------------
 
 
+_DATASET_NAMES = ("synthetic", "mnist", "fashion_mnist", "cifar10")
+
+
 @dataclass(frozen=True)
 class SynthSection:
     n_train: int = 3000
     n_test: int = 1000
     classes: int = 10
-    shape: tuple = (1, 28, 28)
+    shape: tuple[int, int, int] = (1, 28, 28)
     noise: float = 0.15
     seed: int = 0
+
+    def __post_init__(self):
+        ConfigError.check(
+            (len(self.shape) == 3 and all(v >= 1 for v in self.shape),
+             "/data/synthetic/shape",
+             "expected [channels, height, width]"),
+            (self.n_train >= 1, "/data/synthetic/n_train", "out of range"),
+            (self.n_test >= 1, "/data/synthetic/n_test", "out of range"),
+            (self.classes >= 2, "/data/synthetic/classes", "out of range"),
+            (self.noise >= 0, "/data/synthetic/noise", "out of range"),
+            (self.seed >= 0, "/data/synthetic/seed", "out of range"))
 
 
 @dataclass(frozen=True)
@@ -382,6 +396,18 @@ class DataSection:
     max_shift_px: int = 2
     max_rotate_deg: float = 15.0
     synthetic: SynthSection = field(default_factory=SynthSection)
+
+    def __post_init__(self):
+        ConfigError.check(
+            (self.name in _DATASET_NAMES, "/data/name",
+             f"unknown dataset {self.name!r}; one of "
+             f"{', '.join(_DATASET_NAMES)}"),
+            (self.train_limit >= 0, "/data/train_limit", "out of range"),
+            (self.test_limit >= 0, "/data/test_limit", "out of range"),
+            (self.augment_multiplier >= 1, "/data/augment_multiplier",
+             "out of range"),
+            (self.max_shift_px >= 0, "/data/max_shift_px", "out of range"),
+            (self.max_rotate_deg >= 0, "/data/max_rotate_deg", "out of range"))
 
 
 @dataclass(frozen=True)
@@ -409,51 +435,60 @@ def _reject_unknown(doc: dict, allowed, path: str):
             raise ConfigError(f"{path}/{key}", "unknown key")
 
 
-def _get_num(doc, key, default, path, integral=False):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}/{key}", "expected a number")
-    if integral and not isinstance(v, int):
-        raise ConfigError(f"{path}/{key}", "expected an integer")
-    return v
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _get_bool(doc, key, default, path):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}/{key}", "expected a boolean")
-    return v
+# field annotation -> the (accepts, message) checks of a JSON value, in order
+_TYPE_CHECKS = {
+    int: ((_is_number, "expected a number"),
+          (lambda v: isinstance(v, int), "expected an integer")),
+    float: ((_is_number, "expected a number"),),
+    bool: ((lambda v: isinstance(v, bool), "expected a boolean"),),
+    str: ((lambda v: isinstance(v, str), "expected a string"),),
+    Optional[str]: ((lambda v: v is None or isinstance(v, str),
+                     "expected a string"),),
+    tuple[int, int, int]: ((lambda v: isinstance(v, list) and len(v) == 3 and
+                            all(isinstance(i, int) and not isinstance(i, bool)
+                                for i in v),
+                            "expected [channels, height, width]"),),
+}
 
 
-def _get_str(doc, key, default, path, optional=False):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if v is None and optional:
-        return None
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}/{key}", "expected a string")
-    return v
+def _typed(tp, value, path: str):
+    """`value` checked against annotation `tp`; a JSON list becomes a tuple
+    and an object the dataclass `tp`."""
+    if is_dataclass(tp):
+        return _parse_section(tp, value, path)
+    for accepts, message in _TYPE_CHECKS[tp]:
+        if not accepts(value):
+            raise ConfigError(path, message)
+    return tuple(value) if isinstance(value, list) else value
 
 
-_BP_KEYS = {"lr": "lr", "beta1": "beta1", "beta2": "beta2", "eps": "eps",
-            "lambda": "lam", "batch_size": "batch_size",
-            "max_epochs": "max_epochs", "delta1": "delta1",
-            "min_improve": "min_improve", "patience": "patience",
-            "ring_size": "ring_size", "seed": "seed"}
-_BP_INTS = {"batch_size", "max_epochs", "patience", "ring_size", "seed"}
+def _json_key(f) -> str:
+    return f.metadata.get("key", f.name)
 
-_DE_KEYS = {"F": "F", "Cr": "Cr", "max_generations": "max_generations",
-            "delta2": "delta2", "min_improve": "min_improve",
-            "window": "window", "fitness_subset": "fitness_subset",
-            "resample_every": "resample_every", "force_jrand": "force_jrand",
-            "seed": "seed"}
-_DE_INTS = {"max_generations", "window", "fitness_subset", "resample_every",
-            "seed"}
+
+def _parse_section(cls, doc, path: str):
+    """A `cls` from JSON object `doc`, one key per dataclass field; an
+    absent key takes the field's default, and the dataclass checks ranges."""
+    doc = _expect_obj(doc, path)
+    keys = {_json_key(f): f.name for f in fields(cls)}
+    _reject_unknown(doc, keys, path)
+    hints = get_type_hints(cls)
+    return cls(**{name: _typed(hints[name], doc[key], f"{path}/{key}")
+                  for key, name in keys.items() if key in doc})
+
+
+def _section_doc(section) -> dict:
+    """The JSON object of a parsed section; the inverse of _parse_section."""
+    doc = {}
+    for f in fields(section):
+        v = getattr(section, f.name)
+        doc[_json_key(f)] = (_section_doc(v) if is_dataclass(v) else
+                             list(v) if isinstance(v, tuple) else v)
+    return doc
 
 
 def _parse_model(doc) -> tuple:
@@ -463,87 +498,8 @@ def _parse_model(doc) -> tuple:
         raise ConfigError("/model", "give either 'name' or 'spec', not both")
     if "spec" in doc:
         return None, NetworkSpec.from_json(doc["spec"], "/model/spec")
-    name = _get_str(doc, "name", "mlp", "/model")
+    name = _typed(str, doc.get("name", "mlp"), "/model/name")
     return name, zoo_spec(name)
-
-
-def _parse_synth(doc) -> SynthSection:
-    doc = _expect_obj(doc, "/data/synthetic")
-    allowed = {"n_train", "n_test", "classes", "shape", "noise", "seed"}
-    _reject_unknown(doc, allowed, "/data/synthetic")
-    defaults = SynthSection()
-    shape = doc.get("shape", list(defaults.shape))
-    if (not isinstance(shape, list) or len(shape) != 3 or
-            not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                    for v in shape)):
-        raise ConfigError("/data/synthetic/shape",
-                          "expected [channels, height, width]")
-    section = SynthSection(
-        n_train=_get_num(doc, "n_train", defaults.n_train, "/data/synthetic", True),
-        n_test=_get_num(doc, "n_test", defaults.n_test, "/data/synthetic", True),
-        classes=_get_num(doc, "classes", defaults.classes, "/data/synthetic", True),
-        shape=tuple(shape),
-        noise=_get_num(doc, "noise", defaults.noise, "/data/synthetic"),
-        seed=_get_num(doc, "seed", defaults.seed, "/data/synthetic", True),
-    )
-    for key, ok in (("n_train", section.n_train >= 1),
-                    ("n_test", section.n_test >= 1),
-                    ("classes", section.classes >= 2),
-                    ("noise", section.noise >= 0),
-                    ("seed", section.seed >= 0)):
-        if not ok:
-            raise ConfigError(f"/data/synthetic/{key}", "out of range")
-    return section
-
-
-_DATASET_NAMES = ("synthetic", "mnist", "fashion_mnist", "cifar10")
-
-
-def _parse_data(doc) -> DataSection:
-    doc = _expect_obj(doc, "/data")
-    allowed = {"name", "dir", "train_limit", "test_limit",
-               "augment_multiplier", "max_shift_px", "max_rotate_deg",
-               "synthetic"}
-    _reject_unknown(doc, allowed, "/data")
-    defaults = DataSection()
-    name = _get_str(doc, "name", defaults.name, "/data")
-    if name not in _DATASET_NAMES:
-        raise ConfigError("/data/name",
-                          f"unknown dataset {name!r}; one of "
-                          f"{', '.join(_DATASET_NAMES)}")
-    section = DataSection(
-        name=name,
-        dir=_get_str(doc, "dir", None, "/data", optional=True),
-        train_limit=_get_num(doc, "train_limit", 0, "/data", True),
-        test_limit=_get_num(doc, "test_limit", 0, "/data", True),
-        augment_multiplier=_get_num(doc, "augment_multiplier", 1, "/data", True),
-        max_shift_px=_get_num(doc, "max_shift_px", 2, "/data", True),
-        max_rotate_deg=_get_num(doc, "max_rotate_deg", 15.0, "/data"),
-        synthetic=_parse_synth(doc.get("synthetic")),
-    )
-    for key, ok in (("train_limit", section.train_limit >= 0),
-                    ("test_limit", section.test_limit >= 0),
-                    ("augment_multiplier", section.augment_multiplier >= 1),
-                    ("max_shift_px", section.max_shift_px >= 0),
-                    ("max_rotate_deg", section.max_rotate_deg >= 0)):
-        if not ok:
-            raise ConfigError(f"/data/{key}", "out of range")
-    return section
-
-
-def _parse_fields(doc, keys, ints, path, cls):
-    doc = _expect_obj(doc, path)
-    _reject_unknown(doc, set(keys), path)
-    kwargs = {}
-    for json_key, attr in keys.items():
-        if json_key == "force_jrand":
-            if json_key in doc:
-                kwargs[attr] = _get_bool(doc, json_key, None, path)
-            continue
-        if json_key in doc:
-            kwargs[attr] = _get_num(doc, json_key, None, path,
-                                    integral=json_key in ints)
-    return cls(**kwargs)
 
 
 def _parse_grid(doc) -> dict:
@@ -553,17 +509,11 @@ def _parse_grid(doc) -> dict:
     for axis in ("F", "Cr", "lr"):
         values = doc.get(axis, list(DEFAULT_GRID[axis]))
         if (not isinstance(values, list) or not values or
-                any(isinstance(v, bool) or not isinstance(v, (int, float))
-                    for v in values)):
+                not all(_is_number(v) for v in values)):
             raise ConfigError(f"/grid/{axis}",
                               "expected a nonempty list of numbers")
         grid[axis] = [float(v) for v in values]
     return grid
-
-
-def _synth_doc(s: SynthSection) -> dict:
-    return {"n_train": s.n_train, "n_test": s.n_test, "classes": s.classes,
-            "shape": list(s.shape), "noise": s.noise, "seed": s.seed}
 
 
 def parse_config(text: str) -> Config:
@@ -580,32 +530,15 @@ def parse_config(text: str) -> Config:
     _reject_unknown(doc, {"model", "data", "bp", "de", "grid"}, "")
 
     model_name, spec = _parse_model(doc.get("model"))
-    data = _parse_data(doc.get("data"))
-    bp = _parse_fields(doc.get("bp"), _BP_KEYS, _BP_INTS, "/bp", TrainConfig)
-    de = _parse_fields(doc.get("de"), _DE_KEYS, _DE_INTS, "/de", DeConfig)
+    data = _parse_section(DataSection, doc.get("data"), "/data")
+    bp = _parse_section(TrainConfig, doc.get("bp"), "/bp")
+    de = _parse_section(DeConfig, doc.get("de"), "/de")
     grid = _parse_grid(doc.get("grid"))
-
     document = {
         "model": ({"name": model_name} if model_name is not None
                   else {"spec": spec.to_json()}),
-        "data": {"name": data.name, "dir": data.dir,
-                 "train_limit": data.train_limit,
-                 "test_limit": data.test_limit,
-                 "augment_multiplier": data.augment_multiplier,
-                 "max_shift_px": data.max_shift_px,
-                 "max_rotate_deg": data.max_rotate_deg,
-                 "synthetic": _synth_doc(data.synthetic)},
-        "bp": {"lr": bp.lr, "beta1": bp.beta1, "beta2": bp.beta2,
-               "eps": bp.eps, "lambda": bp.lam, "batch_size": bp.batch_size,
-               "max_epochs": bp.max_epochs, "delta1": bp.delta1,
-               "min_improve": bp.min_improve, "patience": bp.patience,
-               "ring_size": bp.ring_size, "seed": bp.seed},
-        "de": {"F": de.F, "Cr": de.Cr, "max_generations": de.max_generations,
-               "delta2": de.delta2, "min_improve": de.min_improve,
-               "window": de.window, "fitness_subset": de.fitness_subset,
-               "resample_every": de.resample_every,
-               "force_jrand": de.force_jrand, "seed": de.seed},
-        "grid": grid,
+        "data": _section_doc(data), "bp": _section_doc(bp),
+        "de": _section_doc(de), "grid": grid,
     }
     return Config(model_name, spec, data, bp, de, grid, document)
 

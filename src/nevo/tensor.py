@@ -92,8 +92,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         raise ShapeMismatchError(f"conv2d: stride must be >= 1, got {stride}")
     oh, ow = _conv_out_dims(h, w, kh, kw, stride, pad)
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     if x.dtype == np.float64:
+        xp = _pad_hw(x, pad)
         # ordered accumulation: ascending (c, u, v) per output element
         out = np.zeros((n, k, oh, ow), dtype=np.float64)
         for ci in range(c):
@@ -109,10 +109,16 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        blk = np.dot(bt.T, _cols(xp[lo:hi], kh, kw, stride, oh, ow))
+        blk = np.dot(bt.T, _cols(_pad_hw(x[lo:hi], pad), kh, kw, stride,
+                                 oh, ow))
         out[lo:hi] = blk.reshape(k, hi - lo, oh, ow).transpose(1, 0, 2, 3)
     out += bias[None, :, None, None]
     return out
+
+
+def _pad_hw(x, pad):
+    """Zero-pad the two spatial axes of an NCHW array by `pad` each side."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
 
 
 def _conv_chunk(c, kh, kw, oh, ow):
@@ -169,7 +175,7 @@ def _conv_backward_block(x, kernels, stride, pad, g, dx):
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape
     _, _, oh, ow = g.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = _pad_hw(x, pad)
     gk = g.transpose(1, 0, 2, 3).reshape(k, -1)
     dwt = _cols(xp, kh, kw, stride, oh, ow) @ gk.T
     if dx is not None:

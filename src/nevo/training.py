@@ -31,7 +31,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    lam: float = 1e-4
+    lam: float = field(default=1e-4, metadata={"key": "lambda"})
     batch_size: int = 128
     max_epochs: int = 10
     delta1: float = 0.0
@@ -41,7 +41,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checks = [
+        ConfigError.check(
             (self.lr > 0, "/bp/lr", "must be > 0"),
             (0 <= self.beta1 < 1, "/bp/beta1", "must be in [0, 1)"),
             (0 <= self.beta2 < 1, "/bp/beta2", "must be in [0, 1)"),
@@ -53,11 +53,7 @@ class TrainConfig:
             (self.min_improve >= 0, "/bp/min_improve", "must be >= 0"),
             (self.patience >= 1, "/bp/patience", "must be >= 1"),
             (self.ring_size >= 4, "/bp/ring_size", "must be >= 4"),
-            (self.seed >= 0, "/bp/seed", "must be >= 0"),
-        ]
-        for ok, path, msg in checks:
-            if not ok:
-                raise ConfigError(path, msg)
+            (self.seed >= 0, "/bp/seed", "must be >= 0"))
 
 
 @dataclass

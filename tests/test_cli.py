@@ -551,20 +551,26 @@ def test_evolve_refuses_a_directory_in_place_of_summary(trained_run, capsys):
     assert not (trained_run / "de_best.ckpt").exists()
 
 
-def test_killed_summary_write_keeps_the_previous_summary(trained_run,
-                                                         monkeypatch, capsys):
-    class Killed(BaseException):
-        pass
+class Killed(BaseException):
+    pass
 
+
+def kill_replace_of(monkeypatch, name):
+    """Make the rename that would put `name` in place die like a kill."""
     real_replace = os.replace
 
     def replace(src, dst):
-        if Path(dst).name == "summary.json":
+        if Path(dst).name == name:
             raise Killed
         real_replace(src, dst)
 
-    before = (trained_run / "summary.json").read_bytes()
     monkeypatch.setattr(os, "replace", replace)
+
+
+def test_killed_summary_write_keeps_the_previous_summary(trained_run,
+                                                         monkeypatch, capsys):
+    before = (trained_run / "summary.json").read_bytes()
+    kill_replace_of(monkeypatch, "summary.json")
     with pytest.raises(Killed):
         cli_main(["evolve", "--run", str(trained_run)])
     assert (trained_run / "summary.json").read_bytes() == before
@@ -573,6 +579,37 @@ def test_killed_summary_write_keeps_the_previous_summary(trained_run,
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
     stages = json.loads((trained_run / "summary.json").read_text())["stages"]
     assert [s["stage"] for s in stages] == ["bp", "de"]
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("meta.json", ["corrupt", "--kind", "gaussian_noise", "--severity", "1"]),
+    ("grid_results.json", ["gridsearch", "--config", "c.json"]),
+])
+def test_killed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch,
+                                                       name, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(tiny_config(de={"max_generations": 1}))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"previous\n")
+    kill_replace_of(monkeypatch, name)
+    with pytest.raises(Killed):
+        cli_main([*argv, "--out", str(out)])
+    assert (out / name).read_bytes() == b"previous\n"
+
+
+def test_unknown_dataset_flag_exits_2_and_writes_nothing(trained_run, tmp_path,
+                                                          capsys):
+    out = tmp_path / "X"
+    for argv in (["eval", "--ckpt", str(trained_run / "final.ckpt")],
+                 ["corrupt", "--kind", "gaussian_noise", "--severity", "1",
+                  "--out", str(out)]):
+        assert cli_main([*argv, "--dataset", "imagenet"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "unknown dataset 'imagenet'" in err
+        assert "synthetic, mnist, fashion_mnist, cifar10" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"stages": 5}', "{bad"])

@@ -287,30 +287,66 @@ def test_config_model_name_xor_spec():
     assert parse_config("{}").model_name == "mlp"
 
 
+# every single-error diagnostic, with its exact message
+CONFIG_DIAGNOSTICS = {
+    '{"de": {"Cr": -0.1}}': "/de/Cr: must be in [0, 1]",
+    '{"de": {"F": "hot"}}': "/de/F: expected a number",
+    '{"bp": {"lr": 0}}': "/bp/lr: must be > 0",
+    '{"bp": {"batch_size": 2.5}}': "/bp/batch_size: expected an integer",
+    '{"bp": {"bogus": 1}}': "/bp/bogus: unknown key",
+    '{"turbo": true}': "/turbo: unknown key",
+    '{"data": {"name": "imagenet"}}':
+        "/data/name: unknown dataset 'imagenet'; "
+        "one of synthetic, mnist, fashion_mnist, cifar10",
+    '{"data": {"synthetic": {"shape": [28, 28]}}}':
+        "/data/synthetic/shape: expected [channels, height, width]",
+    '{"data": {"synthetic": {"classes": 1}}}':
+        "/data/synthetic/classes: out of range",
+    '{"data": {"augment_multiplier": 0}}':
+        "/data/augment_multiplier: out of range",
+    '{"eval": {}}': "/eval: unknown key",
+    '{"grid": {"F": []}}': "/grid/F: expected a nonempty list of numbers",
+    '{"grid": {"Cr": "all"}}': "/grid/Cr: expected a nonempty list of numbers",
+    '{"grid": {"gamma": [1]}}': "/grid/gamma: unknown key",
+    '{"model": {"name": "alexnet"}}':
+        "/model/name: unknown model 'alexnet'; available: lenet1, lenet5, mlp",
+    '{"de": {"force_jrand": 1}}': "/de/force_jrand: expected a boolean",
+    '[1, 2]': "/: expected an object",
+    '{"bp": 7}': "/bp: expected an object",
+    '{"data": {"dir": 5}}': "/data/dir: expected a string",
+    '{"data": {"train_limit": 1.5}}': "/data/train_limit: expected an integer",
+    '{"data": {"max_rotate_deg": true}}':
+        "/data/max_rotate_deg: expected a number",
+    '{"data": {"synthetic": 3}}': "/data/synthetic: expected an object",
+    '{"data": {"synthetic": {"bogus": 1}}}':
+        "/data/synthetic/bogus: unknown key",
+    '{"data": {"synthetic": {"shape": [1, 0, 28]}}}':
+        "/data/synthetic/shape: expected [channels, height, width]",
+    '{"data": {"synthetic": {"noise": -1}}}':
+        "/data/synthetic/noise: out of range",
+    '{"bp": {"lambda": -1}}': "/bp/lambda: must be >= 0",
+    '{"bp": {"seed": true}}': "/bp/seed: expected a number",
+    '{"de": {"seed": -1}}': "/de/seed: must be >= 0",
+}
+
+
 @pytest.mark.parametrize("text,path", [
-    ('{"de": {"Cr": -0.1}}', "/de/Cr"),
-    ('{"de": {"F": "hot"}}', "/de/F"),
-    ('{"bp": {"lr": 0}}', "/bp/lr"),
-    ('{"bp": {"batch_size": 2.5}}', "/bp/batch_size"),
-    ('{"bp": {"bogus": 1}}', "/bp/bogus"),
-    ('{"turbo": true}', "/turbo"),
-    ('{"data": {"name": "imagenet"}}', "/data/name"),
-    ('{"data": {"synthetic": {"shape": [28, 28]}}}', "/data/synthetic/shape"),
-    ('{"data": {"synthetic": {"classes": 1}}}', "/data/synthetic/classes"),
-    ('{"data": {"augment_multiplier": 0}}', "/data/augment_multiplier"),
-    ('{"eval": {}}', "/eval"),
-    ('{"grid": {"F": []}}', "/grid/F"),
-    ('{"grid": {"Cr": "all"}}', "/grid/Cr"),
-    ('{"grid": {"gamma": [1]}}', "/grid/gamma"),
-    ('{"model": {"name": "alexnet"}}', "/model/name"),
-    ('{"de": {"force_jrand": 1}}', "/de/force_jrand"),
-    ('[1, 2]', "/"),
-    ('{"bp": 7}', "/bp"),
-])
+    (text, message.split(": ", 1)[0])
+    for text, message in CONFIG_DIAGNOSTICS.items()])
 def test_config_diagnostics_carry_json_pointer(text, path):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
-    assert str(info.value).startswith(path + ":"), str(info.value)
+    assert info.value.path == path
+    assert str(info.value) == CONFIG_DIAGNOSTICS[text]
+
+
+def test_config_integral_float_stays_integral_in_document():
+    cfg = parse_config('{"bp": {"lr": 1}}')
+    assert cfg.document["bp"]["lr"] == 1
+    assert isinstance(cfg.document["bp"]["lr"], int)
+    once = rendered(cfg)
+    assert '"lr": 1,' in once
+    assert rendered(parse_config(once)) == once
 
 
 def test_config_invalid_json():

@@ -304,6 +304,35 @@ def test_conv2d_backward_scratch_memory_is_flat_in_n(monkeypatch, need_dx):
     assert four <= 1.5 * one
 
 
+def conv_forward_scratch_bytes(x, w, b):
+    """Peak traced memory of one padded conv2d, less its output."""
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, b, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_conv2d_pads_per_block(monkeypatch):
+    """A padded forward pads each block of samples, not the whole
+    batch: the same bits as padding first, and scratch flat in N."""
+    # 4*3*3*12*12 im2col elements per sample: blocks of 32 samples
+    monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", 32 * 4 * 9 * 144)
+    scratch = {}
+    for n in (32, 512):
+        gen = np.random.default_rng(n)
+        x = gen.normal(size=(n, 4, 12, 12)).astype(np.float32)
+        w = gen.normal(size=(6, 4, 3, 3)).astype(np.float32)
+        b = gen.normal(size=6).astype(np.float32)
+        padded_first = conv2d(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))),
+                              w, b, 1, 0)
+        assert np.array_equal(bits(conv2d(x, w, b, 1, 1)), bits(padded_first))
+        scratch[n] = conv_forward_scratch_bytes(x, w, b)
+    assert scratch[512] <= 1.5 * scratch[32]
+
+
 def pool_loops(x, kind, size, stride):
     n, c, h, w = x.shape
     oh = (h - size) // stride + 1
