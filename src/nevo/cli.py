@@ -39,7 +39,8 @@ import numpy as np
 
 from . import blas_threads
 from . import data as datasets
-from .errors import MissingArtifactError, NevoError, NumericError
+from .errors import (ConfigError, MissingArtifactError, NevoError,
+                     NumericError)
 from .evaluation import count_costs, evaluate, report
 from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
                         seed_population, subset_factory)
@@ -96,12 +97,16 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("eval", help="evaluate a checkpoint")
     v.add_argument("--ckpt", required=True)
-    v.add_argument("--dataset", default="synthetic",
-                   help=", ".join(_DATASET_NAMES))
+    # --dataset, --data-dir and --split pick the clean split, so they
+    # default to None and are rejected next to --corrupted
+    v.add_argument("--dataset", default=None,
+                   help=", ".join(_DATASET_NAMES) + " (default synthetic)")
     v.add_argument("--data-dir", default=None)
-    v.add_argument("--split", default="test", choices=("train", "test"))
+    v.add_argument("--split", default=None, choices=("train", "test"),
+                   help="(default test)")
     v.add_argument("--corrupted", default=None,
-                   help="directory of precomputed NPY corruption sets")
+                   help="directory of precomputed NPY corruption sets; "
+                        "takes no --dataset, --data-dir or --split")
     v.set_defaults(func=_cmd_eval)
 
     c = sub.add_parser("corrupt", help="synthesize a corrupted split")
@@ -431,6 +436,17 @@ def _corrupted_sets(root: Path):
 
 
 def _cmd_eval(args) -> int:
+    given = [flag for flag, value in (("--dataset", args.dataset),
+                                      ("--data-dir", args.data_dir),
+                                      ("--split", args.split))
+             if value is not None]
+    if args.corrupted and given:
+        raise ConfigError(", ".join(given), "not allowed with --corrupted, "
+                          "whose NPY sets carry their own images and labels")
+    if args.dataset is None:
+        args.dataset = "synthetic"
+    if args.split is None:
+        args.split = "test"
     ckpt = load_checkpoint(args.ckpt)
     rows = []
     if args.corrupted:

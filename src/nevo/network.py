@@ -1,11 +1,13 @@
 """Network specification, flat parameter vectors, and the forward /
 loss / backward triple.
 
-A network is a pipeline of layers over NCHW (or flat) batches.  All
-parameters live in one flat vector ``theta``; the layout (per-layer
-slices, weights then bias, in layer order) is a pure function of the
-spec, so optimizers that only see flat vectors stay compatible with
-gradient training on the same spec.
+A network is a pipeline of layers over NCHW-shaped (or flat) batches.
+Between conv, pool and activation layers the batches are batch-innermost
+in memory, as the ``tensor`` kernels return them.  All parameters live
+in one flat vector ``theta``; the layout (per-layer slices, weights then
+bias, in layer order) is a pure function of the spec, so optimizers that
+only see flat vectors stay compatible with gradient training on the same
+spec.
 
 ``loss`` and the loss value returned by ``backward`` share one code
 path and are bitwise equal for identical inputs.

@@ -10,25 +10,41 @@ All functions are pure and total on finite inputs.  Two precision modes:
   accumulation (ascending contraction index), so they match naive
   nested-loop oracles to the last ulp.
 
+Memory layout.  Every 4-D argument and result has the NCHW shape
+(batch, channel, row, column).  The conv and pool kernels and their
+backwards compute on (C, H, W, N) memory, with the batch innermost,
+and return their result as the NCHW-shaped view
+``buf.transpose(3, 0, 1, 2)`` of that memory.  Each reads an input
+through ``_chwn(x) = np.ascontiguousarray(x.transpose(1, 2, 3, 0))``,
+which is a free view of any such result and of any elementwise ufunc
+of one (ufuncs keep the operands' memory order), so the layout flows
+from layer to layer at no cost.  A C-ordered NCHW array, such as a
+network's input batch, costs one transposed copy, made per block of
+samples where the kernel works in blocks.  With the batch innermost,
+every window slice, im2col fill and col2im add moves contiguous runs
+of at least n elements.  The one exception is the float64
+ordered-accumulation conv forward (the oracle path), which computes
+and returns NCHW memory.
+
 The float32 conv forward pass is one GEMM over an im2col matrix
 (Chellapilla, Puri & Simard, 2006).  The matrix is K-major: row
 (c, u, v) holds input pixel (c, oy*stride+u, ox*stride+v) for every
-output position (n, oy, ox), so it is filled with kh*kw slice copies
-whose inner axis (ox) is contiguous in the destination.  Each output
-element is the same length-c*kh*kw dot product, in ascending (c, u, v)
-order, as with a pixel-major (n*oh*ow, c*kh*kw) matrix, so BLAS's
-blocked GEMM kernels return the same bits for either layout.
-OpenBLAS's small-matrix kernels (OpenBLAS 0.3.31 on x86-64 uses them
-below about 1e6 multiply-adds) and its one-output-channel GEMV path
-are the exception: they round the transposed operand differently in
-the last bit.
+output position (oy, ox, n), so it is filled with kh*kw slice copies,
+and the GEMM's (k, oh*ow*n) product is already the output's memory.
+Each output element is the same length-c*kh*kw dot product, in
+ascending (c, u, v) order, whatever the order of the matrix's columns,
+so BLAS's blocked GEMM kernels return the same bits as the NCHW im2col
+(``tests/synthdata.conv2d_nchw_reference``).  OpenBLAS's small-matrix
+kernels (OpenBLAS 0.3.31 on x86-64 uses them below about 1e6
+multiply-adds) and its one-output-channel GEMV path are the exception:
+they round the transposed operand differently in the last bit.
 
 The backward pass reuses that layout.  The kernel gradient is the same
-im2col matrix times grad_out as a (k, n*oh*ow) matrix, contracted over
-n*oh*ow in ascending (n, oy, ox) order.  The input gradient is one GEMM
-to (c, kh, kw, oy, ox, n) columns, then a col2im that adds the kh*kw
-tap slices with the sample index innermost.  On the blocked GEMM
-kernels both return the bits of the tensordot / per-tap reference
+im2col matrix times grad_out as a (k, oh*ow*n) matrix, contracted over
+each block's samples and positions in ascending (oy, ox, n) order.
+The input gradient is one GEMM to (c, kh, kw, oy, ox, n) columns, then
+a col2im that adds the kh*kw tap slices.  On the blocked GEMM kernels
+both return the bits of the tensordot / per-tap reference
 ``tests/synthdata.conv2d_backward_reference``.  The small-matrix and
 GEMV exceptions above, which include the input gradient of a
 one-channel input, can differ from it in the last bit, as can some
@@ -93,7 +109,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     oh, ow = _conv_out_dims(h, w, kh, kw, stride, pad)
 
     if x.dtype == np.float64:
-        xp = _pad_hw(x, pad)
+        xp = _pad_hw(_chwn(x), pad).transpose(3, 0, 1, 2)
         # ordered accumulation: ascending (c, u, v) per output element
         out = np.zeros((n, k, oh, ow), dtype=np.float64)
         for ci in range(c):
@@ -104,21 +120,31 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         out += bias[None, :, None, None]
         return out
 
-    out = np.empty((n, k, oh, ow), dtype=x.dtype)
+    out = np.empty((k, oh, ow, n), dtype=x.dtype)
     bt = np.ascontiguousarray(kernels.transpose(1, 2, 3, 0).reshape(c * kh * kw, k))
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        blk = np.dot(bt.T, _cols(_pad_hw(x[lo:hi], pad), kh, kw, stride,
-                                 oh, ow))
-        out[lo:hi] = blk.reshape(k, hi - lo, oh, ow).transpose(1, 0, 2, 3)
-    out += bias[None, :, None, None]
-    return out
+        # a block that is the whole batch is written straight into out
+        blk = np.dot(bt.T, _cols(_pad_hw(_chwn(x[lo:hi]), pad), kh, kw,
+                                 stride, oh, ow),
+                     out=out.reshape(k, -1) if hi - lo == n else None)
+        if hi - lo < n:
+            out[..., lo:hi] = blk.reshape(k, oh, ow, hi - lo)
+    out += bias[:, None, None, None]
+    return out.transpose(3, 0, 1, 2)
+
+
+def _chwn(x):
+    """The (C, H, W, N) memory of an NCHW-shaped array: a free view when
+    that is x's memory already, else one transposed copy."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
 def _pad_hw(x, pad):
-    """Zero-pad the two spatial axes of an NCHW array by `pad` each side."""
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    """Zero-pad the two spatial axes of a (C, H, W, N) array by `pad`
+    each side."""
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
 
 
 def _conv_chunk(c, kh, kw, oh, ow):
@@ -127,15 +153,15 @@ def _conv_chunk(c, kh, kw, oh, ow):
 
 
 def _cols(xp, kh, kw, stride, oh, ow):
-    """K-major im2col of a padded NCHW block: a (c*kh*kw, n*oh*ow)
-    matrix built from kh*kw slice copies."""
-    n, c = xp.shape[:2]
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
+    """K-major im2col of a padded (C, H, W, N) block: a
+    (c*kh*kw, oh*ow*n) matrix built from kh*kw slice copies."""
+    c, n = xp.shape[0], xp.shape[3]
+    cols = np.empty((c, kh, kw, oh, ow, n), dtype=xp.dtype)
     for u in range(kh):
         for v in range(kw):
-            cols[:, u, v] = xp[:, :, u:u + stride * oh:stride,
-                               v:v + stride * ow:stride].transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * oh * ow)
+            cols[:, u, v] = xp[:, u:u + stride * oh:stride,
+                               v:v + stride * ow:stride]
+    return cols.reshape(c * kh * kw, oh * ow * n)
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
@@ -153,40 +179,39 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
     db = grad_out.sum(axis=(0, 2, 3))
 
     dwt = np.zeros((c * kh * kw, k), dtype=kernels.dtype)
-    dx = np.empty_like(x) if need_dx else None
+    dx = np.empty((c, h, w, n), dtype=x.dtype) if need_dx else None
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        dwt += _conv_backward_block(x[lo:hi], kernels, stride, pad,
-                                    grad_out[lo:hi],
-                                    None if dx is None else dx[lo:hi])
+        dwt += _conv_backward_block(_pad_hw(_chwn(x[lo:hi]), pad), kernels,
+                                    stride, pad, _chwn(grad_out[lo:hi]),
+                                    None if dx is None else dx[..., lo:hi])
     dw = np.ascontiguousarray(dwt.T).reshape(kernels.shape)
-    return dx, dw, db
+    return (None if dx is None else dx.transpose(3, 0, 1, 2)), dw, db
 
 
-def _conv_backward_block(x, kernels, stride, pad, g, dx):
-    """One block's kernel gradient as a (c*kh*kw, k) matrix; writes the
-    block's input gradient into dx unless dx is None.
+def _conv_backward_block(xp, kernels, stride, pad, g, dx):
+    """One block's kernel gradient as a (c*kh*kw, k) matrix, from the
+    padded (C, H, W, N) input xp and the (K, OH, OW, N) grad_out g;
+    writes the block's (C, H, W, N) input gradient into dx unless dx is
+    None.
 
-    The col2im buffer is (c, Hp, Wp, n), so each of its kh*kw tap adds
+    The col2im buffer has xp's layout, so each of its kh*kw tap adds
     moves contiguous runs of ow*n elements.  Every temporary dies on
     return, before the next block allocates its own.
     """
-    n, c, h, w = x.shape
-    k, _, kh, kw = kernels.shape
-    _, _, oh, ow = g.shape
-    xp = _pad_hw(x, pad)
-    gk = g.transpose(1, 0, 2, 3).reshape(k, -1)
+    k, c, kh, kw = kernels.shape
+    _, oh, ow, n = g.shape
+    gk = g.reshape(k, -1)
     dwt = _cols(xp, kh, kw, stride, oh, ow) @ gk.T
     if dx is not None:
-        cols = kernels.reshape(k, -1).T @ g.transpose(1, 2, 3, 0).reshape(k, -1)
-        cols = cols.reshape(c, kh, kw, oh, ow, n)
-        buf = np.zeros((c,) + xp.shape[2:] + (n,), dtype=x.dtype)
+        cols = (kernels.reshape(k, -1).T @ gk).reshape(c, kh, kw, oh, ow, n)
+        buf = np.zeros_like(xp)
         for u in range(kh):
             for v in range(kw):
                 buf[:, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
                     cols[:, u, v]
-        dx[...] = buf[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+        dx[...] = buf[:, pad:pad + dx.shape[1], pad:pad + dx.shape[2]]
     return dwt
 
 
@@ -197,18 +222,18 @@ def pool2d(x: np.ndarray, kind: str, size: int, stride: int,
     routing; it is None for mean pooling and when need_argmax is False,
     which saves the index work for a pass that takes no gradient.
 
-    Max pooling visits the size*size strided slices in row-major window
-    order without copying the windows and follows np.argmax's
-    first-occurrence rule: ties and -0.0 keep the earlier element, the
-    first NaN wins.  With the argmax, a slice is taken only where it is
-    strictly greater, or NaN where the running maximum is not.  Without
-    it, each slice s is folded in as np.maximum(s, out).  The argument
-    order is the rule: on a tie np.maximum returns its second operand,
-    so an earlier -0.0 stays against a later +0.0 (np.maximum(out, s)
-    would return the +0.0), and a NaN in either operand propagates.
-    When both are NaN it returns the first, the later NaN, whose bits
-    may differ, so windows whose maximum is NaN get their first NaN
-    written back.
+    Max pooling folds the size*size strided slices into the running
+    maximum in row-major window order, as np.maximum(s, out), without
+    copying the windows, and follows np.argmax's first-occurrence rule:
+    ties and -0.0 keep the earlier element, the first NaN wins.  The
+    argument order is the rule: on a tie np.maximum returns its second
+    operand, so an earlier -0.0 stays against a later +0.0
+    (np.maximum(out, s) would return the +0.0), and a NaN in either
+    operand propagates.  When both are NaN it returns the first, the
+    later NaN, whose bits may differ, so windows whose maximum is NaN
+    get their first NaN written back.  The argmax is the last slice
+    that was taken: strictly greater, or NaN where the running maximum
+    is not.
     """
     if kind not in ("max", "avg"):
         raise ShapeMismatchError(f"pool2d: unknown kind {kind!r}")
@@ -219,59 +244,67 @@ def pool2d(x: np.ndarray, kind: str, size: int, stride: int,
     if size > h or size > w:
         raise ShapeMismatchError(
             f"pool2d: window {size} larger than input {h}x{w}")
+    xc = _chwn(x)
     if kind == "avg":
-        win = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
+        win = sliding_window_view(xc, (size, size), axis=(1, 2))[:, ::stride, ::stride]
         flat = win.reshape(win.shape[:4] + (size * size,))
-        return flat.mean(axis=4, dtype=x.dtype), None
+        return flat.mean(axis=4, dtype=x.dtype).transpose(3, 0, 1, 2), None
     oh = (h - size) // stride + 1
     ow = (w - size) // stride + 1
     # window slice j holds element (u, v) = divmod(j, size) of every window
-    slices = [x[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+    slices = [xc[:, u:u + stride * oh:stride, v:v + stride * ow:stride]
               for u, v in (divmod(j, size) for j in range(size * size))]
     out = slices[0].copy()
-    if not need_argmax:
-        for s in slices[1:]:
-            np.maximum(s, out, out=out)
-        nan = np.isnan(out)
-        if nan.any():
-            # write each window's NaNs back last to first, so the first stays
-            for s in reversed(slices):
-                np.copyto(out, s, where=nan & np.isnan(s))
-        return out, None
-    idx = np.zeros(out.shape, dtype=np.intp)
+    idx = (np.zeros(out.shape, dtype=np.min_scalar_type(size * size - 1))
+           if need_argmax else None)
     for j in range(1, size * size):
         s = slices[j]
-        take = ~(s <= out) & (out == out)
-        out = np.where(take, s, out)
-        # j grows, so the largest j * take is the last slice taken
-        np.maximum(idx, np.multiply(take, j, dtype=np.intp), out=idx)
-    return out, idx
+        if idx is not None:
+            # j grows, so the largest j * take is the last slice taken
+            take = ~(s <= out) & (out == out)
+            np.maximum(idx, np.multiply(take, j, dtype=idx.dtype), out=idx)
+        np.maximum(s, out, out=out)
+    nan = np.isnan(out)
+    if nan.any():
+        # write each window's NaNs back last to first, so the first stays
+        for s in reversed(slices):
+            np.copyto(out, s, where=nan & np.isnan(s))
+    if idx is not None:
+        idx = idx.astype(np.intp).transpose(3, 0, 1, 2)
+    return out.transpose(3, 0, 1, 2), idx
 
 
 def pool2d_backward(grad_out: np.ndarray, x_shape, kind: str, size: int,
                     stride: int, argmax=None) -> np.ndarray:
-    """Route pooled gradients back to input positions."""
+    """Route pooled gradients back to input positions.
+
+    Each window tap adds its share into a strided slice of the input
+    gradient.  For max pooling the share is grad_out where the tap is
+    the window's argmax and +0.0 elsewhere, selected by an integer bit
+    mask, so NaN and infinite gradients reach only their argmax.  The
+    taps run last to first, which adds the windows covering an input
+    position in ascending (oy, ox) order: the bits of np.add.at into
+    zeros.
+    """
     n, c, h, w = x_shape
     _, _, oh, ow = grad_out.shape
-    dx = np.zeros(x_shape, dtype=grad_out.dtype)
+    g = _chwn(grad_out)
+    dx = np.zeros((c, h, w, n), dtype=grad_out.dtype)
     if kind == "avg":
-        g = grad_out / (size * size)
+        g = g / (size * size)
         for u in range(size):
             for v in range(size):
-                dx[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += g
-        return dx
-    # flat input position of every window's argmax, in grad_out order
-    u, v = np.divmod(argmax, size)
-    u += np.arange(oh)[:, None] * stride
-    v += np.arange(ow) * stride
-    flat = (np.arange(n * c).reshape(n, c, 1, 1) * h + u) * w + v
-    if stride >= size:
-        # windows are disjoint, so each position receives at most one
-        # gradient; 0.0 + g is what np.add.at would store (-0.0 -> +0.0)
-        dx.reshape(-1)[flat.reshape(-1)] = grad_out.reshape(-1) + 0.0
-    else:
-        np.add.at(dx.reshape(-1), flat.reshape(-1), grad_out.reshape(-1))
-    return dx
+                dx[:, u:u + stride * oh:stride, v:v + stride * ow:stride] += g
+        return dx.transpose(3, 0, 1, 2)
+    bits = np.dtype(f"u{g.itemsize}")
+    gbits, am = g.view(bits), _chwn(argmax)
+    for j in reversed(range(size * size)):
+        u, v = divmod(j, size)
+        share = np.bitwise_and(
+            gbits, np.multiply(am == j, np.iinfo(bits).max, dtype=bits))
+        dx[:, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
+            share.view(g.dtype)
+    return dx.transpose(3, 0, 1, 2)
 
 
 def activate(x: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:

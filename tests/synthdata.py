@@ -124,11 +124,16 @@ def affine_bilinear_reference(images, angles_deg, shifts, zooms,
     return out
 
 
-def conv2d_backward_reference(x, kernels, stride, pad, grad_out):
+def conv2d_backward_reference(x, kernels, stride, pad, grad_out,
+                              dw_order="oy,ox,n"):
     """Oracle for tensor.conv2d_backward: the kernel gradient is a
-    tensordot over a pixel-major window matrix per _conv_chunk block,
-    and the input gradient is kh*kw per-tap GEMMs added into the padded
-    NCHW input in row-major (u, v) order."""
+    tensordot over a window view per _conv_chunk block, and the input
+    gradient is kh*kw per-tap GEMMs added into the padded NCHW input in
+    row-major (u, v) order.
+
+    The kernel gradient contracts each block over (oy, ox, n), the
+    order of the kernel's batch-innermost memory.  dw_order="n,oy,ox"
+    gives the earlier NCHW contraction, which differs in the last bits."""
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape
     _, _, oh, ow = grad_out.shape
@@ -139,9 +144,16 @@ def conv2d_backward_reference(x, kernels, stride, pad, grad_out):
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        dw += np.tensordot(grad_out[lo:hi], win, axes=([0, 2, 3], [0, 2, 3]))
+        if dw_order == "oy,ox,n":
+            win = sliding_window_view(xp[lo:hi].transpose(1, 2, 3, 0),
+                                      (kh, kw), axis=(1, 2))
+            dw += np.tensordot(grad_out[lo:hi].transpose(1, 2, 3, 0),
+                               win[:, ::stride, ::stride],
+                               axes=([1, 2, 3], [1, 2, 3]))
+        else:
+            win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
+            dw += np.tensordot(grad_out[lo:hi], win[:, :, ::stride, ::stride],
+                               axes=([0, 2, 3], [0, 2, 3]))
 
     g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, k)
     dxp = np.zeros_like(xp)
@@ -152,3 +164,63 @@ def conv2d_backward_reference(x, kernels, stride, pad, grad_out):
                 g.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
     return dx, dw, db
+
+
+def conv2d_nchw_reference(x, kernels, bias, stride=1, pad=0):
+    """Oracle for the float32 tensor.conv2d: the NCHW im2col GEMM the
+    kernel ran before it kept activations batch-innermost.  The K-major
+    matrix is filled from an NCHW block, so its columns run in
+    (n, oy, ox) order, and the output is transposed back to NCHW."""
+    n, c, h, w = x.shape
+    k, _, kh, kw = kernels.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    out = np.empty((n, k, oh, ow), dtype=x.dtype)
+    bt = np.ascontiguousarray(kernels.transpose(1, 2, 3, 0).reshape(c * kh * kw, k))
+    chunk = _conv_chunk(c, kh, kw, oh, ow)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        xp = x[lo:hi]
+        if pad:
+            xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        cols = np.empty((c, kh, kw, hi - lo, oh, ow), dtype=x.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                cols[:, u, v] = xp[:, :, u:u + stride * oh:stride,
+                                   v:v + stride * ow:stride].transpose(1, 0, 2, 3)
+        blk = np.dot(bt.T, cols.reshape(c * kh * kw, -1))
+        out[lo:hi] = blk.reshape(k, hi - lo, oh, ow).transpose(1, 0, 2, 3)
+    out += bias[None, :, None, None]
+    return out
+
+
+def pool2d_nchw_reference(x, kind, size, stride, need_argmax=True):
+    """Oracle for tensor.pool2d: the NCHW slice-by-slice max (a
+    np.where per slice with the argmax, np.maximum without it) and the
+    window-copy mean the kernel ran before it kept activations
+    batch-innermost."""
+    n, c, h, w = x.shape
+    if kind == "avg":
+        win = sliding_window_view(x, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
+        flat = win.reshape(win.shape[:4] + (size * size,))
+        return flat.mean(axis=4, dtype=x.dtype), None
+    oh = (h - size) // stride + 1
+    ow = (w - size) // stride + 1
+    slices = [x[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+              for u, v in (divmod(j, size) for j in range(size * size))]
+    out = slices[0].copy()
+    if not need_argmax:
+        for s in slices[1:]:
+            np.maximum(s, out, out=out)
+        nan = np.isnan(out)
+        if nan.any():
+            for s in reversed(slices):
+                np.copyto(out, s, where=nan & np.isnan(s))
+        return out, None
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for j in range(1, size * size):
+        s = slices[j]
+        take = ~(s <= out) & (out == out)
+        out = np.where(take, s, out)
+        np.maximum(idx, np.multiply(take, j, dtype=np.intp), out=idx)
+    return out, idx

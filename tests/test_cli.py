@@ -203,7 +203,6 @@ def test_corrupt_then_eval_corrupted(trained_run, tmp_path, capsys):
         assert meta["kind"] == kind and meta["severity"] == 3
     capsys.readouterr()
     code = cli_main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
-                     "--dataset", "mnist", "--data-dir", str(root),
                      "--corrupted", str(base)])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
@@ -610,6 +609,34 @@ def test_unknown_dataset_flag_exits_2_and_writes_nothing(trained_run, tmp_path,
         assert "unknown dataset 'imagenet'" in err
         assert "synthetic, mnist, fashion_mnist, cifar10" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dataset", "imagenet"],
+    ["--split", "train"],
+    ["--data-dir", "elsewhere", "--dataset", "mnist"],
+])
+def test_eval_corrupted_rejects_clean_split_flags(trained_run, tmp_path,
+                                                  capsys, flags):
+    """--dataset, --data-dir and --split choose a clean split, which
+    --corrupted does not read: naming one with it is an error, not a
+    silently ignored flag."""
+    sets = tmp_path / "sets"
+    assert cli_main(["corrupt", "--dataset", "mnist",
+                     "--data-dir", str(idx_dir(tmp_path)),
+                     "--kind", "gaussian_noise", "--severity", "1",
+                     "--out", str(sets / "gn1")]) == 0
+    capsys.readouterr()
+    argv = ["eval", "--ckpt", str(trained_run / "final.ckpt"),
+            "--corrupted", str(sets)]
+    assert cli_main([*argv, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: --") and "--corrupted" in err
+    for flag in flags[::2]:
+        assert flag in err
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)[0]["dataset"] == "gn1"
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"stages": 5}', "{bad"])

@@ -12,7 +12,10 @@ from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
 from nevo.rng import RngStream
 from nevo import tensor
 
-from synthdata import (conv2d_backward_reference, fd_grad, max_rel_err,
+from nevo.data import Dataset
+from nevo.evaluation import evaluate
+from synthdata import (conv2d_backward_reference, conv2d_nchw_reference,
+                       fd_grad, max_rel_err, pool2d_nchw_reference,
                        pooled_conv, random_batch, random_theta, small_conv,
                        small_mlp)
 
@@ -243,6 +246,71 @@ def test_forward_without_argmax_matches_the_recording_pass(name):
     got = forward(spec, theta, x)
     assert got.dtype == np.float32
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("name", ["lenet1", "lenet5"])
+def test_forward_and_evaluate_match_the_nchw_kernels_bitwise(monkeypatch,
+                                                             name):
+    """The batch-innermost conv and pool kernels give the logits, mean
+    CE and accuracy of the NCHW kernels they replaced
+    (tests/synthdata.py).  The 500-sample batch spans several
+    _conv_chunk blocks of the first conv (lenet5's splits at 71
+    samples) and at least two evaluate chunks."""
+    from nevo.network import _run
+    spec = zoo_spec(name)
+    theta = init_params(spec, RngStream(9))
+    # biases start at zero; give them values the bias add can round
+    theta += np.random.default_rng(9).normal(0.0, 0.1, theta.shape).astype(
+        np.float32)
+    x, y = random_batch(spec, 500, 10, np.float32)
+    c, h, _ = spec.input_shape
+    k = spec.layers[0].kernel
+    assert tensor._conv_chunk(c, k, k, h - k + 1, h - k + 1) < 500
+
+    def passes():
+        return (forward(spec, theta, x), _run(spec, theta, x[:150], True)[0],
+                evaluate(spec, theta, Dataset(x, y, "gate")))
+
+    got = passes()
+    monkeypatch.setattr(tensor, "conv2d", conv2d_nchw_reference)
+    monkeypatch.setattr(tensor, "pool2d", pool2d_nchw_reference)
+    want = passes()
+    for a, b in zip(got[:2], want[:2]):
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    assert got[2] == want[2]
+    assert got[2].mean_ce.hex() == want[2].mean_ce.hex()
+
+
+def test_conv_stack_stays_batch_innermost(monkeypatch):
+    """Every 4-D activation a lenet5 step caches, and every conv and
+    pool input gradient, has the batch innermost in memory, so the
+    kernels read each one through tensor._chwn as a free view.  Only
+    the input batch is NCHW.  Bits cannot catch a kernel that returns
+    C-ordered NCHW: it would only make backward multiply two layouts."""
+    from nevo.network import _run
+    spec = zoo_spec("lenet5")
+    theta = init_params(spec, RngStream(12))
+    x, y = random_batch(spec, 40, 13, np.float32)
+    grads = []
+    for op in ("conv2d_backward", "pool2d_backward"):
+        def spy(*args, kernel=getattr(tensor, op), **kwargs):
+            out = kernel(*args, **kwargs)
+            grads.append(out[0] if isinstance(out, tuple) else out)
+            return out
+        monkeypatch.setattr(tensor, op, spy)
+
+    _, caches = _run(spec, theta, x, True)
+    backward(spec, theta, x, y)
+    cached = [a for cache in caches
+              for a in (cache if isinstance(cache, tuple) else (cache,))
+              if isinstance(a, np.ndarray) and a.ndim == 4 and a is not x]
+    # relu inputs, pool argmaxes and the second conv's input; the
+    # first conv's dx is not computed
+    assert len(cached) == 5
+    assert sum(g is not None for g in grads) == 3
+    for a in cached + [g for g in grads if g is not None]:
+        assert a.strides[0] == a.itemsize
+        assert np.shares_memory(tensor._chwn(a), a)
 
 
 def test_l2_term_touches_weights_only():

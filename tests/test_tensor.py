@@ -246,12 +246,18 @@ def test_conv2d_backward_matches_reference_bitwise_on_zoo_convs(conv, n):
     formulation on every lenet conv.  lenet5.l0 at 128 spans two
     _conv_chunk blocks.  The input gradient of a one-channel input goes
     through BLAS's GEMV path in the reference, which rounds differently,
-    and no network reads it (it is the first layer's dx)."""
+    and no network reads it (it is the first layer's dx).  The kernel
+    gradient contracts over (oy, ox, n); the earlier (n, oy, ox) order
+    differs only in the last bits."""
     xs, ws = ZOO_CONVS[conv]
     x, w, g = conv_backward_inputs(xs, ws, n, 1, 0, seed=n)
     dx, dw, db = conv2d_backward(x, w, 1, 0, g)
     rx, rw, rb = conv2d_backward_reference(x, w, 1, 0, g)
     assert np.array_equal(bits(dw), bits(rw))
+    _, nchw_dw, _ = conv2d_backward_reference(x, w, 1, 0, g,
+                                              dw_order="n,oy,ox")
+    np.testing.assert_allclose(dw, nchw_dw, rtol=2e-6,
+                               atol=2e-6 * np.abs(nchw_dw).max())
     assert np.array_equal(bits(db), bits(rb))
     if xs[0] > 1:
         assert np.array_equal(bits(dx), bits(rx))
