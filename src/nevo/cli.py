@@ -48,7 +48,8 @@ from .network import param_count
 from .persistence import (_DATASET_NAMES, Checkpoint, DataSection,
                           load_checkpoint, load_manifest, load_ring,
                           load_summary, parse_config, save_checkpoint,
-                          save_population, save_ring, write_manifest)
+                          save_population, save_ring, write_json,
+                          write_manifest)
 from .rng import RngStream
 from .training import TrainingDiverged, train
 
@@ -230,14 +231,6 @@ def _cmd_fetch(args) -> int:
     return 0
 
 
-def _write_summary(run_dir: Path, summary: dict):
-    """Replace summary.json in one rename, so a kill leaves the old or
-    the new file, never a torn one that a later evolve cannot read."""
-    datasets._atomic_write(
-        run_dir / "summary.json",
-        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
-
-
 def _cmd_train(args) -> int:
     text, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
@@ -307,7 +300,7 @@ def _cmd_train(args) -> int:
                     "test_accuracy": test_accuracy,
                     "test_ce": test_ce}],
     }
-    _write_summary(run_dir, summary)
+    write_json(run_dir / "summary.json", summary)
 
     manifest = {
         "run_id": run_dir.name,
@@ -389,7 +382,7 @@ def _cmd_evolve(args) -> int:
         "test_accuracy": best_eval.accuracy,
         "test_ce": best_eval.mean_ce,
     })
-    _write_summary(run_dir, summary)
+    write_json(run_dir / "summary.json", summary)
 
     manifest["artifacts"][f"de_best{suffix}"] = f"de_best{suffix}.ckpt"
     manifest["artifacts"][f"de_pop{suffix}"] = f"de_pop{suffix}"
@@ -473,8 +466,7 @@ def _cmd_corrupt(args) -> int:
     datasets.save_npy(out_dir / "labels.npy", out.labels)
     meta = {"source": ds.name, "kind": args.kind, "severity": args.severity,
             "seed": args.seed, "n": len(out)}
-    datasets._atomic_write(out_dir / "meta.json", (json.dumps(
-        meta, indent=2, sort_keys=True) + "\n").encode())
+    write_json(out_dir / "meta.json", meta)
     print(f"wrote {len(out)} corrupted samples to {out_dir}")
     return 0
 
@@ -504,8 +496,7 @@ def _cmd_gridsearch(args) -> int:
                 "seed_fitness": r.seed_fitness,
                 "best_fitness": r.best_fitness,
                 "test_accuracy": r.test_accuracy} for r in rows]
-        datasets._atomic_write(Path(args.out) / "grid_results.json", (
-            json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        write_json(Path(args.out) / "grid_results.json", doc)
     print(f"{'lr':>8} {'F':>6} {'Cr':>6} {'fitness':>12} {'accuracy':>9}")
     for r in rows:
         print(f"{r.lr:>8g} {r.F:>6g} {r.Cr:>6g} {r.best_fitness:>12.6f} "

@@ -180,9 +180,7 @@ def load_npy(path, scale_u8: bool = True) -> np.ndarray:
     return arr.copy()
 
 
-_DESCR_OF = {np.dtype(np.uint8): "|u1", np.dtype(np.float32): "<f4",
-             np.dtype(np.float64): "<f8", np.dtype(np.int32): "<i4",
-             np.dtype(np.int64): "<i8"}
+_DESCR_OF = {np.dtype(t): descr for descr, t in _NPY_DTYPES.items()}
 
 
 def save_npy(path, arr: np.ndarray):
@@ -328,7 +326,7 @@ def _load_sidecar(ds_dir: Path) -> dict:
         return {}
     try:
         return json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
         return {}
 
 

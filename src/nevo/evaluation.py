@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,16 +133,7 @@ class CostReport:
         return self.forward_madds / sum(self.layer_sizes)
 
     def as_dict(self) -> dict:
-        return {"d": self.d, "layer_sizes": self.layer_sizes,
-                "forward_madds": self.forward_madds,
-                "bias_adds": self.bias_adds,
-                "activations": self.activations,
-                "pool_ops": self.pool_ops,
-                "de_mutation_touches": self.de_mutation_touches,
-                "de_crossover_touches": self.de_crossover_touches,
-                "de_selections": self.de_selections,
-                "n_g": self.n_g, "n_e": self.n_e,
-                "bp_madds": self.bp_madds,
+        return {**asdict(self), "bp_madds": self.bp_madds,
                 "de_update_ops": self.de_update_ops,
                 "madds_per_neuron": self.madds_per_neuron}
 

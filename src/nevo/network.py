@@ -11,13 +11,18 @@ spec.
 
 ``loss`` and the loss value returned by ``backward`` share one code
 path and are bitwise equal for identical inputs.
+
+This module holds no JSON.  Each layer dataclass checks its own ranges
+and names the JSON key of a field whose key differs from its name in
+the field's ``key`` metadata; ``persistence`` parses and renders specs
+from those fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -27,31 +32,57 @@ from .rng import RngStream
 from . import tensor
 
 
+def _at_least(layer, minimum, *names):
+    """Raise for the first named field of `layer` below `minimum`."""
+    for name in names:
+        value = getattr(layer, name)
+        if value < minimum:
+            raise ShapeMismatchError(
+                f"{type(layer).__name__.lower()} {name} must be >= "
+                f"{minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class Dense:
-    in_features: int
-    out_features: int
+    in_features: int = field(metadata={"key": "in"})
+    out_features: int = field(metadata={"key": "out"})
+
+    def __post_init__(self):
+        _at_least(self, 1, "in_features", "out_features")
 
 
 @dataclass(frozen=True)
 class Conv:
-    in_channels: int
-    out_channels: int
+    in_channels: int = field(metadata={"key": "in"})
+    out_channels: int = field(metadata={"key": "out"})
     kernel: int
     stride: int = 1
     pad: int = 0
 
+    def __post_init__(self):
+        _at_least(self, 1, "in_channels", "out_channels", "kernel", "stride")
+        _at_least(self, 0, "pad")
+
 
 @dataclass(frozen=True)
 class Pool:
-    kind: str
+    kind: str = field(metadata={"key": "op"})
     size: int
     stride: int
+
+    def __post_init__(self):
+        if self.kind not in ("max", "avg"):
+            raise ShapeMismatchError(f"unknown pool op {self.kind!r}")
+        _at_least(self, 1, "size", "stride")
 
 
 @dataclass(frozen=True)
 class Activation:
-    kind: str
+    kind: str = field(metadata={"key": "fn"})
+
+    def __post_init__(self):
+        if self.kind not in ("relu", "tanh"):
+            raise ShapeMismatchError(f"unknown activation {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -97,46 +128,6 @@ class NetworkSpec:
     def n_classes(self) -> int:
         return self.shapes()[-1][0]
 
-    def to_json(self) -> dict:
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                layers.append({"kind": "dense", "in": layer.in_features,
-                               "out": layer.out_features})
-            elif isinstance(layer, Conv):
-                layers.append({"kind": "conv", "in": layer.in_channels,
-                               "out": layer.out_channels, "kernel": layer.kernel,
-                               "stride": layer.stride, "pad": layer.pad})
-            elif isinstance(layer, Pool):
-                layers.append({"kind": "pool", "op": layer.kind,
-                               "size": layer.size, "stride": layer.stride})
-            elif isinstance(layer, Activation):
-                layers.append({"kind": "act", "fn": layer.kind})
-            else:
-                layers.append({"kind": "flatten"})
-        return {"input_shape": list(self.input_shape), "layers": layers}
-
-    @staticmethod
-    def from_json(doc: dict, base: str = "/model") -> "NetworkSpec":
-        if not isinstance(doc, dict):
-            raise ConfigError(base, "model spec must be an object")
-        unknown = set(doc) - {"input_shape", "layers"}
-        if unknown:
-            raise ConfigError(f"{base}/{sorted(unknown)[0]}", "unknown key")
-        shape = doc.get("input_shape")
-        if (not isinstance(shape, list) or
-                not all(isinstance(v, int) and not isinstance(v, bool) for v in shape)):
-            raise ConfigError(f"{base}/input_shape", "expected a list of ints")
-        raw = doc.get("layers")
-        if not isinstance(raw, list):
-            raise ConfigError(f"{base}/layers", "expected a list")
-        layers = [_layer_from_json(entry, f"{base}/layers/{i}")
-                  for i, entry in enumerate(raw)]
-        try:
-            return NetworkSpec(tuple(shape), tuple(layers))
-        except ShapeMismatchError as exc:
-            raise ConfigError(base, str(exc)) from exc
-
 
 def _layer_shape(layer, shape, i):
     where = f"layer {i} ({type(layer).__name__.lower()})"
@@ -163,8 +154,6 @@ def _layer_shape(layer, shape, i):
     if isinstance(layer, Pool):
         if len(shape) != 3:
             raise ShapeMismatchError(f"{where}: needs CHW input, got {shape}")
-        if layer.kind not in ("max", "avg"):
-            raise ShapeMismatchError(f"{where}: unknown pool op {layer.kind!r}")
         c, h, w = shape
         if layer.size > h or layer.size > w:
             raise ShapeMismatchError(
@@ -173,59 +162,10 @@ def _layer_shape(layer, shape, i):
         ow = (w - layer.size) // layer.stride + 1
         return (c, oh, ow)
     if isinstance(layer, Activation):
-        if layer.kind not in ("relu", "tanh"):
-            raise ShapeMismatchError(f"{where}: unknown activation {layer.kind!r}")
         return shape
     if isinstance(layer, Flatten):
         return (int(np.prod(shape)),)
     raise ShapeMismatchError(f"{where}: unsupported layer type")
-
-
-_LAYER_KEYS = {
-    "dense": {"kind", "in", "out"},
-    "conv": {"kind", "in", "out", "kernel", "stride", "pad"},
-    "pool": {"kind", "op", "size", "stride"},
-    "act": {"kind", "fn"},
-    "flatten": {"kind"},
-}
-
-
-def _layer_from_json(entry, base):
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError(base, "layer must be an object with a 'kind' key")
-    kind = entry["kind"]
-    if kind not in _LAYER_KEYS:
-        raise ConfigError(f"{base}/kind", f"unknown layer kind {kind!r}")
-    unknown = set(entry) - _LAYER_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"{base}/{sorted(unknown)[0]}", "unknown key")
-
-    def intval(key, default=None, minimum=1):
-        if key not in entry:
-            if default is None:
-                raise ConfigError(f"{base}/{key}", "missing required key")
-            return default
-        v = entry[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise ConfigError(f"{base}/{key}", f"expected an int >= {minimum}")
-        return v
-
-    if kind == "dense":
-        return Dense(intval("in"), intval("out"))
-    if kind == "conv":
-        return Conv(intval("in"), intval("out"), intval("kernel"),
-                    intval("stride", 1), intval("pad", 0, minimum=0))
-    if kind == "pool":
-        op = entry.get("op")
-        if op not in ("max", "avg"):
-            raise ConfigError(f"{base}/op", "expected 'max' or 'avg'")
-        return Pool(op, intval("size"), intval("stride"))
-    if kind == "act":
-        fn = entry.get("fn")
-        if fn not in ("relu", "tanh"):
-            raise ConfigError(f"{base}/fn", "expected 'relu' or 'tanh'")
-        return Activation(fn)
-    return Flatten()
 
 
 def _param_shapes(layer):

@@ -1,5 +1,5 @@
 """Durable state: binary checkpoints, population directories, run
-manifests, and config parsing.
+manifests, config parsing, and the model-spec JSON format.
 
 Checkpoint layout (all integers little-endian):
 
@@ -17,6 +17,12 @@ Every length is bounds-checked against the file before use; a
 checkpoint is self-describing via the embedded spec, so downstream
 stages never need the original config to consume one.  Writes go to a
 temp file and are renamed into place.
+
+Config sections and model specs share one JSON schema: a dataclass is
+parsed and rendered field by field (`_parse_section`, `_section_doc`),
+with a field's ``key`` metadata naming its JSON key.  A spec is an
+``input_shape`` list plus one such object per layer, tagged by its
+``kind`` (`_LAYER_KINDS`).
 """
 
 from __future__ import annotations
@@ -25,15 +31,16 @@ import json
 import math
 import sys
 import zlib
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
-                     MissingArtifactError)
-from .network import NetworkSpec, param_count, zoo_spec
+                     MissingArtifactError, ShapeMismatchError)
+from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
+                      param_count, zoo_spec)
 from .training import CheckpointRing, TrainConfig
 from .evolution import DEFAULT_GRID, DeConfig, Population
 
@@ -55,6 +62,25 @@ def _canon_json(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _loads(text: str):
+    """json.loads, where every failure is a ValueError: also a document
+    nested too deeply for the decoder."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def write_json(path, doc):
+    """Write doc as indented, key-sorted JSON in one rename, so a kill
+    leaves the old or the new file, never a torn one that a later stage
+    cannot read."""
+    from .data import _atomic_write
+
+    _atomic_write(Path(path),
+                  (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+
+
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     params = ckpt.params
     if params.ndim != 1:
@@ -68,7 +94,7 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         raise CheckpointFormatError(
             f"parameter count {params.shape[0]} does not match spec's {d}")
     payload = np.ascontiguousarray(params, dtype=dtype.newbyteorder("<")).tobytes()
-    spec_blob = _canon_json(ckpt.spec.to_json())
+    spec_blob = _canon_json(spec_doc(ckpt.spec))
     meta_blob = _canon_json(ckpt.meta)
     out = bytearray()
     out += _MAGIC
@@ -134,8 +160,8 @@ def parse_checkpoint(buf: bytes, source: str = "<bytes>") -> Checkpoint:
             f"{source}: spec length {spec_len} exceeds limit")
     spec_blob = r.take(spec_len, "spec JSON")
     try:
-        spec = NetworkSpec.from_json(json.loads(spec_blob.decode()), "/spec")
-    except (UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
+        spec = parse_spec(_loads(spec_blob.decode()), "/spec")
+    except (ValueError, ConfigError) as exc:
         raise CheckpointFormatError(
             f"{source}: embedded spec invalid: {exc}") from exc
 
@@ -145,8 +171,8 @@ def parse_checkpoint(buf: bytes, source: str = "<bytes>") -> Checkpoint:
             f"{source}: meta length {meta_len} exceeds limit")
     meta_blob = r.take(meta_len, "meta JSON")
     try:
-        meta = json.loads(meta_blob.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = _loads(meta_blob.decode())
+    except ValueError as exc:
         raise CheckpointFormatError(
             f"{source}: metadata invalid: {exc}") from exc
     if not isinstance(meta, dict):
@@ -199,7 +225,7 @@ def _read_json(path: Path, what: str, keys=()) -> dict:
     if not path.exists():
         raise MissingArtifactError(f"no {what} at {path}")
     try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
+        doc = _loads(path.read_bytes().decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise CheckpointFormatError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
@@ -253,10 +279,7 @@ def _write_index(out_dir: Path, index: dict, listed, pattern: str):
     """Write index.json, then delete every `pattern` file it does not
     list, so a smaller population or ring written over a larger one
     leaves no stale checkpoints behind."""
-    from .data import _atomic_write
-
-    _atomic_write(out_dir / _INDEX_NAME,
-                  (json.dumps(index, indent=2, sort_keys=True) + "\n").encode())
+    write_json(out_dir / _INDEX_NAME, index)
     keep = set(listed)
     for path in out_dir.glob(pattern):
         if path.name not in keep:
@@ -472,13 +495,19 @@ def _json_key(f) -> str:
 
 def _parse_section(cls, doc, path: str):
     """A `cls` from JSON object `doc`, one key per dataclass field; an
-    absent key takes the field's default, and the dataclass checks ranges."""
+    absent key takes the field's default, a field without one is
+    required, and the dataclass checks ranges."""
     doc = _expect_obj(doc, path)
-    keys = {_json_key(f): f.name for f in fields(cls)}
-    _reject_unknown(doc, keys, path)
+    by_key = {_json_key(f): f for f in fields(cls)}
+    _reject_unknown(doc, by_key, path)
     hints = get_type_hints(cls)
-    return cls(**{name: _typed(hints[name], doc[key], f"{path}/{key}")
-                  for key, name in keys.items() if key in doc})
+    values = {}
+    for key, f in by_key.items():
+        if key in doc:
+            values[f.name] = _typed(hints[f.name], doc[key], f"{path}/{key}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}/{key}", "missing required key")
+    return cls(**values)
 
 
 def _section_doc(section) -> dict:
@@ -491,13 +520,64 @@ def _section_doc(section) -> dict:
     return doc
 
 
+_LAYER_KINDS = {"dense": Dense, "conv": Conv, "pool": Pool, "act": Activation,
+                "flatten": Flatten}
+_KIND_OF = {cls: kind for kind, cls in _LAYER_KINDS.items()}
+
+
+def _parse_layer(doc, path: str):
+    """One layer from its JSON object: the section walk over the fields
+    of the class its "kind" names."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "expected an object")
+    if "kind" not in doc:
+        raise ConfigError(f"{path}/kind", "missing required key")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+        raise ConfigError(f"{path}/kind", f"unknown layer kind {kind!r}")
+    try:
+        return _parse_section(_LAYER_KINDS[kind],
+                              {k: v for k, v in doc.items() if k != "kind"},
+                              path)
+    except ShapeMismatchError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def parse_spec(doc, base: str = "/model") -> NetworkSpec:
+    """A NetworkSpec from its JSON object; diagnostics carry JSON
+    pointers under `base`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(base, "model spec must be an object")
+    _reject_unknown(doc, ("input_shape", "layers"), base)
+    shape = doc.get("input_shape")
+    if (not isinstance(shape, list) or
+            not all(isinstance(v, int) and not isinstance(v, bool) for v in shape)):
+        raise ConfigError(f"{base}/input_shape", "expected a list of ints")
+    layers = doc.get("layers")
+    if not isinstance(layers, list):
+        raise ConfigError(f"{base}/layers", "expected a list")
+    layers = [_parse_layer(entry, f"{base}/layers/{i}")
+              for i, entry in enumerate(layers)]
+    try:
+        return NetworkSpec(tuple(shape), tuple(layers))
+    except ShapeMismatchError as exc:
+        raise ConfigError(base, str(exc)) from exc
+
+
+def spec_doc(spec: NetworkSpec) -> dict:
+    """The JSON object of a spec; the inverse of parse_spec."""
+    return {"input_shape": list(spec.input_shape),
+            "layers": [{"kind": _KIND_OF[type(layer)], **_section_doc(layer)}
+                       for layer in spec.layers]}
+
+
 def _parse_model(doc) -> tuple:
     doc = _expect_obj(doc, "/model")
     _reject_unknown(doc, {"name", "spec"}, "/model")
     if "name" in doc and "spec" in doc:
         raise ConfigError("/model", "give either 'name' or 'spec', not both")
     if "spec" in doc:
-        return None, NetworkSpec.from_json(doc["spec"], "/model/spec")
+        return None, parse_spec(doc["spec"], "/model/spec")
     name = _typed(str, doc.get("name", "mlp"), "/model/name")
     return name, zoo_spec(name)
 
@@ -523,8 +603,8 @@ def parse_config(text: str) -> Config:
     JSON-pointer path of the offending value.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = _loads(text)
+    except ValueError as exc:
         raise ConfigError("/", f"invalid JSON: {exc}") from exc
     doc = _expect_obj(doc, "/")
     _reject_unknown(doc, {"model", "data", "bp", "de", "grid"}, "")
@@ -536,7 +616,7 @@ def parse_config(text: str) -> Config:
     grid = _parse_grid(doc.get("grid"))
     document = {
         "model": ({"name": model_name} if model_name is not None
-                  else {"spec": spec.to_json()}),
+                  else {"spec": spec_doc(spec)}),
         "data": _section_doc(data), "bp": _section_doc(bp),
         "de": _section_doc(de), "grid": grid,
     }
@@ -549,15 +629,12 @@ def parse_config(text: str) -> Config:
 def write_manifest(run_dir, manifest: dict):
     """Persist manifest.json after checking that every artifact path it
     references exists under the run directory."""
-    from .data import _atomic_write
-
     run_dir = Path(run_dir)
     for label, rel in manifest.get("artifacts", {}).items():
         if not (run_dir / rel).exists():
             raise MissingArtifactError(
                 f"manifest references {label} at {rel}, which does not exist")
-    _atomic_write(run_dir / "manifest.json",
-                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    write_json(run_dir / "manifest.json", manifest)
 
 
 def load_manifest(run_dir) -> dict:

@@ -45,6 +45,21 @@ def pooled_conv() -> NetworkSpec:
     ))
 
 
+# JSON nested far deeper than the decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def with_header_json(buf: bytes, which: str, blob: bytes) -> bytes:
+    """Checkpoint bytes `buf` with its "spec" or "meta" JSON blob and that
+    blob's length replaced; the payload and its CRC are untouched."""
+    off = 9
+    if which == "meta":
+        off += 4 + int.from_bytes(buf[9:13], "little")
+    old_len = int.from_bytes(buf[off:off + 4], "little")
+    return (buf[:off] + len(blob).to_bytes(4, "little") + blob +
+            buf[off + 4 + old_len:])
+
+
 def random_batch(spec: NetworkSpec, n: int, seed: int, dtype=np.float64):
     gen = np.random.default_rng(seed)
     x = gen.normal(0.0, 1.0, (n,) + spec.input_shape).astype(dtype)

@@ -26,7 +26,7 @@ from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
                             mutate, run_de, sample_context, seed_population)
 from nevo.network import (Activation, Dense, Flatten, NetworkSpec, backward,
                           param_count, zoo_spec)
-from nevo.persistence import Checkpoint, save_checkpoint
+from nevo.persistence import Checkpoint, save_checkpoint, spec_doc
 from nevo.rng import RngStream
 from nevo.tensor import softmax_ce
 from nevo.training import TrainConfig, train
@@ -368,9 +368,9 @@ def test_criterion_07_evidence_synthetic():
 def test_criterion_08_thread_determinism(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
-        "model": {"spec": NetworkSpec(
+        "model": {"spec": spec_doc(NetworkSpec(
             (1, 8, 8), (Flatten(), Dense(64, 16), Activation("relu"),
-                        Dense(16, 4))).to_json()},
+                        Dense(16, 4))))},
         "data": {"name": "synthetic",
                  "synthetic": {"n_train": 96, "n_test": 48, "classes": 4,
                                "shape": [1, 8, 8], "noise": 0.1, "seed": 0}},

@@ -17,9 +17,9 @@ import pytest
 import nevo
 from nevo.cli import cli_main
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
-from nevo.persistence import load_checkpoint, load_population
+from nevo.persistence import load_checkpoint, load_population, spec_doc
 
-from synthdata import child_env
+from synthdata import DEEP_JSON, child_env, with_header_json
 
 
 def tiny_spec() -> NetworkSpec:
@@ -29,7 +29,7 @@ def tiny_spec() -> NetworkSpec:
 
 def tiny_config(**over) -> str:
     doc = {
-        "model": {"spec": tiny_spec().to_json()},
+        "model": {"spec": spec_doc(tiny_spec())},
         "data": {"name": "synthetic",
                  "synthetic": {"n_train": 96, "n_test": 48, "classes": 4,
                                "shape": [1, 8, 8], "noise": 0.1, "seed": 0}},
@@ -642,6 +642,67 @@ def test_eval_corrupted_rejects_clean_split_flags(trained_run, tmp_path,
 @pytest.mark.parametrize("text", ["[1]", '{"stages": 5}', "{bad"])
 def test_report_warns_on_malformed_summary(trained_run, capsys, text):
     (trained_run / "summary.json").write_text(text)
+    capsys.readouterr()
+    assert cli_main(["report", "--runs", str(trained_run)]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip().splitlines() == [
+        "run,model,dataset,stage,params,accuracy"]
+    assert err.startswith("warning:") and "summary.json" in err
+
+
+def one_error_line(capsys, *needles):
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("command", ["costs", "train"])
+def test_list_layer_kind_in_config_exits_2(tmp_path, capsys, command):
+    doc = json.loads(tiny_config())
+    doc["model"]["spec"]["layers"][1]["kind"] = ["dense"]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    argv = {"costs": ["costs", "--config", str(cfg)],
+            "train": ["train", "--config", str(cfg),
+                      "--out", str(tmp_path / "run")]}[command]
+    assert cli_main(argv) == 2
+    one_error_line(capsys, "/model/spec/layers/1/kind: unknown layer kind")
+    assert not (tmp_path / "run").exists()
+
+
+def test_list_layer_kind_in_checkpoint_header_exits_2(trained_run, tmp_path,
+                                                      capsys):
+    buf = (trained_run / "final.ckpt").read_bytes()
+    doc = spec_doc(tiny_spec())
+    doc["layers"][0]["kind"] = ["flatten"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header_json(buf, "spec", json.dumps(doc).encode()))
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(bad)]) == 2
+    one_error_line(capsys, "embedded spec invalid", "/spec/layers/0/kind")
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"model": {"spec": %s}}' % DEEP_JSON)
+    assert cli_main(["costs", "--config", str(cfg)]) == 2
+    one_error_line(capsys, "invalid JSON")
+
+
+def test_deeply_nested_checkpoint_metadata_exits_2(trained_run, tmp_path,
+                                                   capsys):
+    buf = (trained_run / "final.ckpt").read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header_json(buf, "meta", DEEP_JSON.encode()))
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(bad)]) == 2
+    one_error_line(capsys, "metadata invalid")
+
+
+def test_report_lists_a_deeply_nested_summary(trained_run, capsys):
+    (trained_run / "summary.json").write_text(DEEP_JSON)
     capsys.readouterr()
     assert cli_main(["report", "--runs", str(trained_run)]) == 0
     out, err = capsys.readouterr()

@@ -23,7 +23,7 @@ from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          UnsupportedCorruptionError)
 from nevo.rng import RngStream
 
-from synthdata import affine_bilinear_reference, child_env
+from synthdata import DEEP_JSON, affine_bilinear_reference, child_env
 
 
 def idx_images_bytes(arr):
@@ -251,6 +251,19 @@ def test_fetch_downloads_verifies_and_caches(tmp_path):
 
     train, test = load_idx_dir(tmp_path / "tiny", "tiny")
     assert len(train) == 2 and len(test) == 2
+
+
+@pytest.mark.parametrize("sidecar", [DEEP_JSON.encode(), b"{\xff}"])
+def test_fetch_treats_an_undecodable_sidecar_as_unreadable(tmp_path, sidecar):
+    files = fake_dataset_files()
+    opener = CountingOpener(files)
+    (tmp_path / "tiny").mkdir()
+    (tmp_path / "tiny" / "digests.json").write_bytes(sidecar)
+    out = fetch("tiny", out_dir=tmp_path / "tiny", opener=opener,
+                manifest=fake_manifest(files))
+    assert len(opener.calls) == 4
+    for logical, path in out.items():
+        assert path.read_bytes() == files[logical]
 
 
 def test_fetch_checksum_mismatch_quarantines(tmp_path):

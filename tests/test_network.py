@@ -9,6 +9,7 @@ from nevo.errors import ConfigError, ShapeMismatchError
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, activation_sizes, backward, forward,
                           init_params, layout, loss, param_count, zoo_spec)
+from nevo.persistence import parse_spec, spec_doc
 from nevo.rng import RngStream
 from nevo import tensor
 
@@ -346,15 +347,15 @@ def test_predict_zero_weights_picks_class_zero():
 
 def test_spec_json_round_trip():
     for spec in (small_mlp(), pooled_conv(), zoo_spec("lenet1")):
-        doc = spec.to_json()
-        back = NetworkSpec.from_json(doc)
+        doc = spec_doc(spec)
+        back = parse_spec(doc)
         assert back == spec
 
 
 def test_spec_json_rejects_unknown_layer_kind():
     doc = {"input_shape": [4], "layers": [{"kind": "dropout"}]}
     with pytest.raises(ConfigError) as exc:
-        NetworkSpec.from_json(doc)
+        parse_spec(doc)
     assert "/model/layers/0/kind" in str(exc.value)
 
 
@@ -362,7 +363,23 @@ def test_spec_json_rejects_bad_wiring():
     doc = {"input_shape": [1, 4, 4],
            "layers": [{"kind": "dense", "in": 16, "out": 4}]}
     with pytest.raises(ConfigError):
-        NetworkSpec.from_json(doc)
+        parse_spec(doc)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Conv(1, 4, 3, stride=0), "conv stride must be >= 1, got 0"),
+    (lambda: Conv(1, 4, 0), "conv kernel must be >= 1, got 0"),
+    (lambda: Conv(1, 4, 3, pad=-1), "conv pad must be >= 0, got -1"),
+    (lambda: Pool("max", 2, 0), "pool stride must be >= 1, got 0"),
+    (lambda: Pool("max", 0, 1), "pool size must be >= 1, got 0"),
+    (lambda: Pool("min", 2, 2), "unknown pool op 'min'"),
+    (lambda: Dense(64, 0), "dense out_features must be >= 1, got 0"),
+    (lambda: Activation("sigmoid"), "unknown activation 'sigmoid'"),
+])
+def test_layers_built_in_code_check_their_ranges(build, message):
+    with pytest.raises(ShapeMismatchError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_spec_rejects_unflat_output():

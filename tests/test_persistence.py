@@ -11,16 +11,18 @@ import pytest
 from nevo.errors import (CheckpointFormatError, ChecksumError, ConfigError,
                          MissingArtifactError)
 from nevo.evolution import Population
-from nevo.network import param_count, zoo_spec
+from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
+                          Pool, param_count, zoo_spec)
 from nevo.persistence import (Checkpoint, Config, checkpoint_bytes,
                               load_checkpoint, load_manifest, load_population,
                               load_ring, parse_checkpoint, parse_config,
-                              save_checkpoint, save_population, save_ring,
-                              write_manifest)
+                              parse_spec, save_checkpoint, save_population,
+                              save_ring, spec_doc, write_json, write_manifest)
 from nevo.rng import RngStream
 from nevo.training import CheckpointRing
 
-from synthdata import pooled_conv, random_theta, small_conv, small_mlp
+from synthdata import (DEEP_JSON, pooled_conv, random_theta, small_conv,
+                       small_mlp, with_header_json)
 
 
 SPECS = {"mlp16": small_mlp, "conv": small_conv, "pooled": pooled_conv,
@@ -277,10 +279,10 @@ def test_config_lambda_maps_to_lam():
 
 def test_config_model_name_xor_spec():
     spec = small_mlp()
-    both = json.dumps({"model": {"name": "mlp", "spec": spec.to_json()}})
+    both = json.dumps({"model": {"name": "mlp", "spec": spec_doc(spec)}})
     with pytest.raises(ConfigError, match="/model"):
         parse_config(both)
-    cfg = parse_config(json.dumps({"model": {"spec": spec.to_json()}}))
+    cfg = parse_config(json.dumps({"model": {"spec": spec_doc(spec)}}))
     assert cfg.model_name is None
     assert cfg.spec == spec
     assert param_count(cfg.spec) == 214
@@ -338,6 +340,197 @@ def test_config_diagnostics_carry_json_pointer(text, path):
         parse_config(text)
     assert info.value.path == path
     assert str(info.value) == CONFIG_DIAGNOSTICS[text]
+
+
+# the model spec goes through the same section walk: a layer is one more
+# section, and the range checks on the layer dataclasses report at the
+# layer's pointer
+SPEC_LAYERS = [{"kind": "conv", "in": 1, "out": 2, "kernel": 3, "pad": 1},
+               {"kind": "act", "fn": "relu"},
+               {"kind": "pool", "op": "max", "size": 2, "stride": 2},
+               {"kind": "flatten"},
+               {"kind": "dense", "in": 32, "out": 3}]
+
+
+def spec_config(layers, input_shape=(1, 8, 8)) -> str:
+    return json.dumps({"model": {"spec": {"input_shape": list(input_shape),
+                                          "layers": layers}}})
+
+
+def with_layer(i, layer):
+    return SPEC_LAYERS[:i] + [layer] + SPEC_LAYERS[i + 1:]
+
+
+# (layer index, that layer's JSON) -> the one diagnostic it gets
+SPEC_DIAGNOSTICS = {
+    (0, '{"kind": "conv", "in": 1, "out": 2, "kernel": 0, "pad": 1}'):
+        "/model/spec/layers/0: conv kernel must be >= 1, got 0",
+    (0, '{"kind": "conv", "in": 1, "out": 2, "kernel": "5", "pad": 1}'):
+        "/model/spec/layers/0/kernel: expected a number",
+    (0, '{"kind": "conv", "in": 1, "out": 2, "kernel": true, "pad": 1}'):
+        "/model/spec/layers/0/kernel: expected a number",
+    (0, '{"kind": "conv", "in": 1, "out": 2, "kernel": 2.5, "pad": 1}'):
+        "/model/spec/layers/0/kernel: expected an integer",
+    (0, '{"kind": "conv", "in": 1, "out": 2, "kernel": 3, "stride": 0}'):
+        "/model/spec/layers/0: conv stride must be >= 1, got 0",
+    (0, '{"kind": "conv", "in": 1, "out": 2, "kernel": 3, "pad": -1}'):
+        "/model/spec/layers/0: conv pad must be >= 0, got -1",
+    (2, '{"kind": "pool", "op": "min", "size": 2, "stride": 2}'):
+        "/model/spec/layers/2: unknown pool op 'min'",
+    (2, '{"kind": "pool", "op": 5, "size": 2, "stride": 2}'):
+        "/model/spec/layers/2/op: expected a string",
+    (2, '{"kind": "pool", "size": 2, "stride": 2}'):
+        "/model/spec/layers/2/op: missing required key",
+    (1, '{"kind": "act", "fn": "sigmoid"}'):
+        "/model/spec/layers/1: unknown activation 'sigmoid'",
+    (0, '{"kind": ["dense"], "in": 1, "out": 2}'):
+        "/model/spec/layers/0/kind: unknown layer kind ['dense']",
+    (0, '{"in": 1, "out": 2}'): "/model/spec/layers/0/kind: missing required key",
+    (0, '5'): "/model/spec/layers/0: expected an object",
+    (4, '{"kind": "dense", "in": 32, "out": 3, "zeta": 1, "alpha": 2}'):
+        "/model/spec/layers/4/zeta: unknown key",
+    (4, '{"kind": "dense", "in": 32, "out": 0}'):
+        "/model/spec/layers/4: dense out_features must be >= 1, got 0",
+    (4, '{"kind": "dense", "in": 31, "out": 3}'):
+        "/model/spec: layer 4 (dense): expects 31 features, got 32",
+}
+
+
+@pytest.mark.parametrize("i,layer", list(SPEC_DIAGNOSTICS))
+def test_spec_diagnostics_carry_json_pointer(i, layer):
+    message = SPEC_DIAGNOSTICS[i, layer]
+    with pytest.raises(ConfigError) as info:
+        parse_config(spec_config(with_layer(i, json.loads(layer))))
+    assert info.value.path == message.split(": ", 1)[0]
+    assert str(info.value) == message
+
+
+def test_spec_layers_parse_to_their_dataclasses():
+    cfg = parse_config(spec_config(SPEC_LAYERS))
+    assert cfg.spec.layers == (Conv(1, 2, 3, pad=1), Activation("relu"),
+                               Pool("max", 2, 2), Flatten(), Dense(32, 3))
+    assert cfg.document["model"]["spec"]["layers"][0] == {
+        "kind": "conv", "in": 1, "out": 2, "kernel": 3, "stride": 1, "pad": 1}
+
+
+_JSON_VALUES = [None, True, 0, -1, 2.5, "x", [1], {}, 1e30]
+_DROP = object()
+
+
+def bad_layer_cases():
+    """(layer index, key, value): every key of every layer, plus the
+    conv's defaulted stride, set to each JSON value or deleted."""
+    for i, layer in enumerate(SPEC_LAYERS):
+        for key in [*layer, "stride"] if i == 0 else layer:
+            for value in _JSON_VALUES + ([_DROP] if key in layer else []):
+                name = "drop" if value is _DROP else json.dumps(value)
+                yield pytest.param(i, key, value, id=f"{i}-{key}-{name}")
+
+
+@pytest.mark.parametrize("i,key,value", bad_layer_cases())
+def test_every_bad_layer_field_is_a_config_error(i, key, value):
+    layer = {k: v for k, v in SPEC_LAYERS[i].items() if k != key}
+    if value is not _DROP:
+        layer[key] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(spec_config(with_layer(i, layer)))
+    assert info.value.path.startswith("/model/spec")
+
+
+@pytest.mark.parametrize("spec", [
+    None, [], "lenet1", {"input_shape": [1, 8, 8]}, {"layers": []},
+    {"input_shape": "x", "layers": []}, {"input_shape": [1, True, 8],
+                                         "layers": []},
+    {"input_shape": [1, 8, 8], "layers": {}},
+    {"input_shape": [1, 8, 8], "layers": [], "name": "x"},
+    {"input_shape": [0, 8, 8], "layers": SPEC_LAYERS},
+    {"input_shape": [1, 8], "layers": SPEC_LAYERS},
+    {"input_shape": [1, 8, 8], "layers": SPEC_LAYERS + [{"kind": "flatten",
+                                                         "x": 1}]}])
+def test_bad_spec_documents_are_config_errors(spec):
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"model": {"spec": spec}}))
+    assert info.value.path.startswith("/model/spec")
+
+
+# the canonical spec JSON every checkpoint header embeds, as written
+# before the spec format moved onto the section walk
+SPEC_GOLDEN = {
+    "mlp": '{"input_shape":[1,28,28],"layers":[{"kind":"flatten"},'
+           '{"in":784,"kind":"dense","out":128},{"fn":"relu","kind":"act"},'
+           '{"in":128,"kind":"dense","out":10}]}',
+    "lenet1": '{"input_shape":[1,28,28],"layers":[{"in":1,"kernel":5,'
+              '"kind":"conv","out":4,"pad":0,"stride":1},'
+              '{"fn":"relu","kind":"act"},'
+              '{"kind":"pool","op":"max","size":2,"stride":2},'
+              '{"in":4,"kernel":5,"kind":"conv","out":12,"pad":0,"stride":1},'
+              '{"fn":"relu","kind":"act"},'
+              '{"kind":"pool","op":"max","size":2,"stride":2},'
+              '{"kind":"flatten"},{"in":192,"kind":"dense","out":10}]}',
+    "lenet5": '{"input_shape":[3,32,32],"layers":[{"in":3,"kernel":5,'
+              '"kind":"conv","out":6,"pad":0,"stride":1},'
+              '{"fn":"relu","kind":"act"},'
+              '{"kind":"pool","op":"max","size":2,"stride":2},'
+              '{"in":6,"kernel":5,"kind":"conv","out":16,"pad":0,"stride":1},'
+              '{"fn":"relu","kind":"act"},'
+              '{"kind":"pool","op":"max","size":2,"stride":2},'
+              '{"kind":"flatten"},{"in":400,"kind":"dense","out":120},'
+              '{"fn":"relu","kind":"act"},{"in":120,"kind":"dense","out":84},'
+              '{"fn":"relu","kind":"act"},{"in":84,"kind":"dense","out":10}]}',
+    "strided": '{"input_shape":[1,8,8],"layers":[{"in":1,"kernel":3,'
+               '"kind":"conv","out":2,"pad":1,"stride":2},'
+               '{"fn":"tanh","kind":"act"},'
+               '{"kind":"pool","op":"avg","size":2,"stride":2},'
+               '{"kind":"flatten"},{"in":8,"kind":"dense","out":3}]}',
+}
+
+
+def golden_spec(name):
+    if name == "strided":
+        return NetworkSpec((1, 8, 8), (Conv(1, 2, 3, stride=2, pad=1),
+                                       Activation("tanh"), Pool("avg", 2, 2),
+                                       Flatten(), Dense(8, 3)))
+    return zoo_spec(name)
+
+
+@pytest.mark.parametrize("name", list(SPEC_GOLDEN))
+def test_checkpoint_header_spec_json_is_pinned(name):
+    spec = golden_spec(name)
+    golden = SPEC_GOLDEN[name].encode()
+    buf = checkpoint_bytes(Checkpoint(spec, np.zeros(param_count(spec),
+                                                     np.float32)))
+    assert buf[9:13] == len(golden).to_bytes(4, "little")
+    assert buf[13:13 + len(golden)] == golden
+    assert parse_spec(json.loads(golden), "/spec") == spec
+
+
+def test_checkpoint_with_a_list_layer_kind_is_a_format_error():
+    buf = checkpoint_bytes(make_ckpt("mlp16"))
+    doc = spec_doc(small_mlp())
+    doc["layers"][0]["kind"] = ["flatten"]
+    bad = with_header_json(buf, "spec", json.dumps(doc).encode())
+    with pytest.raises(CheckpointFormatError,
+                       match="embedded spec invalid: /spec/layers/0/kind"):
+        parse_checkpoint(bad, "x.ckpt")
+
+
+@pytest.mark.parametrize("which", ["spec", "meta"])
+def test_deeply_nested_checkpoint_json_is_a_format_error(which):
+    buf = checkpoint_bytes(make_ckpt("mlp16"))
+    bad = with_header_json(buf, which, DEEP_JSON.encode())
+    with pytest.raises(CheckpointFormatError, match="nested too deeply"):
+        parse_checkpoint(bad, "x.ckpt")
+
+
+def test_deeply_nested_config_is_a_config_error():
+    with pytest.raises(ConfigError, match="^/: invalid JSON"):
+        parse_config('{"model": {"spec": %s}}' % DEEP_JSON)
+
+
+def test_write_json_bytes(tmp_path):
+    write_json(tmp_path / "a.json", {"b": 1, "a": [1, 2.5], "c": None})
+    assert (tmp_path / "a.json").read_bytes() == (
+        b'{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": 1,\n  "c": null\n}\n')
 
 
 def test_config_integral_float_stays_integral_in_document():
