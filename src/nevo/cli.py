@@ -81,7 +81,8 @@ def _build_parser() -> _Parser:
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True, help="run directory to create")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--threads", type=int, default=1)
+    t.add_argument("--threads", type=int, default=1,
+                   help="accepted but unused: training runs on one thread")
     t.set_defaults(func=_cmd_train)
 
     e = sub.add_parser("evolve", help="evolution stage on an existing run")
@@ -458,6 +459,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
+    ConfigError.check((args.seed >= 0, "--seed", "must be >= 0"))
     ds = _load_arg_split(args)
     out = datasets.corrupt(ds, args.kind, args.severity,
                            RngStream(args.seed))
@@ -484,12 +486,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     text, cfg = _read_config_arg(args.config)
-    master_seed = args.seed if args.seed is not None else cfg.de.seed
+    de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
     train_ds, test_ds = _load_split_pair(cfg.data)
     with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
           contextlib.nullcontext()) as pool:
-        rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, cfg.de,
-                           cfg.grid, master_seed, jitter_sigma=args.jitter,
+        rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, de,
+                           cfg.grid, de.seed, jitter_sigma=args.jitter,
                            pool=pool)
     if args.out:
         doc = [{"lr": r.lr, "F": r.F, "Cr": r.Cr,

@@ -325,9 +325,12 @@ def _load_sidecar(ds_dir: Path) -> dict:
     if not p.is_file():
         return {}
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except (OSError, ValueError, RecursionError):
         return {}
+    # valid JSON that is not {name: {...}} is as unreadable as bad bytes
+    ok = isinstance(doc, dict) and all(isinstance(v, dict) for v in doc.values())
+    return doc if ok else {}
 
 
 def fetch(name: str, base_url: Optional[str] = None, out_dir=None,

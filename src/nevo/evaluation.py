@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (ConfigError, LabelError, NevoError, NumericError,
                      ShapeMismatchError)
-from .network import (Activation, Conv, Dense, NetworkSpec, Pool,
-                      activation_sizes, forward, param_count)
+from .network import (Activation, NetworkSpec, Pool, activation_sizes,
+                      forward, param_count)
 from .data import Dataset
 from .rng import RngStream
 
@@ -144,9 +144,9 @@ def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1,
     member's evolutionary update; the one place that knows the cost
     model.
 
-    Forward counts come from layer shapes.  Dense: in*out
-    multiply-accumulates and out bias adds.  Conv: out_elems*C_in*k^2
-    multiply-accumulates and out_elems bias adds.  Pool: out_elems*size^2
+    Forward counts come from layer shapes.  Dense and Conv:
+    out_elems*fan_in multiply-accumulates (in*out for Dense, out_elems*
+    C_in*k^2 for Conv) and out_elems bias adds.  Pool: out_elems*size^2
     window visits.  Activation: out_elems queries.  The DE side replays
     one real mutation and crossover draw at the given F and Cr, so the
     crossover count is the number of slots that draw takes from the
@@ -156,11 +156,8 @@ def count_costs(spec: NetworkSpec, n_g: int = 1, n_e: int = 1,
     madds = bias_adds = activations = pool_ops = 0
     for layer, shape in zip(spec.layers, spec.shapes()[1:]):
         out_elems = math.prod(shape)
-        if isinstance(layer, Dense):
-            madds += layer.in_features * layer.out_features
-            bias_adds += out_elems
-        elif isinstance(layer, Conv):
-            madds += out_elems * layer.in_channels * layer.kernel ** 2
+        if layer.param_shapes:
+            madds += out_elems * layer.fan_in
             bias_adds += out_elems
         elif isinstance(layer, Pool):
             pool_ops += out_elems * layer.size ** 2

@@ -12,6 +12,8 @@ any worker count.
 RNG namespaces under the config seed: child(2, g, i) drives member i of
 generation g, child(3, r) draws fitness subset r, child(4, i) seeds
 soup member i, and child(4) also seeds the ancestors-mode jitter top-up.
+Under its master seed `grid_search` also pretrains lr li on child(0, li)
+and seeds grid cell (li, fi, ci) from child(1, li, fi, ci).
 
 `nevo evolve` and `grid_search` share one pipeline: seed_population,
 then run_de, then evaluate.  run_de primes generation 0 (evaluates its
@@ -35,6 +37,8 @@ from .evaluation import evaluate
 from .network import NetworkSpec, init_params
 from .rng import RngStream
 
+_NS_GRID_PRETRAIN = 0
+_NS_GRID_SEEDING = 1
 _NS_DE = 2
 _NS_SUBSET = 3
 _NS_SOUP = 4
@@ -394,13 +398,15 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
             ring = rings[lr]
         else:
             bp = replace(bp_cfg, lr=lr)
-            _, ring, _ = train(spec, train_data, bp, stream=master.child(0, li))
+            _, ring, _ = train(spec, train_data, bp,
+                               stream=master.child(_NS_GRID_PRETRAIN, li))
         factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
                                  master.child(_NS_SUBSET, li))
         for fi, F in enumerate(grid["F"]):
             for ci, Cr in enumerate(grid["Cr"]):
-                pop = seed_population("ancestors", ring, bp_cfg.ring_size,
-                                      jitter_sigma, master.child(1, li, fi, ci))
+                pop = seed_population(
+                    "ancestors", ring, bp_cfg.ring_size, jitter_sigma,
+                    master.child(_NS_GRID_SEEDING, li, fi, ci))
                 out = run_de(pop, replace(de_cfg, F=F, Cr=Cr), factory,
                              stream=master.child(_NS_DE, li, fi, ci), pool=pool)
                 acc = evaluate(spec, out.best, test_data).accuracy

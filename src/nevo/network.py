@@ -12,6 +12,13 @@ spec.
 ``loss`` and the loss value returned by ``backward`` share one code
 path and are bitwise equal for identical inputs.
 
+Each layer kind is one frozen dataclass with the whole layer contract:
+``out_shape(shape)``, ``param_shapes`` ((weight, bias) or ()), ``fan_in``
+if it has weights, ``forward(p, x, keep) -> (y, cache)`` on its {"w",
+"b"} views ``p`` (None if it has none), and ``backward(p, gp, cache, g,
+need_dx) -> g_in``, which writes its parameter gradients into ``gp``.
+A layer with weights returns None for ``g_in`` unless ``need_dx``.
+
 This module holds no JSON.  Each layer dataclass checks its own ranges
 and names the JSON key of a field whose key differs from its name in
 the field's ``key`` metadata; ``persistence`` parses and renders specs
@@ -23,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -50,6 +56,30 @@ class Dense:
     def __post_init__(self):
         _at_least(self, 1, "in_features", "out_features")
 
+    def out_shape(self, shape):
+        if len(shape) != 1:
+            raise ShapeMismatchError(f"needs flat input, got {shape}")
+        if shape[0] != self.in_features:
+            raise ShapeMismatchError(
+                f"expects {self.in_features} features, got {shape[0]}")
+        return (self.out_features,)
+
+    @property
+    def param_shapes(self):
+        return (self.in_features, self.out_features), (self.out_features,)
+
+    @property
+    def fan_in(self):
+        return self.in_features
+
+    def forward(self, p, x, keep):
+        return tensor.matmul(x, p["w"]) + p["b"], x
+
+    def backward(self, p, gp, cache, g, need_dx):
+        gp["w"][...] = cache.T @ g
+        gp["b"][...] = g.sum(axis=0)
+        return g @ p["w"].T if need_dx else None
+
 
 @dataclass(frozen=True)
 class Conv:
@@ -63,6 +93,34 @@ class Conv:
         _at_least(self, 1, "in_channels", "out_channels", "kernel", "stride")
         _at_least(self, 0, "pad")
 
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise ShapeMismatchError(f"needs CHW input, got {shape}")
+        c, h, w = shape
+        if c != self.in_channels:
+            raise ShapeMismatchError(
+                f"expects {self.in_channels} channels, got {c}")
+        oh, ow = tensor._conv_out_dims(h, w, self.kernel, self.kernel,
+                                       self.stride, self.pad)
+        return (self.out_channels, oh, ow)
+
+    @property
+    def param_shapes(self):
+        return ((self.out_channels, self.in_channels, self.kernel,
+                 self.kernel), (self.out_channels,))
+
+    @property
+    def fan_in(self):
+        return self.in_channels * self.kernel * self.kernel
+
+    def forward(self, p, x, keep):
+        return tensor.conv2d(x, p["w"], p["b"], self.stride, self.pad), x
+
+    def backward(self, p, gp, cache, g, need_dx):
+        dx, gp["w"][...], gp["b"][...] = tensor.conv2d_backward(
+            cache, p["w"], self.stride, self.pad, g, need_dx=need_dx)
+        return dx
+
 
 @dataclass(frozen=True)
 class Pool:
@@ -70,27 +128,66 @@ class Pool:
     size: int
     stride: int
 
+    param_shapes = ()
+
     def __post_init__(self):
         if self.kind not in ("max", "avg"):
             raise ShapeMismatchError(f"unknown pool op {self.kind!r}")
         _at_least(self, 1, "size", "stride")
+
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise ShapeMismatchError(f"needs CHW input, got {shape}")
+        c, h, w = shape
+        if self.size > h or self.size > w:
+            raise ShapeMismatchError(
+                f"window {self.size} larger than input {h}x{w}")
+        return (c, (h - self.size) // self.stride + 1,
+                (w - self.size) // self.stride + 1)
+
+    def forward(self, p, x, keep):
+        y, idx = tensor.pool2d(x, self.kind, self.size, self.stride,
+                               need_argmax=keep)
+        return y, (x.shape, idx)
+
+    def backward(self, p, gp, cache, g, need_dx):
+        shape, idx = cache
+        return tensor.pool2d_backward(g, shape, self.kind, self.size,
+                                      self.stride, idx)
 
 
 @dataclass(frozen=True)
 class Activation:
     kind: str = field(metadata={"key": "fn"})
 
+    param_shapes = ()
+
     def __post_init__(self):
         if self.kind not in ("relu", "tanh"):
             raise ShapeMismatchError(f"unknown activation {self.kind!r}")
 
+    def out_shape(self, shape):
+        return shape
+
+    def forward(self, p, x, keep):
+        return tensor.activate(x, self.kind, "value"), x
+
+    def backward(self, p, gp, cache, g, need_dx):
+        return g * tensor.activate(cache, self.kind, "derivative")
+
 
 @dataclass(frozen=True)
 class Flatten:
-    pass
+    param_shapes = ()
 
+    def out_shape(self, shape):
+        return (math.prod(shape),)
 
-Layer = Union[Dense, Conv, Pool, Activation, Flatten]
+    def forward(self, p, x, keep):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, p, gp, cache, g, need_dx):
+        return g.reshape(cache)
 
 
 @dataclass(frozen=True)
@@ -117,7 +214,13 @@ class NetworkSpec:
             raise ShapeMismatchError(f"bad input shape {shape}")
         out = [shape]
         for i, layer in enumerate(self.layers):
-            shape = _layer_shape(layer, shape, i)
+            where = f"layer {i} ({type(layer).__name__.lower()})"
+            if not hasattr(layer, "out_shape"):
+                raise ShapeMismatchError(f"{where}: unsupported layer type")
+            try:
+                shape = layer.out_shape(shape)
+            except ShapeMismatchError as exc:
+                raise ShapeMismatchError(f"{where}: {exc}") from exc
             out.append(shape)
         if len(shape) != 1:
             raise ShapeMismatchError(
@@ -127,55 +230,6 @@ class NetworkSpec:
     @property
     def n_classes(self) -> int:
         return self.shapes()[-1][0]
-
-
-def _layer_shape(layer, shape, i):
-    where = f"layer {i} ({type(layer).__name__.lower()})"
-    if isinstance(layer, Dense):
-        if len(shape) != 1:
-            raise ShapeMismatchError(f"{where}: needs flat input, got {shape}")
-        if shape[0] != layer.in_features:
-            raise ShapeMismatchError(
-                f"{where}: expects {layer.in_features} features, got {shape[0]}")
-        return (layer.out_features,)
-    if isinstance(layer, Conv):
-        if len(shape) != 3:
-            raise ShapeMismatchError(f"{where}: needs CHW input, got {shape}")
-        c, h, w = shape
-        if c != layer.in_channels:
-            raise ShapeMismatchError(
-                f"{where}: expects {layer.in_channels} channels, got {c}")
-        try:
-            oh, ow = tensor._conv_out_dims(h, w, layer.kernel, layer.kernel,
-                                           layer.stride, layer.pad)
-        except ShapeMismatchError as exc:
-            raise ShapeMismatchError(f"{where}: {exc}") from exc
-        return (layer.out_channels, oh, ow)
-    if isinstance(layer, Pool):
-        if len(shape) != 3:
-            raise ShapeMismatchError(f"{where}: needs CHW input, got {shape}")
-        c, h, w = shape
-        if layer.size > h or layer.size > w:
-            raise ShapeMismatchError(
-                f"{where}: window {layer.size} larger than input {h}x{w}")
-        oh = (h - layer.size) // layer.stride + 1
-        ow = (w - layer.size) // layer.stride + 1
-        return (c, oh, ow)
-    if isinstance(layer, Activation):
-        return shape
-    if isinstance(layer, Flatten):
-        return (int(np.prod(shape)),)
-    raise ShapeMismatchError(f"{where}: unsupported layer type")
-
-
-def _param_shapes(layer):
-    """(weight shape, bias shape) for a parameterized layer, else None."""
-    if isinstance(layer, Dense):
-        return (layer.in_features, layer.out_features), (layer.out_features,)
-    if isinstance(layer, Conv):
-        return ((layer.out_channels, layer.in_channels, layer.kernel,
-                 layer.kernel), (layer.out_channels,))
-    return None
 
 
 @dataclass(frozen=True)
@@ -196,10 +250,7 @@ def layout(spec: NetworkSpec) -> tuple:
     slots = []
     offset = 0
     for i, layer in enumerate(spec.layers):
-        shapes = _param_shapes(layer)
-        if shapes is None:
-            continue
-        for name, shape in zip(("w", "b"), shapes):
+        for name, shape in zip(("w", "b"), layer.param_shapes):
             size = math.prod(shape)
             slots.append(ParamSlot(i, name, offset, offset + size, shape))
             offset += size
@@ -216,11 +267,9 @@ def activation_sizes(spec: NetworkSpec) -> list:
     parameterized layer; the flat-vector update cost scales with their
     sum while gradient training scales with products of neighbours."""
     shapes = spec.shapes()
-    sizes = [int(np.prod(shapes[0]))]
-    for i, layer in enumerate(spec.layers):
-        if _param_shapes(layer) is not None:
-            sizes.append(int(np.prod(shapes[i + 1])))
-    return sizes
+    return [math.prod(shapes[0])] + [
+        math.prod(shape) for layer, shape in zip(spec.layers, shapes[1:])
+        if layer.param_shapes]
 
 
 def _check_theta(spec, theta):
@@ -242,12 +291,7 @@ def init_params(spec: NetworkSpec, stream: RngStream,
     for slot in layout(spec):
         if slot.name != "w":
             continue
-        layer = spec.layers[slot.layer_index]
-        if isinstance(layer, Dense):
-            fan_in = layer.in_features
-        else:
-            fan_in = layer.in_channels * layer.kernel * layer.kernel
-        limit = math.sqrt(6.0 / fan_in)
+        limit = math.sqrt(6.0 / spec.layers[slot.layer_index].fan_in)
         theta[slot.start:slot.stop] = gen.uniform(-limit, limit, slot.stop - slot.start)
     return theta.astype(dtype)
 
@@ -272,28 +316,12 @@ def _run(spec, theta, x, keep):
     params = _views(spec, theta)
     caches = []
     for i, layer in enumerate(spec.layers):
-        cache = None
-        if isinstance(layer, Dense):
-            cache = x
-            w, b = params[i]["w"], params[i]["b"]
-            x = tensor.matmul(x, w) + b
-        elif isinstance(layer, Conv):
-            cache = x
-            x = tensor.conv2d(x, params[i]["w"], params[i]["b"],
-                              layer.stride, layer.pad)
-        elif isinstance(layer, Pool):
-            shape = x.shape
-            x, idx = tensor.pool2d(x, layer.kind, layer.size, layer.stride,
-                                   need_argmax=keep)
-            cache = (shape, idx)
-        elif isinstance(layer, Activation):
-            cache = x
-            x = tensor.activate(x, layer.kind, "value")
-        else:
-            cache = x.shape
-            x = x.reshape(x.shape[0], -1)
+        x, cache = layer.forward(params.get(i), x, keep)
         if keep:
             caches.append(cache)
+        # a cache that is not kept must not hold this layer's input while
+        # the next layer allocates (about 5% of lenet1 `evaluate` time)
+        del cache
     return x, caches
 
 
@@ -348,28 +376,8 @@ def backward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray,
     first = min((slot.layer_index for slot in layout(spec)),
                 default=len(spec.layers))
     for i in range(len(spec.layers) - 1, first - 1, -1):
-        layer = spec.layers[i]
-        cache = caches[i]
-        if isinstance(layer, Dense):
-            gviews[i]["w"][...] = cache.T @ g
-            gviews[i]["b"][...] = g.sum(axis=0)
-            if i > first:
-                g = g @ params[i]["w"].T
-        elif isinstance(layer, Conv):
-            dx, dw, db = tensor.conv2d_backward(cache, params[i]["w"],
-                                                layer.stride, layer.pad, g,
-                                                need_dx=i > first)
-            gviews[i]["w"][...] = dw
-            gviews[i]["b"][...] = db
-            g = dx
-        elif isinstance(layer, Pool):
-            shape, idx = cache
-            g = tensor.pool2d_backward(g, shape, layer.kind, layer.size,
-                                       layer.stride, idx)
-        elif isinstance(layer, Activation):
-            g = g * tensor.activate(cache, layer.kind, "derivative")
-        else:
-            g = g.reshape(cache)
+        g = spec.layers[i].backward(params.get(i), gviews.get(i), caches[i],
+                                    g, i > first)
     if lam != 0.0:
         for slot in layout(spec):
             if slot.name == "w":

@@ -24,6 +24,10 @@ from .rng import RngStream
 from .data import batches
 from .evaluation import evaluate
 
+# RNG namespaces under the training stream (the bp seed by default)
+_NS_INIT = 0
+_NS_SHUFFLE = 1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -144,14 +148,14 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
     consecutive epochs.  A non-finite loss or gradient raises
     TrainingDiverged carrying the ring and history built so far.
 
-    RNG paths: child(0) initializes parameters, child(1, epoch) orders
-    each epoch's batches.
+    RNG paths: child(_NS_INIT) initializes parameters,
+    child(_NS_SHUFFLE, epoch) orders each epoch's batches.
     """
     if len(data.images) == 0:
         raise ShapeMismatchError("train: empty dataset")
     if stream is None:
         stream = RngStream(cfg.seed)
-    theta = init_params(spec, stream.child(0))
+    theta = init_params(spec, stream.child(_NS_INIT))
     state = AdamState.zeros(theta.shape[0], theta.dtype)
     ring = CheckpointRing(cfg.ring_size)
     history: list = []
@@ -160,7 +164,7 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        shuffle_rng = stream.child(1, epoch).generator()
+        shuffle_rng = stream.child(_NS_SHUFFLE, epoch).generator()
         try:
             for xb, yb in batches(data, cfg.batch_size, shuffle=True,
                                   rng=shuffle_rng):

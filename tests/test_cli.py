@@ -340,6 +340,24 @@ def test_gridsearch_writes_rows(tmp_path, capsys):
     assert accs == sorted(accs, reverse=True)
 
 
+def test_gridsearch_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config())
+    out = tmp_path / "grid"
+    assert cli_main(["gridsearch", "--config", str(cfg), "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: /de/seed: must be >= 0\n"
+    assert not out.exists()
+
+
+def test_corrupt_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "corrupted"
+    assert cli_main(["corrupt", "--kind", "brightness", "--severity", "3",
+                     "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0\n"
+    assert not out.exists()
+
+
 def test_costs_command(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": {"name": "mlp"}}))

@@ -266,6 +266,25 @@ def test_fetch_treats_an_undecodable_sidecar_as_unreadable(tmp_path, sidecar):
         assert path.read_bytes() == files[logical]
 
 
+@pytest.mark.parametrize("sidecar", ["[1]", '{"train-labels-idx1-ubyte": 5}'])
+def test_fetch_treats_a_misshapen_sidecar_as_unreadable(tmp_path, sidecar):
+    # valid JSON but not an object of objects: the cached file is
+    # adopted, the rest are downloaded, and the sidecar is rewritten
+    files = fake_dataset_files()
+    opener = CountingOpener(files)
+    ds_dir = tmp_path / "tiny"
+    ds_dir.mkdir()
+    (ds_dir / "train-labels-idx1-ubyte").write_bytes(
+        files["train-labels-idx1-ubyte"])
+    (ds_dir / "digests.json").write_text(sidecar)
+    out = fetch("tiny", out_dir=ds_dir, opener=opener,
+                manifest=fake_manifest(files))
+    assert len(opener.calls) == 3
+    for logical, path in out.items():
+        assert path.read_bytes() == files[logical]
+    assert set(json.loads((ds_dir / "digests.json").read_text())) == set(files)
+
+
 def test_fetch_checksum_mismatch_quarantines(tmp_path):
     files = fake_dataset_files()
     manifest = fake_manifest(files)

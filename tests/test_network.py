@@ -392,6 +392,12 @@ def test_spec_rejects_feature_mismatch():
         NetworkSpec((1, 4, 4), (Flatten(), Dense(15, 4)))
 
 
+def test_spec_rejects_a_non_layer():
+    with pytest.raises(ShapeMismatchError) as info:
+        NetworkSpec((1, 4, 4), (object(),))
+    assert str(info.value) == "layer 0 (object): unsupported layer type"
+
+
 def test_n_classes():
     assert small_mlp().n_classes == 4
     assert zoo_spec("lenet5").n_classes == 10
