@@ -12,11 +12,16 @@ Run-directory layout produced by `train` and extended by `evolve`:
     timings.jsonl   wall-clock per epoch/generation (kept out of metrics
                     so metrics files are comparable across machines and
                     worker counts)
-    summary.json    final per-stage results
+    summary.json    final per-stage results: the bp stage and the latest
+                    de stage of each mode (ancestors, soup)
     ring/           end-of-epoch checkpoint ring
     final.ckpt      last gradient-stage parameters
     de_best.ckpt    best evolved parameters
     de_pop/         final population
+
+Every command gets its data from `data.load_splits`, given the config's
+data section or one built from `--dataset`/`--data-dir`; this module
+names no dataset and no dataset file.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numeric
 failure (divergence).
@@ -39,17 +44,17 @@ import numpy as np
 
 from . import blas_threads
 from . import data as datasets
+from .data import SPLITS, DataSection, load_splits
 from .errors import (ConfigError, MissingArtifactError, NevoError,
                      NumericError)
 from .evaluation import count_costs, evaluate, report
 from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
                         seed_population, subset_factory)
 from .network import param_count
-from .persistence import (_DATASET_NAMES, Checkpoint, DataSection,
-                          load_checkpoint, load_manifest, load_ring,
-                          load_summary, parse_config, save_checkpoint,
-                          save_population, save_ring, write_json,
-                          write_manifest)
+from .persistence import (Checkpoint, load_checkpoint, load_manifest,
+                          load_ring, load_summary, parse_config,
+                          save_checkpoint, save_population, save_ring,
+                          write_json, write_manifest)
 from .rng import RngStream
 from .training import TrainingDiverged, train
 
@@ -72,7 +77,7 @@ def _build_parser() -> _Parser:
 
     f = sub.add_parser("fetch", help="download and verify a dataset")
     f.add_argument("--dataset", required=True,
-                   choices=("mnist", "fashion_mnist"))
+                   choices=tuple(datasets.MANIFEST))
     f.add_argument("--out", default=None, help="cache directory")
     f.add_argument("--base-url", default=None)
     f.set_defaults(func=_cmd_fetch)
@@ -102,9 +107,10 @@ def _build_parser() -> _Parser:
     # --dataset, --data-dir and --split pick the clean split, so they
     # default to None and are rejected next to --corrupted
     v.add_argument("--dataset", default=None,
-                   help=", ".join(_DATASET_NAMES) + " (default synthetic)")
+                   help=f"{', '.join(datasets.DATASET_NAMES)} "
+                        f"(default {DataSection.name})")
     v.add_argument("--data-dir", default=None)
-    v.add_argument("--split", default=None, choices=("train", "test"),
+    v.add_argument("--split", default=None, choices=SPLITS,
                    help="(default test)")
     v.add_argument("--corrupted", default=None,
                    help="directory of precomputed NPY corruption sets; "
@@ -112,9 +118,9 @@ def _build_parser() -> _Parser:
     v.set_defaults(func=_cmd_eval)
 
     c = sub.add_parser("corrupt", help="synthesize a corrupted split")
-    c.add_argument("--dataset", default="synthetic")
+    c.add_argument("--dataset", default=DataSection.name)
     c.add_argument("--data-dir", default=None)
-    c.add_argument("--split", default="test", choices=("train", "test"))
+    c.add_argument("--split", default="test", choices=SPLITS)
     c.add_argument("--kind", required=True)
     c.add_argument("--severity", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
@@ -143,50 +149,6 @@ def _build_parser() -> _Parser:
     z.add_argument("--n-e", type=int, default=1)
     z.set_defaults(func=_cmd_costs)
     return p
-
-
-def _load_split_pair(data_cfg, splits=datasets.SPLITS):
-    """(train, test) datasets for a parsed data section.  A split not
-    named in `splits` is neither read nor built, and comes back None."""
-    if data_cfg.name == "synthetic":
-        s = data_cfg.synthetic
-        pair = datasets.make_synthetic_pair(
-            s.n_train, s.n_test, s.classes, s.shape, s.noise,
-            RngStream(s.seed), splits=splits)
-    elif data_cfg.name in ("mnist", "fashion_mnist"):
-        ds_dir = Path(data_cfg.dir) if data_cfg.dir else \
-            datasets.cache_dir() / data_cfg.name
-        if not ds_dir.is_dir():
-            raise MissingArtifactError(
-                f"dataset directory {ds_dir} not found; run "
-                f"`nevo fetch --dataset {data_cfg.name}` first")
-        pair = datasets.load_idx_dir(ds_dir, data_cfg.name, splits)
-    else:
-        ds_dir = Path(data_cfg.dir) if data_cfg.dir else \
-            datasets.cache_dir() / "cifar10"
-        files = {"train": [ds_dir / f"data_batch_{i}.bin" for i in range(1, 6)],
-                 "test": [ds_dir / "test_batch.bin"]}
-        pair = tuple(datasets.load_cifar10(files[split], f"cifar10/{split}")
-                     if split in splits else None
-                     for split in datasets.SPLITS)
-    limits = (data_cfg.train_limit, data_cfg.test_limit)
-    return tuple(None if ds is None else ds.take(limit)
-                 for ds, limit in zip(pair, limits))
-
-
-def _load_arg_split(args) -> datasets.Dataset:
-    """The `--split` of `--dataset`/`--data-dir`, read or built alone."""
-    pair = _load_split_pair(DataSection(name=args.dataset, dir=args.data_dir),
-                            (args.split,))
-    return pair[datasets.SPLITS.index(args.split)]
-
-
-def _dataset_fingerprint(data_cfg, train_ds, test_ds) -> dict:
-    fp = {"name": data_cfg.name, "n_train": len(train_ds),
-          "n_test": len(test_ds)}
-    if data_cfg.name == "synthetic":
-        fp["seed"] = data_cfg.synthetic.seed
-    return fp
 
 
 class _RunWriter:
@@ -243,7 +205,7 @@ def _cmd_train(args) -> int:
         raise MissingArtifactError(
             f"run directory {run_dir} is already initialized; pick a new --out")
 
-    train_ds, test_ds = _load_split_pair(cfg.data)
+    train_ds, test_ds = load_splits(cfg.data)
     if cfg.data.augment_multiplier > 1:
         train_ds = datasets.augment(train_ds, cfg.data.augment_multiplier,
                                     cfg.data.max_shift_px,
@@ -308,7 +270,7 @@ def _cmd_train(args) -> int:
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "seed": bp.seed,
-        "dataset": _dataset_fingerprint(cfg.data, train_ds, test_ds),
+        "dataset": datasets.dataset_fingerprint(cfg.data, train_ds, test_ds),
         "blas_threads": blas_threads(),
         "artifacts": {"config": "config.json", "metrics": "metrics.jsonl",
                       "timings": "timings.jsonl", "summary": "summary.json",
@@ -328,7 +290,7 @@ def _cmd_evolve(args) -> int:
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
     mode = "soup" if args.soup else "ancestors"
 
-    train_ds, test_ds = _load_split_pair(cfg.data)
+    train_ds, test_ds = load_splits(cfg.data)
     base = RngStream(de.seed)
     m = cfg.bp.ring_size
     if args.soup:
@@ -374,6 +336,10 @@ def _cmd_evolve(args) -> int:
                                 "seed": de.seed}),
                     run_dir / f"de_best{suffix}.ckpt")
 
+    # a rerun in the same mode replaces that mode's stage, as it replaces
+    # its de_best and de_pop; metrics.jsonl and timings.jsonl keep both
+    summary["stages"] = [s for s in summary["stages"]
+                         if (s.get("stage"), s.get("mode")) != ("de", mode)]
     summary["stages"].append({
         "stage": "de", "mode": mode,
         "generations": len(out.history),
@@ -414,6 +380,8 @@ def _corrupted_sets(root: Path):
                 return img, lab
         return None
 
+    if not root.is_dir():
+        raise MissingArtifactError(f"{root}: no such directory")
     own = pair_in(root)
     if own:
         yield root.name, own[0], own[1]
@@ -438,7 +406,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(", ".join(given), "not allowed with --corrupted, "
                           "whose NPY sets carry their own images and labels")
     if args.dataset is None:
-        args.dataset = "synthetic"
+        args.dataset = DataSection.name
     if args.split is None:
         args.split = "test"
     ckpt = load_checkpoint(args.ckpt)
@@ -451,7 +419,9 @@ def _cmd_eval(args) -> int:
                                   name)
             rows.append(evaluate(ckpt.spec, ckpt.params, ds))
     else:
-        rows.append(evaluate(ckpt.spec, ckpt.params, _load_arg_split(args)))
+        ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),
+                         (args.split,))[SPLITS.index(args.split)]
+        rows.append(evaluate(ckpt.spec, ckpt.params, ds))
     doc = [{"dataset": r.dataset, "n": r.n_samples, "accuracy": r.accuracy,
             "error": r.error, "mean_ce": r.mean_ce} for r in rows]
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -460,7 +430,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     ConfigError.check((args.seed >= 0, "--seed", "must be >= 0"))
-    ds = _load_arg_split(args)
+    ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),
+                     (args.split,))[SPLITS.index(args.split)]
     out = datasets.corrupt(ds, args.kind, args.severity,
                            RngStream(args.seed))
     out_dir = Path(args.out)
@@ -487,7 +458,7 @@ def _cmd_report(args) -> int:
 def _cmd_gridsearch(args) -> int:
     text, cfg = _read_config_arg(args.config)
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
-    train_ds, test_ds = _load_split_pair(cfg.data)
+    train_ds, test_ds = load_splits(cfg.data)
     with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
           contextlib.nullcontext()) as pool:
         rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, de,

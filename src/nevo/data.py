@@ -6,6 +6,11 @@ length, and every malformed-input path raises a typed error instead of
 crashing.  Also provides checksum-verified fetching, affine
 augmentation, native corruption synthesis, minibatching, and a
 synthetic blob dataset for network-free runs.
+
+This module owns the dataset sources: `DATASET_NAMES` lists every name
+a config's data section (`DataSection`, `SynthSection`) may give, and
+`load_splits` is the one place where a data section becomes a (train,
+test) pair of Datasets.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import os
 import time
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -225,6 +230,16 @@ def load_cifar10(paths, name: str = "cifar10") -> Dataset:
     return Dataset(images, np.concatenate(labels), name)
 
 
+def load_cifar10_dir(ds_dir, name: str, splits=SPLITS) -> tuple:
+    """load_idx_dir for a directory of CIFAR-10 binary batches: the five
+    `data_batch_*.bin` files are the train split, `test_batch.bin` the test."""
+    ds_dir = Path(ds_dir)
+    files = {"train": [ds_dir / f"data_batch_{i}.bin" for i in range(1, 6)],
+             "test": [ds_dir / "test_batch.bin"]}
+    return tuple(load_cifar10(files[split], f"{name}/{split}")
+                 if split in splits else None for split in SPLITS)
+
+
 # --- fetching -------------------------------------------------------------
 
 # sha256 digests cover the gzip archives exactly as served.  The
@@ -328,9 +343,18 @@ def _load_sidecar(ds_dir: Path) -> dict:
         doc = json.loads(p.read_text())
     except (OSError, ValueError, RecursionError):
         return {}
-    # valid JSON that is not {name: {...}} is as unreadable as bad bytes
-    ok = isinstance(doc, dict) and all(isinstance(v, dict) for v in doc.values())
+    # valid JSON that is not {name: {"sha256": <hex digest>, ...}} is as
+    # unreadable as bad bytes
+    ok = isinstance(doc, dict) and all(
+        isinstance(v, dict) and _is_digest(v.get("sha256"))
+        for v in doc.values())
     return doc if ok else {}
+
+
+def _is_digest(value) -> bool:
+    """value is absent (None) or a sha256 hex digest."""
+    return value is None or (isinstance(value, str) and len(value) == 64
+                             and all(c in "0123456789abcdef" for c in value))
 
 
 def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
@@ -423,6 +447,11 @@ def load_idx_dir(ds_dir, name: str, splits=SPLITS) -> tuple:
                  ds_dir / f"{stem}-labels-idx1-ubyte", f"{name}/{split}")
         if split in splits else None
         for split, stem in zip(SPLITS, ("train", "t10k")))
+
+
+# Every dataset a data section can name: synthetic blobs drawn from a
+# seed, the IDX sets that `fetch` downloads, and CIFAR-10 binary batches.
+DATASET_NAMES = ("synthetic", *MANIFEST, "cifar10")
 
 
 # --- geometry -------------------------------------------------------------
@@ -680,3 +709,82 @@ def make_synthetic_pair(n_train: int, n_test: int, classes: int = 10,
 
     return (build("train", n_train, _NS_SYNTH_TRAIN),
             build("test", n_test, _NS_SYNTH_TEST))
+
+
+# --- data sections ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SynthSection:
+    n_train: int = 3000
+    n_test: int = 1000
+    classes: int = 10
+    shape: tuple[int, int, int] = (1, 28, 28)
+    noise: float = 0.15
+    seed: int = 0
+
+    def __post_init__(self):
+        ConfigError.check(
+            (len(self.shape) == 3 and all(v >= 1 for v in self.shape),
+             "/data/synthetic/shape",
+             "expected [channels, height, width]"),
+            (self.n_train >= 1, "/data/synthetic/n_train", "out of range"),
+            (self.n_test >= 1, "/data/synthetic/n_test", "out of range"),
+            (self.classes >= 2, "/data/synthetic/classes", "out of range"),
+            (self.noise >= 0, "/data/synthetic/noise", "out of range"),
+            (self.seed >= 0, "/data/synthetic/seed", "out of range"))
+
+
+@dataclass(frozen=True)
+class DataSection:
+    name: str = "synthetic"
+    dir: Optional[str] = None
+    train_limit: int = 0
+    test_limit: int = 0
+    augment_multiplier: int = 1
+    max_shift_px: int = 2
+    max_rotate_deg: float = 15.0
+    synthetic: SynthSection = field(default_factory=SynthSection)
+
+    def __post_init__(self):
+        ConfigError.check(
+            (self.name in DATASET_NAMES, "/data/name",
+             f"unknown dataset {self.name!r}; one of "
+             f"{', '.join(DATASET_NAMES)}"),
+            (self.train_limit >= 0, "/data/train_limit", "out of range"),
+            (self.test_limit >= 0, "/data/test_limit", "out of range"),
+            (self.augment_multiplier >= 1, "/data/augment_multiplier",
+             "out of range"),
+            (self.max_shift_px >= 0, "/data/max_shift_px", "out of range"),
+            (self.max_rotate_deg >= 0, "/data/max_rotate_deg", "out of range"))
+
+
+def load_splits(section: DataSection, splits=SPLITS) -> tuple:
+    """(train, test) datasets of a data section, cut to its limits and
+    read from `section.dir` or the cache.  A split not named in `splits`
+    is neither read nor built, and comes back None."""
+    if section.name == "synthetic":
+        s = section.synthetic
+        pair = make_synthetic_pair(s.n_train, s.n_test, s.classes, s.shape,
+                                   s.noise, RngStream(s.seed), splits=splits)
+    else:
+        ds_dir = Path(section.dir or cache_dir() / section.name)
+        idx = section.name in MANIFEST
+        if idx and not ds_dir.is_dir():
+            raise MissingArtifactError(
+                f"dataset directory {ds_dir} not found; run "
+                f"`nevo fetch --dataset {section.name}` first")
+        load_dir = load_idx_dir if idx else load_cifar10_dir
+        pair = load_dir(ds_dir, section.name, splits)
+    limits = (section.train_limit, section.test_limit)
+    return tuple(None if ds is None else ds.take(limit)
+                 for ds, limit in zip(pair, limits))
+
+
+def dataset_fingerprint(section: DataSection, train: Dataset,
+                        test: Dataset) -> dict:
+    """The manifest's record of the data a run trained and tested on."""
+    fp = {"name": section.name, "n_train": len(train), "n_test": len(test)}
+    if section.name == "synthetic":
+        fp["seed"] = section.synthetic.seed
+    return fp

@@ -22,7 +22,9 @@ Config sections and model specs share one JSON schema: a dataclass is
 parsed and rendered field by field (`_parse_section`, `_section_doc`),
 with a field's ``key`` metadata naming its JSON key.  A spec is an
 ``input_shape`` list plus one such object per layer, tagged by its
-``kind`` (`_LAYER_KINDS`).
+``kind`` (`_LAYER_KINDS`).  Each section dataclass lives next to the
+code that consumes it (`data.DataSection`, `training.TrainConfig`,
+`evolution.DeConfig`); this module defines none of them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
+from .data import DataSection, _atomic_write
 from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
                      MissingArtifactError, ShapeMismatchError)
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
@@ -75,8 +78,6 @@ def write_json(path, doc):
     """Write doc as indented, key-sorted JSON in one rename, so a kill
     leaves the old or the new file, never a torn one that a later stage
     cannot read."""
-    from .data import _atomic_write
-
     _atomic_write(Path(path),
                   (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
@@ -109,8 +110,6 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    from .data import _atomic_write
-
     _atomic_write(Path(path), checkpoint_bytes(ckpt))
 
 
@@ -383,54 +382,6 @@ def load_ring(in_dir):
 
 
 # --- configuration -----------------------------------------------------------
-
-
-_DATASET_NAMES = ("synthetic", "mnist", "fashion_mnist", "cifar10")
-
-
-@dataclass(frozen=True)
-class SynthSection:
-    n_train: int = 3000
-    n_test: int = 1000
-    classes: int = 10
-    shape: tuple[int, int, int] = (1, 28, 28)
-    noise: float = 0.15
-    seed: int = 0
-
-    def __post_init__(self):
-        ConfigError.check(
-            (len(self.shape) == 3 and all(v >= 1 for v in self.shape),
-             "/data/synthetic/shape",
-             "expected [channels, height, width]"),
-            (self.n_train >= 1, "/data/synthetic/n_train", "out of range"),
-            (self.n_test >= 1, "/data/synthetic/n_test", "out of range"),
-            (self.classes >= 2, "/data/synthetic/classes", "out of range"),
-            (self.noise >= 0, "/data/synthetic/noise", "out of range"),
-            (self.seed >= 0, "/data/synthetic/seed", "out of range"))
-
-
-@dataclass(frozen=True)
-class DataSection:
-    name: str = "synthetic"
-    dir: Optional[str] = None
-    train_limit: int = 0
-    test_limit: int = 0
-    augment_multiplier: int = 1
-    max_shift_px: int = 2
-    max_rotate_deg: float = 15.0
-    synthetic: SynthSection = field(default_factory=SynthSection)
-
-    def __post_init__(self):
-        ConfigError.check(
-            (self.name in _DATASET_NAMES, "/data/name",
-             f"unknown dataset {self.name!r}; one of "
-             f"{', '.join(_DATASET_NAMES)}"),
-            (self.train_limit >= 0, "/data/train_limit", "out of range"),
-            (self.test_limit >= 0, "/data/test_limit", "out of range"),
-            (self.augment_multiplier >= 1, "/data/augment_multiplier",
-             "out of range"),
-            (self.max_shift_px >= 0, "/data/max_shift_px", "out of range"),
-            (self.max_rotate_deg >= 0, "/data/max_rotate_deg", "out of range"))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Everything runs on tiny synthetic data or fabricated files inside
 tmp_path; no network, no cached datasets."""
 
+import ast
 import gzip
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 import nevo
 from nevo.cli import cli_main
+from nevo.data import DATASET_NAMES, MANIFEST
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
 from nevo.persistence import load_checkpoint, load_population, spec_doc
 
@@ -785,3 +788,58 @@ def test_manifest_records_blas_threads(trained_run):
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
     manifest = json.loads((trained_run / "manifest.json").read_text())
     assert manifest["blas_threads"] == 1
+
+
+def test_evolve_rerun_replaces_that_modes_summary_stage(trained_run, capsys):
+    """summary.json keeps one de stage per mode, the latest, as de_best
+    and de_pop are replaced; metrics.jsonl and timings.jsonl stay
+    append-only logs of every run."""
+    for extra in ([], ["--soup"], ["--seed", "5"]):
+        assert cli_main(["evolve", "--run", str(trained_run), *extra]) == 0
+    capsys.readouterr()
+    stages = json.loads((trained_run / "summary.json").read_text())["stages"]
+    assert [(s["stage"], s.get("mode")) for s in stages] == [
+        ("bp", None), ("de", "soup"), ("de", "ancestors")]
+    best = load_checkpoint(trained_run / "de_best.ckpt")
+    assert best.meta["seed"] == 5
+    assert stages[-1]["best_fitness"] == best.meta["fitness"]
+    rows = jsonl(trained_run / "metrics.jsonl")
+    assert [r["mode"] for r in rows if r["stage"] == "de"] == (
+        ["ancestors"] * 3 + ["soup"] * 3 + ["ancestors"] * 3)
+    assert len(jsonl(trained_run / "timings.jsonl")) == len(rows)
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_eval_corrupted_path_that_is_no_directory_exits_2(trained_run,
+                                                          tmp_path, capsys,
+                                                          kind):
+    path = tmp_path / "sets"
+    if kind == "file":
+        path.write_bytes(b"")
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
+                     "--corrupted", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{path}: no such directory" in err
+
+
+def test_fetch_choices_are_the_manifest(capsys):
+    assert cli_main(["fetch", "--help"]) == 0
+    usage = capsys.readouterr().out
+    listed = re.search(r"--dataset \{([^}]*)\}", usage).group(1).split(",")
+    assert sorted(listed) == sorted(MANIFEST)
+
+
+def test_cli_names_no_dataset_and_no_dataset_file():
+    """nevo.data owns the dataset sources and load_splits dispatches on
+    their names; a dataset or dataset-file name written in cli.py would
+    be a second dispatch that drifts from it."""
+    banned = {"synthetic", "mnist", "fashion_mnist", "cifar10",
+              *DATASET_NAMES, "data_batch_", "test_batch.bin", "t10k",
+              "-ubyte"}
+    tree = ast.parse(Path(nevo.cli.__file__).read_text())
+    found = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(name in node.value for name in banned)]
+    assert found == []

@@ -10,20 +10,23 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nevo import data as data_mod
-from nevo.data import (Dataset, SEVERITY_TABLES, augment, batches, corrupt,
-                       fetch, load_cifar10, load_idx, load_idx_dir, load_npy,
-                       make_synthetic_pair, save_npy)
+from nevo.data import (DATASET_NAMES, MANIFEST, SPLITS, DataSection, Dataset,
+                       SEVERITY_TABLES, SynthSection, augment, batches,
+                       corrupt, fetch, load_cifar10, load_idx, load_idx_dir,
+                       load_npy, load_splits, make_synthetic_pair, save_npy)
 from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          MissingArtifactError, NevoError,
                          UnsupportedCorruptionError)
 from nevo.rng import RngStream
 
 from synthdata import DEEP_JSON, affine_bilinear_reference, child_env
+from test_cli import idx_dir
 
 
 def idx_images_bytes(arr):
@@ -285,6 +288,30 @@ def test_fetch_treats_a_misshapen_sidecar_as_unreadable(tmp_path, sidecar):
     assert set(json.loads((ds_dir / "digests.json").read_text())) == set(files)
 
 
+@pytest.mark.parametrize("digest", [5, "not a digest", ["a"]])
+def test_fetch_treats_a_sidecar_digest_that_is_no_hex_string_as_unreadable(
+        tmp_path, digest):
+    # the good cached file is adopted and its digest pinned again, not
+    # quarantined against a digest that no file can have
+    files = fake_dataset_files()
+    opener = CountingOpener(files)
+    ds_dir = tmp_path / "tiny"
+    ds_dir.mkdir()
+    cached = ds_dir / "train-labels-idx1-ubyte"
+    cached.write_bytes(files[cached.name])
+    (ds_dir / "digests.json").write_text(
+        json.dumps({cached.name: {"sha256": digest}}))
+    out = fetch("tiny", out_dir=ds_dir, opener=opener,
+                manifest=fake_manifest(files))
+    assert len(opener.calls) == 3
+    for logical, path in out.items():
+        assert path.read_bytes() == files[logical]
+    assert not list(ds_dir.glob("*.quarantine"))
+    pinned = json.loads((ds_dir / "digests.json").read_text())
+    assert pinned[cached.name]["sha256"] == hashlib.sha256(
+        files[cached.name]).hexdigest()
+
+
 def test_fetch_checksum_mismatch_quarantines(tmp_path):
     files = fake_dataset_files()
     manifest = fake_manifest(files)
@@ -378,6 +405,66 @@ def test_fetch_is_not_blocked_by_a_killed_lock_holder(tmp_path):
 def test_fetch_unknown_dataset():
     with pytest.raises(ConfigError):
         fetch("imagenet", manifest={"tiny": {}})
+
+
+def cifar_dir(root):
+    """Fake CIFAR-10 directory: five data batches of 3 records and a
+    test batch of 4."""
+    gen = np.random.default_rng(5)
+    root.mkdir()
+    for name, n in [(f"data_batch_{i}.bin", 3) for i in range(1, 6)] + [
+            ("test_batch.bin", 4)]:
+        records = np.concatenate(
+            [gen.integers(0, 10, (n, 1), dtype=np.uint8),
+             gen.integers(0, 256, (n, 3072), dtype=np.uint8)], axis=1)
+        (root / name).write_bytes(records.tobytes())
+    return root
+
+
+def source(tmp_path, name) -> tuple:
+    """(data section, (train, test) from the direct loader calls) of a
+    small fake source of dataset `name`."""
+    if name == "synthetic":
+        synth = SynthSection(n_train=40, n_test=20, classes=3,
+                             shape=(1, 6, 6), seed=4)
+        return DataSection(synthetic=synth), make_synthetic_pair(
+            40, 20, 3, (1, 6, 6), 0.15, RngStream(4))
+    if name in MANIFEST:
+        root = idx_dir(tmp_path)
+        return DataSection(name=name, dir=str(root)), tuple(
+            load_idx(root / f"{stem}-images-idx3-ubyte",
+                     root / f"{stem}-labels-idx1-ubyte", f"{name}/{split}")
+            for split, stem in zip(SPLITS, ("train", "t10k")))
+    root = cifar_dir(tmp_path / "cifar")
+    return DataSection(name=name, dir=str(root)), (
+        load_cifar10([root / f"data_batch_{i}.bin" for i in range(1, 6)],
+                     f"{name}/train"),
+        load_cifar10(root / "test_batch.bin", f"{name}/test"))
+
+
+@pytest.mark.parametrize("limits", [(0, 0), (7, 3)])
+@pytest.mark.parametrize("splits", [SPLITS, ("train",), ("test",)])
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_load_splits_serves_every_dataset_as_its_direct_loader(
+        tmp_path, name, splits, limits):
+    """Every listed name is a valid data section, and load_splits returns
+    bitwise what the direct loader returns, cut to the limits; a split
+    not asked for is None."""
+    section, direct = source(tmp_path, name)
+    got = load_splits(replace(section, train_limit=limits[0],
+                              test_limit=limits[1]), splits)
+    for split, ds, want, limit in zip(SPLITS, got, direct, limits):
+        if split not in splits:
+            assert ds is None
+            continue
+        n = limit or len(want)
+        assert ds.name == want.name == f"{name}/{split}"
+        assert len(ds) == n
+        for got_arr, want_arr in ((ds.images, want.images[:n]),
+                                  (ds.labels, want.labels[:n])):
+            assert got_arr.dtype == want_arr.dtype
+            assert got_arr.shape == want_arr.shape
+            assert got_arr.tobytes() == want_arr.tobytes()
 
 
 def blob_dataset(n=40, seed=0, shape=(1, 8, 8)):
