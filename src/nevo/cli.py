@@ -413,10 +413,10 @@ def _cmd_eval(args) -> int:
     rows = []
     if args.corrupted:
         for name, img_path, lab_path in _corrupted_sets(Path(args.corrupted)):
-            images = _nchw(datasets.load_npy(img_path)).astype(np.float32)
+            images = datasets.load_npy(img_path).astype(np.float32, copy=False)
             labels = datasets.load_npy(lab_path, scale_u8=False)
-            ds = datasets.Dataset(images, labels.astype(np.int64).ravel(),
-                                  name)
+            ds = datasets.Dataset(_nchw(images),
+                                  labels.astype(np.int64).ravel(), name)
             rows.append(evaluate(ckpt.spec, ckpt.params, ds))
     else:
         ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),

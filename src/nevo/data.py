@@ -751,6 +751,9 @@ class DataSection:
             (self.name in DATASET_NAMES, "/data/name",
              f"unknown dataset {self.name!r}; one of "
              f"{', '.join(DATASET_NAMES)}"),
+            (self.dir is None or self.name != "synthetic", "/data/dir",
+             "the synthetic dataset is generated, not read from a "
+             "directory; name the dataset stored there"),
             (self.train_limit >= 0, "/data/train_limit", "out of range"),
             (self.test_limit >= 0, "/data/test_limit", "out of range"),
             (self.augment_multiplier >= 1, "/data/augment_multiplier",

@@ -26,18 +26,25 @@ of at least n elements.  The one exception is the float64
 ordered-accumulation conv forward (the oracle path), which computes
 and returns NCHW memory.
 
-The float32 conv forward pass is one GEMM over an im2col matrix
+The float32 conv forward pass is a GEMM over an im2col matrix
 (Chellapilla, Puri & Simard, 2006).  The matrix is K-major: row
 (c, u, v) holds input pixel (c, oy*stride+u, ox*stride+v) for every
 output position (oy, ox, n), so it is filled with kh*kw slice copies,
-and the GEMM's (k, oh*ow*n) product is already the output's memory.
-Each output element is the same length-c*kh*kw dot product, in
-ascending (c, u, v) order, whatever the order of the matrix's columns,
-so BLAS's blocked GEMM kernels return the same bits as the NCHW im2col
-(``tests/synthdata.conv2d_nchw_reference``).  OpenBLAS's small-matrix
-kernels (OpenBLAS 0.3.31 on x86-64 uses them below about 1e6
-multiply-adds) and its one-output-channel GEMV path are the exception:
-they round the transposed operand differently in the last bit.
+and the GEMM's product is in the output's (k, oh, ow, n) memory order.
+Within each block of samples the forward tiles the output rows: each
+tile is the im2col of a few output rows, about _CONV_TILE_ELEMS
+elements, and one GEMM on it, so the fill and the GEMM run in L2 (the
+cache blocking of Goto & van de Geijn, 2008).  Each output element is
+the same length-c*kh*kw dot product, in ascending (c, u, v) order,
+whatever the order and number of the matrix's columns, so BLAS's
+blocked GEMM kernels return the same bits as the whole-block NCHW
+im2col (``tests/synthdata.conv2d_nchw_reference``).
+OpenBLAS's small-matrix kernels (OpenBLAS 0.3.31 on x86-64 uses them
+below about 1e6 multiply-adds) and its one-output-channel GEMV path are
+the exception: they round the transposed operand differently in the
+last bit, and the GEMV's bits also depend on the number of columns.  A
+lenet1 layer-0 tile at 128 samples is about 921K multiply-adds and
+keeps the blocked kernels' bits; the tests gate it.
 
 The backward pass reuses that layout.  The kernel gradient is the same
 im2col matrix times grad_out as a (k, oh*ow*n) matrix, contracted over
@@ -63,7 +70,11 @@ from .errors import LabelError, ShapeMismatchError
 
 # im2col buffers are chunked over the batch axis to bound memory; the
 # chunk size depends only on shapes, so results do not depend on N.
+# Within each block the forward tiles output rows, so that one tile's
+# im2col holds about _CONV_TILE_ELEMS elements (1 MiB of float32) and
+# its fill and GEMM run in L2; the backward runs one block at a time.
 _CONV_CHUNK_ELEMS = 1 << 22
+_CONV_TILE_ELEMS = 1 << 18
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,12 +136,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        # a block that is the whole batch is written straight into out
-        blk = np.dot(bt.T, _cols(_pad_hw(_chwn(x[lo:hi]), pad), kh, kw,
-                                 stride, oh, ow),
-                     out=out.reshape(k, -1) if hi - lo == n else None)
-        if hi - lo < n:
-            out[..., lo:hi] = blk.reshape(k, oh, ow, hi - lo)
+        _conv_forward_block(_pad_hw(_chwn(x[lo:hi]), pad), bt, kh, kw, stride,
+                            out[..., lo:hi])
     out += bias[:, None, None, None]
     return out.transpose(3, 0, 1, 2)
 
@@ -152,6 +159,31 @@ def _conv_chunk(c, kh, kw, oh, ow):
     return max(1, _CONV_CHUNK_ELEMS // max(1, c * kh * kw * oh * ow))
 
 
+def _conv_tile_rows(c, kh, kw, ow, n):
+    """Output rows per forward tile of a block of n samples: as many as
+    keep the tile's im2col within _CONV_TILE_ELEMS elements, at least
+    one."""
+    return max(1, _CONV_TILE_ELEMS // max(1, c * kh * kw * ow * n))
+
+
+def _conv_forward_block(xp, bt, kh, kw, stride, out):
+    """Write one block's (K, OH, OW, N) output into out from the padded
+    (C, H, W, N) input xp and the (c*kh*kw, k) kernel matrix bt.
+
+    Each tile of output rows is one im2col fill of the input rows it
+    reads and one GEMM, small enough to stay in L2 together.  Each
+    tile's matrix dies before the next one is filled.
+    """
+    c, n = xp.shape[0], xp.shape[3]
+    k, oh, ow, _ = out.shape
+    rows = _conv_tile_rows(c, kh, kw, ow, n)
+    for y0 in range(0, oh, rows):
+        y1 = min(oh, y0 + rows)
+        tile = xp[:, y0 * stride:(y1 - 1) * stride + kh]
+        out[:, y0:y1] = np.dot(bt.T, _cols(tile, kh, kw, stride, y1 - y0,
+                                           ow)).reshape(k, y1 - y0, ow, n)
+
+
 def _cols(xp, kh, kw, stride, oh, ow):
     """K-major im2col of a padded (C, H, W, N) block: a
     (c*kh*kw, oh*ow*n) matrix built from kh*kw slice copies."""
@@ -170,8 +202,8 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
 
     Returns (dx, dw, db); dx is None when need_dx is False, which saves
     the input-gradient work for a first layer whose dx nobody reads.
-    Both gradients are GEMMs over the forward's blocks of samples, so
-    the scratch does not grow with N.
+    Both gradients are GEMMs over the _conv_chunk blocks of samples,
+    so the scratch does not grow with N.
     """
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape

@@ -20,7 +20,8 @@ import nevo
 from nevo.cli import cli_main
 from nevo.data import DATASET_NAMES, MANIFEST
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
-from nevo.persistence import load_checkpoint, load_population, spec_doc
+from nevo.persistence import (Checkpoint, load_checkpoint, load_population,
+                              save_checkpoint, spec_doc)
 
 from synthdata import DEEP_JSON, child_env, with_header_json
 
@@ -822,6 +823,32 @@ def test_eval_corrupted_path_that_is_no_directory_exits_2(trained_run,
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "Traceback" not in err
     assert f"{path}: no such directory" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "corrupt", "train"])
+def test_a_data_dir_on_the_synthetic_dataset_exits_2(tmp_path, capsys,
+                                                     command):
+    """The synthetic dataset is generated, so a data directory next to
+    it would be silently ignored: --data-dir on eval and corrupt, and a
+    config's data.dir, are rejected instead."""
+    data = idx_dir(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "dir.json"
+    cfg.write_text(tiny_config(data={"dir": str(data)}))
+    # a model of the default synthetic split, which eval would score
+    ckpt = tmp_path / "default.ckpt"
+    spec = NetworkSpec((1, 28, 28), (Flatten(), Dense(784, 10)))
+    save_checkpoint(Checkpoint(spec, np.zeros(7850, np.float32)), ckpt)
+    argv = {"eval": ["eval", "--ckpt", str(ckpt), "--data-dir", str(data)],
+            "corrupt": ["corrupt", "--data-dir", str(data), "--kind",
+                        "brightness", "--severity", "1", "--out", str(out)],
+            "train": ["train", "--config", str(cfg), "--out", str(out)]}
+    capsys.readouterr()
+    assert cli_main(argv[command]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: /data/dir: the synthetic dataset")
+    assert not out.exists()
 
 
 def test_fetch_choices_are_the_manifest(capsys):

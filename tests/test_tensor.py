@@ -19,7 +19,7 @@ from nevo.network import Conv, Dense, Flatten, NetworkSpec, Pool
 from nevo.tensor import (activate, conv2d, conv2d_backward, matmul, pool2d,
                          pool2d_backward, softmax_ce)
 
-from synthdata import conv2d_backward_reference
+from synthdata import conv2d_backward_reference, conv2d_nchw_reference
 
 
 def matmul_loops(a, b):
@@ -230,6 +230,66 @@ ZOO_CONVS = {
 }
 
 
+def conv_forward_inputs(xs, ws, n, seed):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n,) + xs).astype(np.float32)
+    w = gen.normal(size=ws).astype(np.float32)
+    b = gen.normal(size=ws[0]).astype(np.float32)
+    return x, w, b
+
+
+def first_block_tiles(xs, ws, n, stride, pad):
+    """(rows per tile, output rows, multiply-adds per tile) of the first
+    _conv_chunk block of an n-sample conv2d."""
+    c, kh, kw = ws[1:]
+    oh, ow = tensor._conv_out_dims(xs[1], xs[2], kh, kw, stride, pad)
+    nb = min(n, tensor._conv_chunk(c, kh, kw, oh, ow))
+    rows = tensor._conv_tile_rows(c, kh, kw, ow, nb)
+    return rows, oh, ws[0] * c * kh * kw * min(rows, oh) * ow * nb
+
+
+@pytest.mark.parametrize("n", [1, 18, 128, 455])
+@pytest.mark.parametrize("conv", sorted(ZOO_CONVS))
+def test_conv2d_tiles_match_nchw_reference_bitwise_on_zoo_convs(conv, n):
+    """Tiling the output rows of each block leaves every output element
+    the same GEMM dot product: the bits of the whole-block NCHW im2col.
+    At 128 and 455 samples every zoo conv runs in several tiles."""
+    xs, ws = ZOO_CONVS[conv]
+    x, w, b = conv_forward_inputs(xs, ws, n, seed=n)
+    rows, oh, _ = first_block_tiles(xs, ws, n, 1, 0)
+    assert rows < oh or n < 128
+    assert np.array_equal(bits(conv2d(x, w, b)),
+                          bits(conv2d_nchw_reference(x, w, b)))
+
+
+@pytest.mark.parametrize("xs,ws,n,stride,pad", [
+    # strided and padded: 14 output rows in tiles of 3, the last partial
+    ((4, 28, 28), (8, 4, 3, 3), 150, 2, 1),
+    # lenet1.l3's 8 output rows in tiles of 3, the last partial
+    ((4, 12, 12), (12, 4, 5, 5), 100, 1, 0),
+])
+def test_conv2d_partial_last_tile_matches_nchw_reference_bitwise(
+        xs, ws, n, stride, pad):
+    x, w, b = conv_forward_inputs(xs, ws, n, seed=n)
+    rows, oh, _ = first_block_tiles(xs, ws, n, stride, pad)
+    assert rows < oh and oh % rows
+    assert np.array_equal(bits(conv2d(x, w, b, stride, pad)),
+                          bits(conv2d_nchw_reference(x, w, b, stride, pad)))
+
+
+def test_conv2d_tile_below_small_matrix_switch_keeps_bits():
+    """lenet1.l0 at a training batch of 128 tiles 3 output rows at a
+    time, about 921K multiply-adds: under the 1e6 where OpenBLAS may
+    switch to its small-matrix kernels, which round differently."""
+    xs, ws = ZOO_CONVS["lenet1.l0"]
+    rows, oh, macs = first_block_tiles(xs, ws, 128, 1, 0)
+    assert rows < oh and macs < 10 ** 6
+    for seed in range(3):
+        x, w, b = conv_forward_inputs(xs, ws, 128, seed=seed)
+        assert np.array_equal(bits(conv2d(x, w, b)),
+                              bits(conv2d_nchw_reference(x, w, b)))
+
+
 def conv_backward_inputs(xs, ws, n, stride, pad, seed, dtype=np.float32):
     gen = np.random.default_rng(seed)
     x = gen.normal(size=(n,) + xs).astype(dtype)
@@ -310,11 +370,11 @@ def test_conv2d_backward_scratch_memory_is_flat_in_n(monkeypatch, need_dx):
     assert four <= 1.5 * one
 
 
-def conv_forward_scratch_bytes(x, w, b):
-    """Peak traced memory of one padded conv2d, less its output."""
+def conv_forward_scratch_bytes(x, w, b, pad=1):
+    """Peak traced memory of one conv2d, less its output."""
     tracemalloc.start()
     try:
-        out = conv2d(x, w, b, 1, 1)
+        out = conv2d(x, w, b, 1, pad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,6 +397,19 @@ def test_conv2d_pads_per_block(monkeypatch):
         assert np.array_equal(bits(conv2d(x, w, b, 1, 1)), bits(padded_first))
         scratch[n] = conv_forward_scratch_bytes(x, w, b)
     assert scratch[512] <= 1.5 * scratch[32]
+
+
+def test_conv2d_scratch_is_one_block_copy_and_tiles():
+    """On lenet1.l0 at an evaluate chunk of 455 samples, the forward's
+    scratch is the (C, H, W, N) copy of one _conv_chunk block plus at
+    most two tile budgets, not the block's whole im2col (16 MiB)."""
+    xs, ws = ZOO_CONVS["lenet1.l0"]
+    x, w, b = conv_forward_inputs(xs, ws, 455, seed=455)
+    chunk = tensor._conv_chunk(1, 5, 5, 24, 24)
+    block_copy = chunk * x[0].nbytes
+    tile_budget = tensor._CONV_TILE_ELEMS * x.itemsize
+    assert conv_forward_scratch_bytes(x, w, b, pad=0) <= \
+        block_copy + 2 * tile_budget
 
 
 def pool_loops(x, kind, size, stride):
