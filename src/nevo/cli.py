@@ -3,46 +3,30 @@
 Commands compose the pipeline: fetch -> train -> evolve -> eval /
 corrupt -> report, plus gridsearch for the hyper-parameter sweep.
 
-Run-directory layout produced by `train` and extended by `evolve`:
-
-    config.json     byte-identical copy of the input config
-    manifest.json   run id, config digest, dataset fingerprint, BLAS
-                    thread count, artifacts
-    metrics.jsonl   one record per epoch/generation (deterministic fields)
-    timings.jsonl   wall-clock per epoch/generation (kept out of metrics
-                    so metrics files are comparable across machines and
-                    worker counts)
-    summary.json    final per-stage results: the bp stage and the latest
-                    de stage of each mode (ancestors, soup)
-    ring/           end-of-epoch checkpoint ring
-    final.ckpt      last gradient-stage parameters
-    de_best.ckpt    best evolved parameters
-    de_pop/         final population
+`train` and `evolve` write run directories through `persistence.RunDir`,
+which owns their layout and lock; this module names no run-directory file.
 
 Every command gets its data from `data.load_splits`, given the config's
 data section or one built from `--dataset`/`--data-dir`; this module
 names no dataset and no dataset file.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numeric
-failure (divergence).
+Exit codes: 0 success, 1 usage error, 2 data/config/file-system error
+or a run directory in use by another command, 3 numeric failure
+(divergence).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
-import shutil
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import blas_threads
 from . import data as datasets
 from .data import SPLITS, DataSection, load_splits
 from .errors import (ConfigError, MissingArtifactError, NevoError,
@@ -50,11 +34,8 @@ from .errors import (ConfigError, MissingArtifactError, NevoError,
 from .evaluation import count_costs, evaluate, report
 from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
                         seed_population, subset_factory)
-from .network import param_count
-from .persistence import (Checkpoint, load_checkpoint, load_manifest,
-                          load_ring, load_summary, parse_config,
-                          save_checkpoint, save_population, save_ring,
-                          write_json, write_manifest)
+from .persistence import (Checkpoint, RunDir, load_checkpoint, parse_config,
+                          write_json)
 from .rng import RngStream
 from .training import TrainingDiverged, train
 
@@ -95,9 +76,10 @@ def _build_parser() -> _Parser:
     e.add_argument("--config", default=None,
                    help="override the run's stored config")
     e.add_argument("--soup", action="store_true",
-                   help="seed from fresh random networks instead of the ring")
+                   help="seed from fresh random networks instead of the "
+                        "last epochs' checkpoints")
     e.add_argument("--jitter", type=float, default=0.0,
-                   help="sd of noise used to top up an underfull ring")
+                   help="sd of noise used to top up too few checkpoints")
     e.add_argument("--seed", type=int, default=None)
     e.add_argument("--threads", type=int, default=1)
     e.set_defaults(func=_cmd_evolve)
@@ -139,7 +121,7 @@ def _build_parser() -> _Parser:
                    help="directory for grid_results.json (stdout only if unset)")
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--jitter", type=float, default=0.0,
-                   help="sd of noise used to top up an underfull ring")
+                   help="sd of noise used to top up too few checkpoints")
     g.add_argument("--threads", type=int, default=1)
     g.set_defaults(func=_cmd_gridsearch)
 
@@ -149,33 +131,6 @@ def _build_parser() -> _Parser:
     z.add_argument("--n-e", type=int, default=1)
     z.set_defaults(func=_cmd_costs)
     return p
-
-
-class _RunWriter:
-    """Appends JSONL records; deterministic fields and wall clocks go to
-    separate files so metrics can be compared byte-for-byte."""
-
-    def __init__(self, run_dir: Path):
-        self.metrics = open(run_dir / "metrics.jsonl", "a")
-        self.timings = open(run_dir / "timings.jsonl", "a")
-
-    def record(self, fields: dict, wall_key: dict, wall_ms: float):
-        self.metrics.write(json.dumps(fields, sort_keys=True) + "\n")
-        self.timings.write(json.dumps({**wall_key, "wall_ms": wall_ms},
-                                      sort_keys=True) + "\n")
-
-    def close(self):
-        self.metrics.close()
-        self.timings.close()
-
-
-def _load_or(loader, run_dir: Path, default: dict) -> dict:
-    """loader(run_dir), or default when the file is absent; a malformed
-    file still raises."""
-    try:
-        return loader(run_dir)
-    except MissingArtifactError:
-        return default
 
 
 def _read_config_arg(path) -> tuple:
@@ -197,164 +152,81 @@ def _cmd_fetch(args) -> int:
 def _cmd_train(args) -> int:
     text, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
-    run_dir = Path(args.out)
-    # train writes final.ckpt and evolve writes de_* before either writes
-    # summary.json; a train that diverged or was killed before final.ckpt
-    # leaves neither, and the retry below replaces its records
-    if (run_dir / "final.ckpt").exists() or any(run_dir.glob("de_*")):
-        raise MissingArtifactError(
-            f"run directory {run_dir} is already initialized; pick a new --out")
+    with RunDir(args.out, new=True) as run:
+        train_ds, test_ds = load_splits(cfg.data)
+        if cfg.data.augment_multiplier > 1:
+            train_ds = datasets.augment(train_ds, cfg.data.augment_multiplier,
+                                        cfg.data.max_shift_px,
+                                        cfg.data.max_rotate_deg,
+                                        RngStream(bp.seed).child(_NS_AUGMENT))
+        run.start(cfg, cfg.spec, text)
+        try:
+            theta, ring, history = train(
+                cfg.spec, train_ds, bp, test_data=test_ds,
+                callback=lambda m: run.record(m, stage="bp"))
+        except TrainingDiverged as exc:
+            if exc.ring is not None and len(exc.ring):
+                run.write_ring(exc.ring, cfg.spec, {"seed": bp.seed})
+            raise
+        run.write_ring(ring, cfg.spec, {"seed": bp.seed})
+        last_epoch = history[-1].epoch if history else 0
+        last_loss = history[-1].train_loss if history else None
+        run.write_final(Checkpoint(cfg.spec, theta,
+                                   {"stage": "bp", "epoch": last_epoch,
+                                    "loss": last_loss, "seed": bp.seed}))
 
-    train_ds, test_ds = load_splits(cfg.data)
-    if cfg.data.augment_multiplier > 1:
-        train_ds = datasets.augment(train_ds, cfg.data.augment_multiplier,
-                                    cfg.data.max_shift_px,
-                                    cfg.data.max_rotate_deg,
-                                    RngStream(bp.seed).child(_NS_AUGMENT))
-    # created only after the data loads, so a failed load leaves nothing
-    # behind that would refuse a retry
-    run_dir.mkdir(parents=True, exist_ok=True)
-    # drop an unfinished train's records so the retry's files are
-    # byte-identical to a fresh run's
-    for name in ("metrics.jsonl", "timings.jsonl"):
-        (run_dir / name).unlink(missing_ok=True)
-    if (run_dir / "ring").is_dir():
-        shutil.rmtree(run_dir / "ring")
-    datasets._atomic_write(run_dir / "config.json", text.encode())
-    writer = _RunWriter(run_dir)
-
-    def on_epoch(m):
-        writer.record({"stage": "bp", "epoch": m.epoch,
-                       "train_loss": m.train_loss, "test_loss": m.test_loss,
-                       "test_acc": m.test_acc},
-                      {"stage": "bp", "epoch": m.epoch}, m.wall_ms)
-
-    try:
-        theta, ring, history = train(cfg.spec, train_ds, bp,
-                                     test_data=test_ds, callback=on_epoch)
-    except TrainingDiverged as exc:
-        if exc.ring is not None and len(exc.ring):
-            save_ring(exc.ring, run_dir / "ring", cfg.spec, {"seed": bp.seed})
-        raise
-    finally:
-        writer.close()
-
-    save_ring(ring, run_dir / "ring", cfg.spec, {"seed": bp.seed})
-    last_epoch = history[-1].epoch if history else 0
-    last_loss = history[-1].train_loss if history else None
-    save_checkpoint(Checkpoint(cfg.spec, theta,
-                               {"stage": "bp", "epoch": last_epoch,
-                                "loss": last_loss, "seed": bp.seed}),
-                    run_dir / "final.ckpt")
-
-    # train scored the theta it returns on the test split at its last
-    # epoch; only a run without epochs needs a pass of its own
-    if history:
-        test_accuracy, test_ce = history[-1].test_acc, history[-1].test_loss
-    else:
-        clean = evaluate(cfg.spec, theta, test_ds)
-        test_accuracy, test_ce = clean.accuracy, clean.mean_ce
-    summary = {
-        "model": cfg.model_name or "custom",
-        "dataset": cfg.data.name,
-        "params": param_count(cfg.spec),
-        "stages": [{"stage": "bp", "epochs": last_epoch,
+        # train scored the theta it returns on the test split at its last
+        # epoch; only a run without epochs needs a pass of its own
+        if history:
+            test_accuracy, test_ce = history[-1].test_acc, history[-1].test_loss
+        else:
+            clean = evaluate(cfg.spec, theta, test_ds)
+            test_accuracy, test_ce = clean.accuracy, clean.mean_ce
+        run.finish({"stage": "bp", "epochs": last_epoch,
                     "train_loss": last_loss,
-                    "test_accuracy": test_accuracy,
-                    "test_ce": test_ce}],
-    }
-    write_json(run_dir / "summary.json", summary)
-
-    manifest = {
-        "run_id": run_dir.name,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "seed": bp.seed,
-        "dataset": datasets.dataset_fingerprint(cfg.data, train_ds, test_ds),
-        "blas_threads": blas_threads(),
-        "artifacts": {"config": "config.json", "metrics": "metrics.jsonl",
-                      "timings": "timings.jsonl", "summary": "summary.json",
-                      "ring": "ring", "final": "final.ckpt"},
-    }
-    write_manifest(run_dir, manifest)
-    print(f"trained {summary['model']} on {train_ds.name}: "
-          f"test accuracy {test_accuracy:.4f} "
-          f"({len(ring)} ring checkpoints)")
+                    "test_accuracy": test_accuracy, "test_ce": test_ce},
+                   seed=bp.seed, dataset=datasets.dataset_fingerprint(
+                       cfg.data, train_ds, test_ds))
+    print(f"trained {run.summary['model']} on {train_ds.name}: "
+          f"test accuracy {test_accuracy:.4f} ({len(ring)} checkpoints kept)")
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    run_dir = Path(args.run)
-    config_path = Path(args.config) if args.config else run_dir / "config.json"
-    text, cfg = _read_config_arg(config_path)
-    de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
-    mode = "soup" if args.soup else "ancestors"
+    with RunDir(args.run) as run:
+        text, cfg = _read_config_arg(args.config or run.config)
+        de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
+        mode = "soup" if args.soup else "ancestors"
 
-    train_ds, test_ds = load_splits(cfg.data)
-    base = RngStream(de.seed)
-    m = cfg.bp.ring_size
-    if args.soup:
-        spec = cfg.spec
-        pop = seed_population("soup", spec, m, stream=base)
-    else:
-        ring, spec = load_ring(run_dir / "ring")
-        pop = seed_population("ancestors", ring, m, args.jitter,
-                              base.child(_NS_SOUP))
-    # read before anything is written, so a malformed file leaves the run
-    # directory as it was
-    summary = _load_or(load_summary, run_dir,
-                       {"model": cfg.model_name or "custom",
-                        "dataset": cfg.data.name,
-                        "params": param_count(spec), "stages": []})
-    manifest = _load_or(load_manifest, run_dir,
-                        {"run_id": run_dir.name, "artifacts": {}})
+        train_ds, test_ds = load_splits(cfg.data)
+        base = RngStream(de.seed)
+        m = cfg.bp.ring_size
+        if args.soup:
+            spec = cfg.spec
+            pop = seed_population("soup", spec, m, stream=base)
+        else:
+            ring, spec = run.load_ring()
+            pop = seed_population("ancestors", ring, m, args.jitter,
+                                  base.child(_NS_SOUP))
+        run.start(cfg, spec)
+        factory = subset_factory(spec, train_ds, de.fitness_subset,
+                                 base.child(_NS_SUBSET))
+        with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
+              contextlib.nullcontext()) as pool:
+            out = run_de(pop, de, factory, stream=base.child(_NS_DE),
+                         pool=pool, callback=lambda g: run.record(
+                             g, stage="de", mode=mode))
 
-    writer = _RunWriter(run_dir)
-
-    def on_gen(g):
-        writer.record({"stage": "de", "mode": mode, "gen": g.generation,
-                       "best_fit": g.best_fit, "mean_fit": g.mean_fit,
-                       "accepts": g.accepts},
-                      {"stage": "de", "gen": g.generation}, g.wall_ms)
-
-    factory = subset_factory(spec, train_ds, de.fitness_subset,
-                             base.child(_NS_SUBSET))
-    with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
-          contextlib.nullcontext()) as pool, contextlib.closing(writer):
-        out = run_de(pop, de, factory, stream=base.child(_NS_DE), pool=pool,
-                     callback=on_gen)
-
-    suffix = "_soup" if args.soup else ""
-    save_population(out.population, run_dir / f"de_pop{suffix}", spec,
-                    {"stage": "de", "mode": mode, "seed": de.seed})
-    seed_eval = evaluate(spec, pop.members[out.seed_index], test_ds)
-    best_eval = evaluate(spec, out.best, test_ds)
-    save_checkpoint(Checkpoint(spec, out.best,
-                               {"stage": "de", "mode": mode,
-                                "generation": out.population.generation,
-                                "fitness": out.best_fitness,
-                                "seed": de.seed}),
-                    run_dir / f"de_best{suffix}.ckpt")
-
-    # a rerun in the same mode replaces that mode's stage, as it replaces
-    # its de_best and de_pop; metrics.jsonl and timings.jsonl keep both
-    summary["stages"] = [s for s in summary["stages"]
-                         if (s.get("stage"), s.get("mode")) != ("de", mode)]
-    summary["stages"].append({
-        "stage": "de", "mode": mode,
-        "generations": len(out.history),
-        "seed_best_fitness": out.seed_fitness,
-        "seed_test_accuracy": seed_eval.accuracy,
-        "best_fitness": out.best_fitness,
-        "test_accuracy": best_eval.accuracy,
-        "test_ce": best_eval.mean_ce,
-    })
-    write_json(run_dir / "summary.json", summary)
-
-    manifest["artifacts"][f"de_best{suffix}"] = f"de_best{suffix}.ckpt"
-    manifest["artifacts"][f"de_pop{suffix}"] = f"de_pop{suffix}"
-    manifest["blas_threads"] = blas_threads()
-    write_manifest(run_dir, manifest)
+        run.write_de(mode, out, spec, de.seed)
+        seed_eval = evaluate(spec, pop.members[out.seed_index], test_ds)
+        best_eval = evaluate(spec, out.best, test_ds)
+        run.finish({"stage": "de", "mode": mode,
+                    "generations": len(out.history),
+                    "seed_best_fitness": out.seed_fitness,
+                    "seed_test_accuracy": seed_eval.accuracy,
+                    "best_fitness": out.best_fitness,
+                    "test_accuracy": best_eval.accuracy,
+                    "test_ce": best_eval.mean_ce})
     print(f"evolved ({mode}) for {len(out.history)} generations: fitness "
           f"{out.seed_fitness:.6f} -> {out.best_fitness:.6f}, test accuracy "
           f"{seed_eval.accuracy:.4f} -> {best_eval.accuracy:.4f}")
@@ -447,7 +319,10 @@ def _cmd_corrupt(args) -> int:
 def _cmd_report(args) -> int:
     text, problems = report(args.runs, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise MissingArtifactError(f"{out}: not a file in a directory")
+        datasets._atomic_write(out, text.encode())
     else:
         sys.stdout.write(text)
     for problem in problems:
@@ -499,7 +374,7 @@ def cli_main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except NevoError as exc:
+    except (NevoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

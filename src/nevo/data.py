@@ -298,7 +298,7 @@ class _FileLock:
     """Advisory lock: flock on an open descriptor of <path>.lock (POSIX).
 
     The kernel drops the lock when its holder closes the file or dies,
-    so a killed fetch never blocks the next one.  The lock file itself
+    so a killed holder never blocks the next one.  The lock file itself
     stays: unlinking it would let a waiter lock an orphaned inode.
     """
 
@@ -318,7 +318,8 @@ class _FileLock:
             except BlockingIOError:
                 if time.monotonic() > deadline:
                     os.close(fd)
-                    raise NevoError(f"timed out waiting for lock {self.lock}")
+                    raise NevoError(f"{self.lock.with_suffix('')} is in "
+                                    f"use by another nevo command")
                 time.sleep(0.05)
 
     def __exit__(self, *exc):

@@ -1,5 +1,5 @@
 """Durable state: binary checkpoints, population directories, run
-manifests, config parsing, and the model-spec JSON format.
+directories (`RunDir`), config parsing, and the model-spec JSON format.
 
 Checkpoint layout (all integers little-endian):
 
@@ -39,13 +39,13 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .data import DataSection, _atomic_write
+from .data import DataSection, _FileLock, _atomic_write
 from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
                      MissingArtifactError, ShapeMismatchError)
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
                       param_count, zoo_spec)
 from .training import CheckpointRing, TrainConfig
-from .evolution import DEFAULT_GRID, DeConfig, Population
+from .evolution import DEFAULT_GRID, DeConfig, DeResult, Population
 
 _MAGIC = b"NEVO"
 _VERSION = 1
@@ -270,42 +270,38 @@ def _load_listed(in_dir: Path, index_path: Path, names, what: str) -> tuple:
 # --- population directories -------------------------------------------------
 
 
-def _member_name(i: int) -> str:
-    return f"member-{i:03d}.ckpt"
-
-
-def _write_index(out_dir: Path, index: dict, listed, pattern: str):
-    """Write index.json, then delete every `pattern` file it does not
-    list, so a smaller population or ring written over a larger one
-    leaves no stale checkpoints behind."""
-    write_json(out_dir / _INDEX_NAME, index)
-    keep = set(listed)
-    for path in out_dir.glob(pattern):
-        if path.name not in keep:
-            path.unlink()
+def _save_dir(out_dir, checkpoints, index: dict):
+    """Write the (name, checkpoint) pairs and index.json into an empty
+    sibling <name>.tmp/, rename out_dir aside to <name>.old, rename the
+    new one in and remove the old.  A kill never leaves a mixed out_dir
+    (between the renames, none); the next write clears what it left."""
+    import shutil
+    out_dir = Path(out_dir)
+    tmp, old = (out_dir.with_name(out_dir.name + ext)
+                for ext in (".tmp", ".old"))
+    for leftover in (tmp, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    for name, ckpt in checkpoints:
+        save_checkpoint(ckpt, tmp / name)
+    write_json(tmp / _INDEX_NAME, index)
+    if out_dir.exists():
+        out_dir.rename(old)
+    tmp.rename(out_dir)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def save_population(pop: Population, out_dir, spec: NetworkSpec,
                     meta: Optional[dict] = None):
     """One checkpoint per member plus an index carrying the fitness
     cache (NaN as null) and the generation counter."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, member in enumerate(pop.members):
-        name = _member_name(i)
-        member_meta = dict(meta or {})
-        member_meta["member"] = i
-        save_checkpoint(Checkpoint(spec, member, member_meta), out_dir / name)
-        names.append(name)
-    index = {
-        "version": 1,
-        "generation": pop.generation,
-        "m": pop.m,
-        "members": names,
-        "fitness": [None if math.isnan(f) else float(f) for f in pop.fitness],
-    }
-    _write_index(out_dir, index, names, "member-*.ckpt")
+    names = [f"member-{i:03d}.ckpt" for i in range(len(pop.members))]
+    _save_dir(out_dir, [
+        (name, Checkpoint(spec, member, {**(meta or {}), "member": i}))
+        for i, (name, member) in enumerate(zip(names, pop.members))],
+        {"version": 1, "generation": pop.generation, "m": pop.m,
+         "members": names, "fitness": [None if math.isnan(f) else float(f)
+                                       for f in pop.fitness]})
 
 
 def load_population(in_dir):
@@ -338,20 +334,14 @@ def load_population(in_dir):
 def save_ring(ring: CheckpointRing, out_dir, spec: NetworkSpec,
               meta: Optional[dict] = None):
     """One checkpoint per retained epoch plus an index with losses."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for entry in ring:
-        name = f"epoch-{entry.epoch:04d}.ckpt"
-        entry_meta = dict(meta or {})
-        entry_meta.update({"stage": "bp", "epoch": entry.epoch,
-                           "loss": entry.train_loss})
-        save_checkpoint(Checkpoint(spec, entry.params, entry_meta),
-                        out_dir / name)
-        entries.append({"file": name, "epoch": entry.epoch,
-                        "train_loss": entry.train_loss})
-    index = {"version": 1, "capacity": ring.capacity, "entries": entries}
-    _write_index(out_dir, index, [e["file"] for e in entries], "epoch-*.ckpt")
+    entries = [{"file": f"epoch-{e.epoch:04d}.ckpt", "epoch": e.epoch,
+                "train_loss": e.train_loss} for e in ring]
+    _save_dir(out_dir, [
+        (row["file"], Checkpoint(spec, e.params,
+                                 {**(meta or {}), "stage": "bp",
+                                  "epoch": e.epoch, "loss": e.train_loss}))
+        for row, e in zip(entries, ring)],
+        {"version": 1, "capacity": ring.capacity, "entries": entries})
 
 
 def load_ring(in_dir):
@@ -574,7 +564,7 @@ def parse_config(text: str) -> Config:
     return Config(model_name, spec, data, bp, de, grid, document)
 
 
-# --- run manifests ------------------------------------------------------------
+# --- run directories ----------------------------------------------------------
 
 
 def write_manifest(run_dir, manifest: dict):
@@ -610,3 +600,120 @@ def load_summary(run_dir) -> dict:
         raise CheckpointFormatError(
             f"{path}: 'stages' must be a list of objects")
     return summary
+
+
+class RunDir(_FileLock):
+    """The run directory that `train` creates and `evolve` extends:
+
+        config.json     byte-identical copy of the input config
+        manifest.json   run id, config digest, dataset fingerprint, BLAS
+                        thread count, artifacts
+        metrics.jsonl   one record per epoch/generation (deterministic fields)
+        timings.jsonl   wall-clock per epoch/generation (kept out of metrics
+                        so metrics files are comparable across machines)
+        summary.json    the bp stage and the latest de stage of each mode
+        ring/           end-of-epoch checkpoint ring
+        final.ckpt      last gradient-stage parameters
+        de_best.ckpt    best evolved parameters (de_best_soup.ckpt for soup)
+        de_pop/         final population (de_pop_soup/ for soup)
+
+    As a context manager it holds the `_FileLock` on the sibling
+    <run>.lock, and another command on the run fails at once.  ring/ and
+    de_pop*/ are replaced whole (`_save_dir`).  A `new` run (`train`)
+    refuses final.ckpt or de_*, written before summary.json and
+    manifest.json, as a finished train; `evolve` needs an existing run.
+    """
+
+    _FILES = ("config.json", "metrics.jsonl", "timings.jsonl", "summary.json",
+              "ring", "final.ckpt", "de_best.ckpt", "de_pop",
+              "de_best_soup.ckpt", "de_pop_soup")
+
+    def __init__(self, path, new: bool = False):
+        self.path, self.new = Path(path), new
+        self.config = self.path / "config.json"
+        super().__init__(self.path.resolve(), timeout=0)
+
+    def __enter__(self):
+        path = self.path
+        if not path.is_dir() and (path.exists() or not self.new):
+            raise MissingArtifactError(f"{path} is not a run directory")
+        super().__enter__()
+        if self.new and ((path / "final.ckpt").exists()
+                         or any(path.glob("de_*"))):
+            super().__exit__()
+            raise MissingArtifactError(f"run directory {path} is already "
+                                       f"initialized; pick a new --out")
+        return self
+
+    def start(self, cfg: Config, spec: NetworkSpec,
+              config_text: Optional[str] = None):
+        """Create a new run, with config_text as its config, now that its
+        data has loaded, dropping an unfinished train's records and ring;
+        or read an existing run's summary and manifest before any write."""
+        self.summary = {"model": cfg.model_name or "custom",
+                        "dataset": cfg.data.name,
+                        "params": param_count(spec), "stages": []}
+        self.manifest = {"run_id": self.path.name, "artifacts": {}}
+        if not self.new:  # an absent file keeps the default
+            if (self.path / "summary.json").exists():
+                self.summary = load_summary(self.path)
+            if (self.path / "manifest.json").exists():
+                self.manifest = load_manifest(self.path)
+            return
+        import hashlib
+        import shutil
+        import time
+        self.path.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(self.path / "ring", ignore_errors=True)
+        for name in ("metrics.jsonl", "timings.jsonl"):
+            open(self.path / name, "w").close()
+        _atomic_write(self.config, config_text.encode())
+        self.manifest.update(
+            created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            config_sha256=hashlib.sha256(config_text.encode()).hexdigest())
+
+    def record(self, metrics, **tags):
+        """Append tags and the fields of an EpochMetrics or GenMetrics to
+        metrics.jsonl; its wall_ms, stage and epoch or gen to timings.jsonl."""
+        fields = {**tags, **{"gen" if k == "generation" else k: v
+                             for k, v in vars(metrics).items()}}
+        wall = {k: fields[k] for k in ("stage", "epoch", "gen") if k in fields}
+        wall["wall_ms"] = fields.pop("wall_ms")
+        for name, doc in (("metrics.jsonl", fields), ("timings.jsonl", wall)):
+            with open(self.path / name, "a") as f:
+                f.write(json.dumps(doc, sort_keys=True) + "\n")
+
+    def load_ring(self) -> tuple:
+        return load_ring(self.path / "ring")
+
+    def write_ring(self, ring: CheckpointRing, spec: NetworkSpec, meta: dict):
+        save_ring(ring, self.path / "ring", spec, meta)
+
+    def write_final(self, ckpt: Checkpoint):
+        save_checkpoint(ckpt, self.path / "final.ckpt")
+
+    def write_de(self, mode: str, out: DeResult, spec: NetworkSpec, seed: int):
+        """The final population and best member of a DE run."""
+        meta = {"stage": "de", "mode": mode, "seed": seed}
+        suffix = "_soup" if mode == "soup" else ""
+        save_population(out.population, self.path / f"de_pop{suffix}", spec,
+                        meta)
+        save_checkpoint(Checkpoint(spec, out.best, {
+            **meta, "generation": out.population.generation,
+            "fitness": out.best_fitness}), self.path / f"de_best{suffix}.ckpt")
+
+    def finish(self, stage: dict, **manifest_fields):
+        """Write summary.json with stage in place of the one with its
+        (stage, mode), as a rerun in one mode replaces that mode's de_best
+        and de_pop; then manifest.json, listing every run file present."""
+        from . import blas_threads
+        key = (stage["stage"], stage.get("mode"))
+        self.summary["stages"] = [
+            s for s in self.summary["stages"]
+            if (s.get("stage"), s.get("mode")) != key] + [stage]
+        write_json(self.path / "summary.json", self.summary)
+        self.manifest["artifacts"].update({
+            Path(name).stem: name for name in self._FILES
+            if (self.path / name).exists()})
+        self.manifest.update(manifest_fields, blas_threads=blas_threads())
+        write_manifest(self.path, self.manifest)

@@ -4,6 +4,7 @@ Everything runs on tiny synthetic data or fabricated files inside
 tmp_path; no network, no cached datasets."""
 
 import ast
+import fcntl
 import gzip
 import json
 import os
@@ -11,6 +12,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +494,40 @@ def test_train_retry_after_divergence_matches_fresh_run(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_retry_that_diverges_at_once_drops_the_earlier_ring(tmp_path,
+                                                                  capsys):
+    """A retry that diverges before its first ring entry writes no ring,
+    so the one an earlier, unfinished train left must go first."""
+    good = tmp_path / "good.json"
+    good.write_text(tiny_config())
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(good), "--out", str(run)]) == 0
+    for name in ("final.ckpt", "summary.json", "manifest.json"):
+        (run / name).unlink()  # as if killed before final.ckpt
+    bad = tmp_path / "bad.json"
+    bad.write_text(tiny_config(bp={"lr": 1e18, "max_epochs": 2}))
+    assert cli_main(["train", "--config", str(bad), "--out", str(run)]) == 3
+    assert not (run / "ring").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_manifest_lists_every_run_file_present(tmp_path, capsys):
+    """An evolve on a diverged train, which wrote no manifest, lists the
+    run files the train left as well as its own."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(tiny_config(bp={"lr": 1e18, "max_epochs": 2}))
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(run)]) == 3
+    assert not (run / "manifest.json").exists()
+    assert cli_main(["evolve", "--run", str(run), "--soup"]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["artifacts"] == {
+        "config": "config.json", "metrics": "metrics.jsonl",
+        "timings": "timings.jsonl", "summary": "summary.json",
+        "de_best_soup": "de_best_soup.ckpt", "de_pop_soup": "de_pop_soup"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_retry_refused_after_evolve_on_diverged_run(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(tiny_config(bp={"lr": 1e18, "max_epochs": 2,
@@ -603,8 +639,10 @@ def test_killed_summary_write_keeps_the_previous_summary(trained_run,
 
 
 @pytest.mark.parametrize("name,argv", [
-    ("meta.json", ["corrupt", "--kind", "gaussian_noise", "--severity", "1"]),
-    ("grid_results.json", ["gridsearch", "--config", "c.json"]),
+    ("meta.json", ["corrupt", "--kind", "gaussian_noise", "--severity", "1",
+                   "--out", "out"]),
+    ("grid_results.json", ["gridsearch", "--config", "c.json", "--out", "out"]),
+    ("report.csv", ["report", "--runs", "out", "--out", "out/report.csv"]),
 ])
 def test_killed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch,
                                                        name, argv):
@@ -615,8 +653,115 @@ def test_killed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch,
     (out / name).write_bytes(b"previous\n")
     kill_replace_of(monkeypatch, name)
     with pytest.raises(Killed):
-        cli_main([*argv, "--out", str(out)])
+        cli_main(argv)
     assert (out / name).read_bytes() == b"previous\n"
+
+
+def test_evolve_killed_mid_population_keeps_the_previous_one(
+        trained_run, monkeypatch, capsys):
+    """de_pop/ is written whole into a sibling directory and swapped in,
+    so a rerun killed part-way leaves the previous population and index
+    untouched, and the next write clears what the kill left behind."""
+    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+    pop_dir = trained_run / "de_pop"
+    before = files_under(pop_dir)
+    names = sorted(p.name for p in trained_run.iterdir())
+    kill_replace_of(monkeypatch, "member-002.ckpt")
+    with pytest.raises(Killed):
+        cli_main(["evolve", "--run", str(trained_run), "--seed", "7"])
+    assert files_under(pop_dir) == before
+    monkeypatch.undo()
+    # in-process, so this also shows the killed command released its lock
+    assert cli_main(["evolve", "--run", str(trained_run), "--seed", "7"]) == 0
+    assert sorted(p.name for p in trained_run.iterdir()) == names
+    assert sorted(p.name for p in pop_dir.iterdir()) == sorted(
+        p.name for p in before)
+    pop, _ = load_population(pop_dir)
+    assert pop.m == 4 and all(
+        load_checkpoint(p).meta["seed"] == 7 for p in pop_dir.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("evolve", "missing"), ("evolve", "file"), ("train", "file"),
+    ("gridsearch", "file"), ("report", "missing"), ("report", "dir")])
+def test_output_path_mistakes_exit_2_and_write_nothing(tmp_path, capsys,
+                                                       command, kind):
+    """A run directory that is missing or a file is refused before any
+    work; an output path the OS rejects is one error line, not a
+    traceback."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config(de={"max_generations": 1}))
+    path = tmp_path / "target"
+    if kind == "file":
+        path.write_bytes(b"a file\n")
+    elif kind == "dir":
+        path.mkdir()
+    before = sorted(tmp_path.rglob("*")), files_under(tmp_path)
+    argv = {"evolve": ["evolve", "--run", str(path), "--soup",
+                       "--config", str(cfg)],
+            "train": ["train", "--config", str(cfg), "--out", str(path)],
+            "gridsearch": ["gridsearch", "--config", str(cfg),
+                           "--out", str(path)],
+            "report": ["report", "--runs", str(tmp_path), "--out",
+                       str(path / "report.csv" if kind == "missing"
+                           else path)]}[command]
+    assert cli_main(argv) == 2
+    one_error_line(capsys)
+    assert (sorted(tmp_path.rglob("*")), files_under(tmp_path)) == before
+
+
+def test_busy_run_exits_2_at_once_and_writes_nothing(trained_run, tmp_path,
+                                                     capsys):
+    """Each train or evolve holds an flock on the sibling <run>.lock; a
+    second command on the run exits 2 without waiting for it."""
+    train_argv = ["train", "--config", str(tmp_path / "config.json"),
+                  "--out", str(trained_run)]
+    fd = os.open(tmp_path / "run.lock", os.O_CREAT | os.O_RDWR, 0o644)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    try:
+        before = files_under(trained_run)
+        for argv in (train_argv, ["evolve", "--run", str(trained_run)]):
+            capsys.readouterr()
+            start = time.monotonic()
+            assert cli_main(argv) == 2
+            assert time.monotonic() - start < 2.0
+            one_error_line(capsys, "is in use by another nevo command")
+            assert files_under(trained_run) == before
+    finally:
+        os.close(fd)
+    # a train refused as finished releases the lock it took
+    assert cli_main(train_argv) == 2
+    one_error_line(capsys, "already initialized")
+    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+
+
+# takes an flock on the file named in argv[1], says so, and waits
+_HOLD_FLOCK = """
+import fcntl, os, sys, time
+fcntl.flock(os.open(sys.argv[1], os.O_CREAT | os.O_RDWR), fcntl.LOCK_EX)
+print("held", flush=True)
+time.sleep(600)
+"""
+
+
+def test_killed_lock_holder_does_not_block_the_next_train(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config())
+    run = tmp_path / "run"
+    argv = ["train", "--config", str(cfg), "--out", str(run)]
+    holder = subprocess.Popen([sys.executable, "-c", _HOLD_FLOCK,
+                               str(tmp_path / "run.lock")],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline().strip() == "held"
+        assert cli_main(argv) == 2
+        one_error_line(capsys, "is in use by another nevo command")
+        assert not run.exists()
+    finally:
+        holder.kill()  # SIGKILL: the holder runs no cleanup
+        holder.wait(timeout=60)
+        holder.stdout.close()
+    assert cli_main(argv) == 0
 
 
 def test_unknown_dataset_flag_exits_2_and_writes_nothing(trained_run, tmp_path,
@@ -856,6 +1001,19 @@ def test_fetch_choices_are_the_manifest(capsys):
     usage = capsys.readouterr().out
     listed = re.search(r"--dataset \{([^}]*)\}", usage).group(1).split(",")
     assert sorted(listed) == sorted(MANIFEST)
+
+
+def test_cli_names_no_run_directory_file():
+    """persistence.RunDir owns the run directory's layout; a file name
+    written in cli.py would be a second owner that drifts from it."""
+    banned = {"metrics.jsonl", "timings.jsonl", "summary.json",
+              "manifest.json", "config.json", "final.ckpt", "de_best",
+              "de_pop", "ring"}
+    tree = ast.parse(Path(nevo.cli.__file__).read_text())
+    found = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(name in node.value for name in banned)]
+    assert found == []
 
 
 def test_cli_names_no_dataset_and_no_dataset_file():
