@@ -7,8 +7,9 @@ corrupt -> report, plus gridsearch for the hyper-parameter sweep.
 which owns their layout and lock; this module names no run-directory file.
 
 Every command gets its data from `data.load_splits`, given the config's
-data section or one built from `--dataset`/`--data-dir`; this module
-names no dataset and no dataset file.
+data section or one built from `--dataset`/`--data-dir`; `data` also
+owns the corrupted-set directory, and `training.pretrain` augmentation.
+This module names no dataset and no dataset file.
 
 Exit codes: 0 success, 1 usage error, 2 data/config/file-system error
 or a run directory in use by another command, 3 numeric failure
@@ -22,24 +23,19 @@ import contextlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data as datasets
-from .data import SPLITS, DataSection, load_splits
+from .data import SPLITS, DataSection, load_splits, write_json
 from .errors import (ConfigError, MissingArtifactError, NevoError,
                      NumericError)
 from .evaluation import count_costs, evaluate, report
 from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
                         seed_population, subset_factory)
-from .persistence import (Checkpoint, RunDir, load_checkpoint, parse_config,
-                          write_json)
+from .persistence import Checkpoint, RunDir, load_checkpoint, parse_config
 from .rng import RngStream
-from .training import TrainingDiverged, train
-
-_NS_AUGMENT = 5
+from .training import TrainingDiverged, pretrain
 
 
 class _UsageError(Exception):
@@ -153,16 +149,14 @@ def _cmd_train(args) -> int:
     text, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
     with RunDir(args.out, new=True) as run:
-        train_ds, test_ds = load_splits(cfg.data)
-        if cfg.data.augment_multiplier > 1:
-            train_ds = datasets.augment(train_ds, cfg.data.augment_multiplier,
-                                        cfg.data.max_shift_px,
-                                        cfg.data.max_rotate_deg,
-                                        RngStream(bp.seed).child(_NS_AUGMENT))
+        splits = list(load_splits(cfg.data))
+        test_ds = splits.pop()
         run.start(cfg, cfg.spec, text)
         try:
-            theta, ring, history = train(
-                cfg.spec, train_ds, bp, test_data=test_ds,
+            # pop hands pretrain the only reference to the unaugmented
+            # split, so it is freed once grown, before training starts
+            theta, ring, history, train_ds = pretrain(
+                cfg.spec, splits.pop(), cfg.data, bp, test_data=test_ds,
                 callback=lambda m: run.record(m, stage="bp"))
         except TrainingDiverged as exc:
             if exc.ring is not None and len(exc.ring):
@@ -233,42 +227,6 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _nchw(images: np.ndarray) -> np.ndarray:
-    if images.ndim == 3:
-        return images[:, None, :, :]
-    if images.ndim == 4 and images.shape[1] not in (1, 3) \
-            and images.shape[3] in (1, 3):
-        return images.transpose(0, 3, 1, 2)
-    return images
-
-
-def _corrupted_sets(root: Path):
-    """Yield (name, images.npy path, labels.npy path) under root."""
-    def pair_in(d: Path):
-        for img_name in ("images.npy", "test_images.npy"):
-            img = d / img_name
-            lab = d / img_name.replace("images", "labels")
-            if img.is_file() and lab.is_file():
-                return img, lab
-        return None
-
-    if not root.is_dir():
-        raise MissingArtifactError(f"{root}: no such directory")
-    own = pair_in(root)
-    if own:
-        yield root.name, own[0], own[1]
-        return
-    found = False
-    for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-        pair = pair_in(sub)
-        if pair:
-            found = True
-            yield sub.name, pair[0], pair[1]
-    if not found:
-        raise MissingArtifactError(
-            f"{root}: no images.npy/labels.npy pairs found")
-
-
 def _cmd_eval(args) -> int:
     given = [flag for flag, value in (("--dataset", args.dataset),
                                       ("--data-dir", args.data_dir),
@@ -282,36 +240,38 @@ def _cmd_eval(args) -> int:
     if args.split is None:
         args.split = "test"
     ckpt = load_checkpoint(args.ckpt)
-    rows = []
     if args.corrupted:
-        for name, img_path, lab_path in _corrupted_sets(Path(args.corrupted)):
-            images = datasets.load_npy(img_path).astype(np.float32, copy=False)
-            labels = datasets.load_npy(lab_path, scale_u8=False)
-            ds = datasets.Dataset(_nchw(images),
-                                  labels.astype(np.int64).ravel(), name)
-            rows.append(evaluate(ckpt.spec, ckpt.params, ds))
+        sets = datasets.load_corrupted(args.corrupted)
     else:
-        ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),
-                         (args.split,))[SPLITS.index(args.split)]
-        rows.append(evaluate(ckpt.spec, ckpt.params, ds))
+        sets = [load_splits(DataSection(name=args.dataset, dir=args.data_dir),
+                            (args.split,))[SPLITS.index(args.split)]]
+    rows = [evaluate(ckpt.spec, ckpt.params, ds) for ds in sets]
     doc = [{"dataset": r.dataset, "n": r.n_samples, "accuracy": r.accuracy,
             "error": r.error, "mean_ce": r.mean_ce} for r in rows]
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
+def _out_dir(path) -> Path:
+    """--out as a directory to create or write into, refused before any
+    work when it or its nearest existing parent is something else."""
+    out = Path(path)
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise MissingArtifactError(f"--out: {existing} is not a directory")
+    return out
+
+
 def _cmd_corrupt(args) -> int:
     ConfigError.check((args.seed >= 0, "--seed", "must be >= 0"))
+    out_dir = _out_dir(args.out)
     ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),
                      (args.split,))[SPLITS.index(args.split)]
     out = datasets.corrupt(ds, args.kind, args.severity,
                            RngStream(args.seed))
-    out_dir = Path(args.out)
-    datasets.save_npy(out_dir / "images.npy", out.images)
-    datasets.save_npy(out_dir / "labels.npy", out.labels)
-    meta = {"source": ds.name, "kind": args.kind, "severity": args.severity,
-            "seed": args.seed, "n": len(out)}
-    write_json(out_dir / "meta.json", meta)
+    datasets.save_corrupted(out_dir, out, {
+        "source": ds.name, "kind": args.kind, "severity": args.severity,
+        "seed": args.seed})
     print(f"wrote {len(out)} corrupted samples to {out_dir}")
     return 0
 
@@ -333,18 +293,15 @@ def _cmd_report(args) -> int:
 def _cmd_gridsearch(args) -> int:
     text, cfg = _read_config_arg(args.config)
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
+    out_dir = _out_dir(args.out) if args.out else None
     train_ds, test_ds = load_splits(cfg.data)
     with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
           contextlib.nullcontext()) as pool:
         rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, de,
                            cfg.grid, de.seed, jitter_sigma=args.jitter,
-                           pool=pool)
-    if args.out:
-        doc = [{"lr": r.lr, "F": r.F, "Cr": r.Cr,
-                "seed_fitness": r.seed_fitness,
-                "best_fitness": r.best_fitness,
-                "test_accuracy": r.test_accuracy} for r in rows]
-        write_json(Path(args.out) / "grid_results.json", doc)
+                           pool=pool, section=cfg.data)
+    if out_dir:
+        write_json(out_dir / "grid_results.json", [asdict(r) for r in rows])
     print(f"{'lr':>8} {'F':>6} {'Cr':>6} {'fitness':>12} {'accuracy':>9}")
     for r in rows:
         print(f"{r.lr:>8g} {r.F:>6g} {r.Cr:>6g} {r.best_fitness:>12.6f} "

@@ -4,8 +4,8 @@ File formats are parsed by hand with explicit bounds checks (IDX, NPY
 v1/v2, CIFAR-10 binary records); nothing is ever read past a declared
 length, and every malformed-input path raises a typed error instead of
 crashing.  Also provides checksum-verified fetching, affine
-augmentation, native corruption synthesis, minibatching, and a
-synthetic blob dataset for network-free runs.
+augmentation, native corruption synthesis and corrupted-set directories,
+minibatching, and a synthetic blob dataset for network-free runs.
 
 This module owns the dataset sources: `DATASET_NAMES` lists every name
 a config's data section (`DataSection`, `SynthSection`) may give, and
@@ -288,10 +288,25 @@ def cache_dir() -> Path:
 
 
 def _atomic_write(path: Path, blob: bytes):
+    """Write blob through <path>.tmp and one rename; a write or rename
+    the OS refuses removes the .tmp before the error propagates."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp.is_file():
+            tmp.unlink()
+        raise
+
+
+def write_json(path, doc):
+    """Write doc as indented, key-sorted JSON in one rename, so a kill
+    leaves the old or the new file, never a torn one that a later stage
+    cannot read."""
+    _atomic_write(Path(path),
+                  (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 class _FileLock:
@@ -643,6 +658,46 @@ def corrupt(data: Dataset, kind: str, severity: int,
 
     out = np.clip(out, 0.0, 1.0)
     return Dataset(out, data.labels, f"{data.name}/{kind}:{severity}")
+
+
+def save_corrupted(out_dir, data: Dataset, meta: dict):
+    """Write data as a corrupted-set directory: images.npy, labels.npy,
+    and meta.json holding meta plus the sample count n."""
+    out_dir = Path(out_dir)
+    save_npy(out_dir / "images.npy", data.images)
+    save_npy(out_dir / "labels.npy", data.labels)
+    write_json(out_dir / "meta.json", {**meta, "n": len(data)})
+
+
+def load_corrupted(root):
+    """Yield the corrupted sets under root one Dataset at a time: root
+    itself when it holds images.npy/labels.npy (or test_images.npy/
+    test_labels.npy), else each subdirectory that does, by its name."""
+    def pair_in(d: Path):
+        for img in (d / "images.npy", d / "test_images.npy"):
+            lab = img.with_name(img.name.replace("images", "labels"))
+            if img.is_file() and lab.is_file():
+                return img, lab
+        return None
+
+    root = Path(root)
+    if not root.is_dir():
+        raise MissingArtifactError(f"{root}: no such directory")
+    dirs = [root] if pair_in(root) else sorted(
+        p for p in root.iterdir() if p.is_dir())
+    sets = [(d.name, pair) for d in dirs if (pair := pair_in(d))]
+    if not sets:
+        raise MissingArtifactError(
+            f"{root}: no images.npy/labels.npy pairs found")
+    for name, (img_path, lab_path) in sets:
+        images = load_npy(img_path).astype(np.float32, copy=False)
+        if images.ndim == 3:
+            images = images[:, None, :, :]
+        elif (images.ndim == 4 and images.shape[1] not in (1, 3)
+              and images.shape[3] in (1, 3)):
+            images = images.transpose(0, 3, 1, 2)
+        labels = load_npy(lab_path, scale_u8=False).astype(np.int64).ravel()
+        yield Dataset(images, labels, name)
 
 
 def batches(data: Dataset, batch_size: int, shuffle: bool = False, rng=None):

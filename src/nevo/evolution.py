@@ -12,8 +12,9 @@ any worker count.
 RNG namespaces under the config seed: child(2, g, i) drives member i of
 generation g, child(3, r) draws fitness subset r, child(4, i) seeds
 soup member i, and child(4) also seeds the ancestors-mode jitter top-up.
-Under its master seed `grid_search` also pretrains lr li on child(0, li)
-and seeds grid cell (li, fi, ci) from child(1, li, fi, ci).
+Under its master seed `grid_search` also pretrains lr li on child(0, li),
+augmenting from child(0, li, 5), and seeds grid cell (li, fi, ci) from
+child(1, li, fi, ci).
 
 `nevo evolve` and `grid_search` share one pipeline: seed_population,
 then run_de, then evaluate.  run_de primes generation 0 (evaluates its
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import (ConfigError, MissingArtifactError, PopulationError,
                      ShapeMismatchError)
-from .data import Dataset
+from .data import DataSection, Dataset
 from .evaluation import evaluate
 from .network import NetworkSpec, init_params
 from .rng import RngStream
@@ -371,16 +372,18 @@ class GridResult:
 
 def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
                 grid=None, master_seed: int = 0, rings=None,
-                jitter_sigma: float = 0.0, pool=None) -> list:
+                jitter_sigma: float = 0.0, pool=None,
+                section: DataSection = DataSection()) -> list:
     """Cartesian sweep over {lr} x {F} x {Cr}.
 
-    One gradient pretraining per lr (reused from `rings` when given:
-    a missing lr there is an error, never a silent retrain), then one
-    DE run per (F, Cr) seeded from that lr's ring.  Rows come back
-    ranked by held-out accuracy, ties broken by (lr, F, Cr).  Every
-    stochastic piece derives from master_seed.
+    One `training.pretrain` per lr, as `nevo train` runs it (reused from
+    `rings` when given: a missing lr there is an error, never a silent
+    retrain), then one DE run per (F, Cr) seeded from that lr's ring and
+    scored on the unaugmented train_data.  Rows come back ranked by
+    held-out accuracy, ties broken by (lr, F, Cr); every stochastic piece
+    derives from master_seed.
     """
-    from .training import train
+    from .training import pretrain
 
     grid = dict(DEFAULT_GRID if grid is None else grid)
     for axis in ("F", "Cr", "lr"):
@@ -397,9 +400,9 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
                     f"retrain implicitly")
             ring = rings[lr]
         else:
-            bp = replace(bp_cfg, lr=lr)
-            _, ring, _ = train(spec, train_data, bp,
-                               stream=master.child(_NS_GRID_PRETRAIN, li))
+            _, ring, _, _ = pretrain(
+                spec, train_data, section, replace(bp_cfg, lr=lr),
+                stream=master.child(_NS_GRID_PRETRAIN, li))
         factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
                                  master.child(_NS_SUBSET, li))
         for fi, F in enumerate(grid["F"]):

@@ -39,7 +39,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .data import DataSection, _FileLock, _atomic_write
+from .data import DataSection, _FileLock, _atomic_write, write_json
 from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
                      MissingArtifactError, ShapeMismatchError)
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
@@ -72,14 +72,6 @@ def _loads(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-
-
-def write_json(path, doc):
-    """Write doc as indented, key-sorted JSON in one rename, so a kill
-    leaves the old or the new file, never a torn one that a later stage
-    cannot read."""
-    _atomic_write(Path(path),
-                  (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
@@ -653,7 +645,7 @@ class RunDir(_FileLock):
         self.summary = {"model": cfg.model_name or "custom",
                         "dataset": cfg.data.name,
                         "params": param_count(spec), "stages": []}
-        self.manifest = {"run_id": self.path.name, "artifacts": {}}
+        self.manifest = {"run_id": self.path.resolve().name, "artifacts": {}}
         if not self.new:  # an absent file keeps the default
             if (self.path / "summary.json").exists():
                 self.summary = load_summary(self.path)

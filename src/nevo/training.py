@@ -21,12 +21,13 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeMismatchError, TrainingDiverged
 from .network import NetworkSpec, backward, init_params, total_loss
 from .rng import RngStream
-from .data import batches
+from .data import DataSection, augment, batches
 from .evaluation import evaluate
 
 # RNG namespaces under the training stream (the bp seed by default)
 _NS_INIT = 0
 _NS_SHUFFLE = 1
+_NS_AUGMENT = 5  # `pretrain`'s augmentation
 
 
 @dataclass(frozen=True)
@@ -204,3 +205,15 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
             if stale >= cfg.patience:
                 break
     return theta, ring, history
+
+
+def pretrain(spec: NetworkSpec, data, section: DataSection, cfg: TrainConfig,
+             stream: Optional[RngStream] = None, **train_kwargs):
+    """`train` on data grown by the section's augmentation, drawn from
+    stream.child(_NS_AUGMENT); returns train's triple and the grown data.
+    The data passed in is dropped once grown, before training starts."""
+    if stream is None:
+        stream = RngStream(cfg.seed)
+    data = augment(data, section.augment_multiplier, section.max_shift_px,
+                   section.max_rotate_deg, stream.child(_NS_AUGMENT))
+    return (*train(spec, data, cfg, stream=stream, **train_kwargs), data)

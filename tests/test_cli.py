@@ -5,6 +5,7 @@ tmp_path; no network, no cached datasets."""
 
 import ast
 import fcntl
+import gc
 import gzip
 import json
 import os
@@ -13,6 +14,8 @@ import struct
 import subprocess
 import sys
 import time
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +23,12 @@ import pytest
 
 import nevo
 from nevo.cli import cli_main
-from nevo.data import DATASET_NAMES, MANIFEST
+from nevo.data import DATASET_NAMES, MANIFEST, augment, load_splits
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
 from nevo.persistence import (Checkpoint, load_checkpoint, load_population,
-                              save_checkpoint, spec_doc)
+                              parse_config, save_checkpoint, spec_doc)
+from nevo.rng import RngStream
+from nevo.training import train
 
 from synthdata import DEEP_JSON, child_env, with_header_json
 
@@ -683,7 +688,8 @@ def test_evolve_killed_mid_population_keeps_the_previous_one(
 
 @pytest.mark.parametrize("command,kind", [
     ("evolve", "missing"), ("evolve", "file"), ("train", "file"),
-    ("gridsearch", "file"), ("report", "missing"), ("report", "dir")])
+    ("gridsearch", "file"), ("corrupt", "file"), ("report", "missing"),
+    ("report", "dir")])
 def test_output_path_mistakes_exit_2_and_write_nothing(tmp_path, capsys,
                                                        command, kind):
     """A run directory that is missing or a file is refused before any
@@ -702,12 +708,111 @@ def test_output_path_mistakes_exit_2_and_write_nothing(tmp_path, capsys,
             "train": ["train", "--config", str(cfg), "--out", str(path)],
             "gridsearch": ["gridsearch", "--config", str(cfg),
                            "--out", str(path)],
+            "corrupt": ["corrupt", "--kind", "gaussian_noise",
+                        "--severity", "1", "--out", str(path)],
             "report": ["report", "--runs", str(tmp_path), "--out",
                        str(path / "report.csv" if kind == "missing"
                            else path)]}[command]
     assert cli_main(argv) == 2
     one_error_line(capsys)
     assert (sorted(tmp_path.rglob("*")), files_under(tmp_path)) == before
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["gridsearch", "corrupt"])
+def test_out_that_is_no_directory_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, command, where):
+    """gridsearch and corrupt check --out before loading data, so a bad
+    path costs no sweep and no corruption pass."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(nevo.cli, "load_splits", never)
+    monkeypatch.setattr(nevo.cli, "grid_search", never)
+    monkeypatch.setattr(nevo.data, "corrupt", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config())
+    (tmp_path / "target").write_bytes(b"a file\n")
+    path = tmp_path / "target" / ("sub" if where == "under-a-file" else "")
+    before = files_under(tmp_path)
+    argv = {"gridsearch": ["gridsearch", "--config", str(cfg)],
+            "corrupt": ["corrupt", "--kind", "gaussian_noise",
+                        "--severity", "1"]}[command]
+    assert cli_main([*argv, "--out", str(path)]) == 2
+    one_error_line(capsys, "is not a directory")
+    assert files_under(tmp_path) == before
+
+
+def test_refused_rename_leaves_no_tmp_file(tmp_path, capsys):
+    """A write the OS refuses removes its <name>.tmp before exiting 2."""
+    out = tmp_path / "sets"
+    (out / "meta.json").mkdir(parents=True)
+    assert cli_main(["corrupt", "--kind", "gaussian_noise", "--severity", "1",
+                     "--out", str(out)]) == 2
+    one_error_line(capsys)
+    assert not (out / "meta.json.tmp").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "images.npy", "labels.npy", "meta.json"]
+
+
+def test_manifest_run_id_names_the_directory_of_out_dot(tmp_path,
+                                                         monkeypatch):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config())
+    run = tmp_path / "myrun"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    assert cli_main(["train", "--config", str(cfg), "--out", "."]) == 0
+    assert json.loads((run / "manifest.json").read_text())["run_id"] == "myrun"
+
+
+def test_train_pretrains_on_the_augmented_split(tmp_path, capsys):
+    """`nevo train` at augment_multiplier 2 is training.train on the split
+    grown by data.augment from RngStream(seed).child(5)."""
+    text = tiny_config(data={"augment_multiplier": 2})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(run),
+                     "--seed", "3"]) == 0
+    assert " on synthetic/train/aug2: " in capsys.readouterr().out
+    parsed = parse_config(text)
+    split, _ = load_splits(parsed.data)
+    grown = augment(split, 2, parsed.data.max_shift_px,
+                    parsed.data.max_rotate_deg, RngStream(3).child(5))
+    theta, _, _ = train(parsed.spec, grown, replace(parsed.bp, seed=3))
+    assert load_checkpoint(run / "final.ckpt").params.tobytes() == \
+        theta.tobytes()
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["dataset"]["n_train"] == 2 * len(split)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the "
+                    "caller's stack holds a call's arguments until it returns")
+def test_train_frees_the_unaugmented_split_before_training(tmp_path,
+                                                           monkeypatch):
+    """`nevo train` hands pretrain its only reference to the loaded train
+    split, so only the grown copy is alive while training runs."""
+    real_load, real_train = nevo.cli.load_splits, nevo.training.train
+    loaded, alive = [], []
+
+    def load_splits_spy(*args):
+        splits = real_load(*args)
+        loaded.append(weakref.ref(splits[0]))
+        return splits
+
+    def train_spy(*args, **kwargs):
+        gc.collect()
+        alive.append(loaded[0]() is not None)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(nevo.cli, "load_splits", load_splits_spy)
+    monkeypatch.setattr(nevo.training, "train", train_spy)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config(data={"augment_multiplier": 2}))
+    assert cli_main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+    assert alive == [False]
 
 
 def test_busy_run_exits_2_at_once_and_writes_nothing(trained_run, tmp_path,
@@ -1022,7 +1127,7 @@ def test_cli_names_no_dataset_and_no_dataset_file():
     be a second dispatch that drifts from it."""
     banned = {"synthetic", "mnist", "fashion_mnist", "cifar10",
               *DATASET_NAMES, "data_batch_", "test_batch.bin", "t10k",
-              "-ubyte"}
+              "-ubyte", ".npy", "meta.json"}
     tree = ast.parse(Path(nevo.cli.__file__).read_text())
     found = [(node.lineno, node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)

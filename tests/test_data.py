@@ -19,7 +19,8 @@ from nevo import data as data_mod
 from nevo.data import (DATASET_NAMES, MANIFEST, SPLITS, DataSection, Dataset,
                        SEVERITY_TABLES, SynthSection, augment, batches,
                        corrupt, fetch, load_cifar10, load_idx, load_idx_dir,
-                       load_npy, load_splits, make_synthetic_pair, save_npy)
+                       load_corrupted, load_npy, load_splits,
+                       make_synthetic_pair, save_corrupted, save_npy)
 from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          MissingArtifactError, NevoError,
                          UnsupportedCorruptionError)
@@ -621,6 +622,45 @@ def test_precomputed_only_corruptions_rejected():
         corrupt(ds, "nonexistent_kind", 1)
     with pytest.raises(ConfigError):
         corrupt(ds, "gaussian_noise", 6)
+
+
+def test_corrupted_set_round_trip(tmp_path):
+    ds = corrupt(blob_dataset(6), "gaussian_noise", 2, RngStream(4))
+    save_corrupted(tmp_path / "set", ds, {"kind": "gaussian_noise"})
+    assert sorted(p.name for p in (tmp_path / "set").iterdir()) == [
+        "images.npy", "labels.npy", "meta.json"]
+    meta = json.loads((tmp_path / "set" / "meta.json").read_text())
+    assert meta == {"kind": "gaussian_noise", "n": 6}
+    for root in (tmp_path / "set", tmp_path):  # one set, or a directory
+        (got,) = load_corrupted(root)
+        assert got.name == "set" and got.images.dtype == np.float32
+        assert np.array_equal(got.images, ds.images)
+        assert np.array_equal(got.labels, ds.labels)
+
+
+def test_load_corrupted_reads_archive_layouts_one_set_at_a_time(tmp_path):
+    """A published archive's test_images.npy may be uint8 NHWC or NHW with
+    (N, 1) labels; sets load lazily, in name order."""
+    rng = np.random.default_rng(0)
+    nhwc = rng.integers(0, 256, (5, 6, 6, 3), dtype=np.uint8)
+    nhw = rng.integers(0, 256, (5, 6, 6), dtype=np.uint8)
+    labels = rng.integers(0, 10, (5, 1)).astype(np.int64)
+    for name, images in (("a_color", nhwc), ("b_gray", nhw)):
+        save_npy(tmp_path / name / "test_images.npy", images)
+        save_npy(tmp_path / name / "test_labels.npy", labels)
+    (tmp_path / "c_empty").mkdir()
+    sets = load_corrupted(tmp_path)
+    color = next(sets)
+    assert color.name == "a_color" and color.images.shape == (5, 3, 6, 6)
+    assert np.array_equal(color.images,
+                          nhwc.transpose(0, 3, 1, 2).astype(np.float32) / 255)
+    assert color.labels.dtype == np.int64 and color.labels.shape == (5,)
+    # the next set is read only when asked for
+    (tmp_path / "b_gray" / "test_images.npy").write_bytes(b"not npy")
+    with pytest.raises(DataFormatError):
+        next(sets)
+    with pytest.raises(MissingArtifactError, match="no images.npy"):
+        list(load_corrupted(tmp_path / "c_empty"))
 
 
 def test_batches_sizes_and_order():

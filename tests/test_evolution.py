@@ -7,10 +7,12 @@ convergence checks run on a quadratic surrogate fitness.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nevo.data import DataSection
 from nevo.errors import MissingArtifactError, PopulationError
 from nevo.evaluation import count_costs
 from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
@@ -20,7 +22,7 @@ from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
 from nevo import evolution
 from nevo.network import Dense, NetworkSpec, init_params, param_count, zoo_spec
 from nevo.rng import RngStream
-from nevo.training import CheckpointRing, TrainConfig
+from nevo.training import CheckpointRing, TrainConfig, pretrain, train
 
 from synthdata import small_mlp
 
@@ -474,6 +476,59 @@ def test_grid_search_is_deterministic():
     r1 = grid_search(spec, train, test, bp, de, grid, master_seed=3)
     r2 = grid_search(spec, train, test, bp, de, grid, master_seed=3)
     assert r1 == r2
+
+
+def spy_grid(monkeypatch):
+    """Record the ancestor ring each grid cell seeds from and the data
+    each lr's fitness subsets are drawn from."""
+    seen = {"rings": [], "subset_data": []}
+    real_seed, real_factory = evolution.seed_population, evolution.subset_factory
+
+    def seed_spy(mode, source, *args):
+        seen["rings"].append([e.params.tobytes() for e in source])
+        return real_seed(mode, source, *args)
+
+    def factory_spy(spec, data, *args):
+        seen["subset_data"].append(data)
+        return real_factory(spec, data, *args)
+
+    monkeypatch.setattr(evolution, "seed_population", seed_spy)
+    monkeypatch.setattr(evolution, "subset_factory", factory_spy)
+    return seen
+
+
+def test_grid_search_pretrains_each_lr_as_pretrain_on_its_stream(
+        monkeypatch):
+    """With augmentation, lr li's ancestors are training.pretrain on
+    master.child(0, li), the path `nevo train` takes, while DE scores
+    fitness on the unaugmented split."""
+    spec, train_ds, test, bp, de = grid_fixture()
+    section = DataSection(augment_multiplier=2)
+    grid = {"lr": [0.01, 0.02], "F": [0.5], "Cr": [0.5]}
+    seen = spy_grid(monkeypatch)
+    grid_search(spec, train_ds, test, bp, de, grid, master_seed=5,
+                section=section)
+    assert [d is train_ds for d in seen["subset_data"]] == [True, True]
+    for li, lr in enumerate(grid["lr"]):
+        stream = RngStream(5).child(0, li)
+        _, ring, _, grown = pretrain(spec, train_ds, section,
+                                     replace(bp, lr=lr), stream=stream)
+        assert len(grown) == 2 * len(train_ds)
+        assert seen["rings"][li] == [e.params.tobytes() for e in ring]
+        _, plain, _ = train(spec, train_ds, replace(bp, lr=lr), stream=stream)
+        assert seen["rings"][li] != [e.params.tobytes() for e in plain]
+
+
+def test_grid_search_without_augmentation_pretrains_as_plain_train(
+        monkeypatch):
+    spec, train_ds, test, bp, de = grid_fixture()
+    grid = {"lr": [0.01, 0.02], "F": [0.5], "Cr": [0.5]}
+    seen = spy_grid(monkeypatch)
+    grid_search(spec, train_ds, test, bp, de, grid, master_seed=5)
+    for li, lr in enumerate(grid["lr"]):
+        _, ring, _ = train(spec, train_ds, replace(bp, lr=lr),
+                           stream=RngStream(5).child(0, li))
+        assert seen["rings"][li] == [e.params.tobytes() for e in ring]
 
 
 def test_grid_search_rings_must_cover_grid():
