@@ -63,8 +63,6 @@ def _build_parser() -> _Parser:
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True, help="run directory to create")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--threads", type=int, default=1,
-                   help="accepted but unused: training runs on one thread")
     t.set_defaults(func=_cmd_train)
 
     e = sub.add_parser("evolve", help="evolution stage on an existing run")
@@ -265,6 +263,7 @@ def _out_dir(path) -> Path:
 def _cmd_corrupt(args) -> int:
     ConfigError.check((args.seed >= 0, "--seed", "must be >= 0"))
     out_dir = _out_dir(args.out)
+    datasets.check_corrupted_out(out_dir)
     ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),
                      (args.split,))[SPLITS.index(args.split)]
     out = datasets.corrupt(ds, args.kind, args.severity,

@@ -309,6 +309,38 @@ def write_json(path, doc):
                   (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
+# The siblings `_write_dir` builds a directory in and moves the old one to.
+_SWAP_EXTS = (".tmp", ".old")
+
+
+def _remove_path(path: Path):
+    """Remove the tree or file at path, if any.  shutil is imported here:
+    a module-level import moved peak RSS."""
+    import shutil
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
+
+
+def _write_dir(out_dir, fill):
+    """Call fill(tmp) on an empty sibling <name>.tmp/, rename out_dir
+    aside to <name>.old, rename the new one in and remove the old.  A
+    kill never leaves a mixed out_dir (between the renames, none); the
+    next write clears what it left."""
+    out_dir = Path(out_dir)
+    tmp, old = (out_dir.with_name(out_dir.name + ext)
+                for ext in _SWAP_EXTS)
+    for leftover in (tmp, old):
+        _remove_path(leftover)
+    tmp.mkdir(parents=True)
+    fill(tmp)
+    if out_dir.exists():
+        out_dir.rename(old)
+    tmp.rename(out_dir)
+    _remove_path(old)
+
+
 class _FileLock:
     """Advisory lock: flock on an open descriptor of <path>.lock (POSIX).
 
@@ -405,8 +437,7 @@ def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
                 if known is None:
                     # preexisting file: adopt it and pin its digest
                     sidecar.setdefault(logical, {})["sha256"] = digest
-                    _atomic_write(_sidecar_path(ds_dir),
-                                  json.dumps(sidecar, indent=2).encode())
+                    write_json(_sidecar_path(ds_dir), sidecar)
                     out[logical] = target
                     continue
                 if digest == known:
@@ -447,8 +478,7 @@ def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
             sidecar.setdefault(logical, {})
             sidecar[logical]["gz_sha256"] = gz_digest
             sidecar[logical]["sha256"] = hashlib.sha256(payload).hexdigest()
-            _atomic_write(_sidecar_path(ds_dir),
-                          json.dumps(sidecar, indent=2).encode())
+            write_json(_sidecar_path(ds_dir), sidecar)
             out[logical] = target
     return out
 
@@ -660,19 +690,45 @@ def corrupt(data: Dataset, kind: str, severity: int,
     return Dataset(out, data.labels, f"{data.name}/{kind}:{severity}")
 
 
+_SET_FILES = ("images.npy", "labels.npy", "meta.json")
+
+
+def check_corrupted_out(out_dir):
+    """Refuse an out_dir whose swap by save_corrupted would delete what is
+    no set's (the working directory, or an entry other than a set's files
+    and their .tmp leftovers), or named like a swap leftover, which
+    load_corrupted skips."""
+    out_dir = Path(out_dir).resolve()
+    keep = {*_SET_FILES, *(name + ".tmp" for name in _SET_FILES)}
+    foreign = ", ".join(p.name for p in sorted(out_dir.iterdir())
+                        if p.name not in keep or not p.is_file()) \
+        if out_dir.is_dir() else ""
+    ConfigError.check(
+        (not Path.cwd().is_relative_to(out_dir), "--out", f"{out_dir} holds "
+         f"the working directory, which the set would replace"),
+        (out_dir.suffix not in _SWAP_EXTS, "--out", f"{out_dir}: a name "
+         f"ending in {' or '.join(_SWAP_EXTS)} marks a killed write's "
+         f"leftover, which eval --corrupted skips"),
+        (not foreign, "--out", f"{out_dir} holds {foreign}, which replacing "
+         f"it with the set would delete"))
+
+
 def save_corrupted(out_dir, data: Dataset, meta: dict):
-    """Write data as a corrupted-set directory: images.npy, labels.npy,
-    and meta.json holding meta plus the sample count n."""
-    out_dir = Path(out_dir)
-    save_npy(out_dir / "images.npy", data.images)
-    save_npy(out_dir / "labels.npy", data.labels)
-    write_json(out_dir / "meta.json", {**meta, "n": len(data)})
+    """Write data as a corrupted-set directory, swapped in whole
+    (`_write_dir`): images.npy, labels.npy, and meta.json holding meta
+    plus the sample count n."""
+    def fill(tmp: Path):
+        save_npy(tmp / "images.npy", data.images)
+        save_npy(tmp / "labels.npy", data.labels)
+        write_json(tmp / "meta.json", {**meta, "n": len(data)})
+    _write_dir(out_dir, fill)
 
 
 def load_corrupted(root):
     """Yield the corrupted sets under root one Dataset at a time: root
     itself when it holds images.npy/labels.npy (or test_images.npy/
-    test_labels.npy), else each subdirectory that does, by its name."""
+    test_labels.npy), else each subdirectory that does, by its name,
+    skipping the <name>.tmp/ and <name>.old/ a killed write leaves."""
     def pair_in(d: Path):
         for img in (d / "images.npy", d / "test_images.npy"):
             lab = img.with_name(img.name.replace("images", "labels"))
@@ -684,7 +740,8 @@ def load_corrupted(root):
     if not root.is_dir():
         raise MissingArtifactError(f"{root}: no such directory")
     dirs = [root] if pair_in(root) else sorted(
-        p for p in root.iterdir() if p.is_dir())
+        p for p in root.iterdir()
+        if p.is_dir() and p.suffix not in _SWAP_EXTS)
     sets = [(d.name, pair) for d in dirs if (pair := pair_in(d))]
     if not sets:
         raise MissingArtifactError(
@@ -696,8 +753,11 @@ def load_corrupted(root):
         elif (images.ndim == 4 and images.shape[1] not in (1, 3)
               and images.shape[3] in (1, 3)):
             images = images.transpose(0, 3, 1, 2)
-        labels = load_npy(lab_path, scale_u8=False).astype(np.int64).ravel()
-        yield Dataset(images, labels, name)
+        labels = load_npy(lab_path, scale_u8=False)
+        if labels.dtype.kind not in "iu":
+            raise DataFormatError(
+                f"{lab_path}: labels must be integers, not {labels.dtype}")
+        yield Dataset(images, labels.astype(np.int64).ravel(), name)
 
 
 def batches(data: Dataset, batch_size: int, shuffle: bool = False, rng=None):

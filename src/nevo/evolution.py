@@ -251,8 +251,7 @@ def ensure_fitness(pop: Population, ctx, pool=None):
                                   stale))
 
 
-def evolve_generation(pop: Population, cfg: DeConfig, ctx,
-                      stream: Optional[RngStream] = None,
+def evolve_generation(pop: Population, cfg: DeConfig, ctx, stream: RngStream,
                       pool=None) -> Population:
     """One synchronous generation: per member build a trial (mutation +
     crossover from generation-g members), evaluate it on the shared
@@ -260,8 +259,6 @@ def evolve_generation(pop: Population, cfg: DeConfig, ctx,
     if pop.m < 4:
         raise PopulationError(
             f"evolution needs at least 4 members, got {pop.m}")
-    if stream is None:
-        stream = RngStream(cfg.seed).child(_NS_DE)
     ensure_fitness(pop, ctx, pool)
 
     def build_and_score(i):
@@ -305,8 +302,7 @@ class DeResult:
 
 
 def run_de(pop: Population, cfg: DeConfig, ctx_factory,
-           stream: Optional[RngStream] = None, pool=None,
-           callback=None) -> DeResult:
+           stream: RngStream, pool=None, callback=None) -> DeResult:
     """Generation loop with stopping rules and optional subset renewal.
 
     ctx_factory is either a fixed context or a callable round -> context;
@@ -319,8 +315,6 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
     `window` generations (windows never straddle a resample).
     """
     factory: Callable = ctx_factory if callable(ctx_factory) else (lambda r: ctx_factory)
-    if stream is None:
-        stream = RngStream(cfg.seed).child(_NS_DE)
     round_no = 0
     ctx = factory(round_no)
     ensure_fitness(pop, ctx, pool)

@@ -39,7 +39,8 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .data import DataSection, _FileLock, _atomic_write, write_json
+from .data import (DataSection, _FileLock, _atomic_write, _remove_path,
+                   _write_dir, write_json)
 from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
                      MissingArtifactError, ShapeMismatchError)
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
@@ -262,38 +263,21 @@ def _load_listed(in_dir: Path, index_path: Path, names, what: str) -> tuple:
 # --- population directories -------------------------------------------------
 
 
-def _save_dir(out_dir, checkpoints, index: dict):
-    """Write the (name, checkpoint) pairs and index.json into an empty
-    sibling <name>.tmp/, rename out_dir aside to <name>.old, rename the
-    new one in and remove the old.  A kill never leaves a mixed out_dir
-    (between the renames, none); the next write clears what it left."""
-    import shutil
-    out_dir = Path(out_dir)
-    tmp, old = (out_dir.with_name(out_dir.name + ext)
-                for ext in (".tmp", ".old"))
-    for leftover in (tmp, old):
-        shutil.rmtree(leftover, ignore_errors=True)
-    tmp.mkdir(parents=True)
-    for name, ckpt in checkpoints:
-        save_checkpoint(ckpt, tmp / name)
-    write_json(tmp / _INDEX_NAME, index)
-    if out_dir.exists():
-        out_dir.rename(old)
-    tmp.rename(out_dir)
-    shutil.rmtree(old, ignore_errors=True)
-
-
 def save_population(pop: Population, out_dir, spec: NetworkSpec,
                     meta: Optional[dict] = None):
     """One checkpoint per member plus an index carrying the fitness
     cache (NaN as null) and the generation counter."""
     names = [f"member-{i:03d}.ckpt" for i in range(len(pop.members))]
-    _save_dir(out_dir, [
-        (name, Checkpoint(spec, member, {**(meta or {}), "member": i}))
-        for i, (name, member) in enumerate(zip(names, pop.members))],
-        {"version": 1, "generation": pop.generation, "m": pop.m,
-         "members": names, "fitness": [None if math.isnan(f) else float(f)
-                                       for f in pop.fitness]})
+
+    def fill(tmp: Path):
+        for i, (name, member) in enumerate(zip(names, pop.members)):
+            ckpt = Checkpoint(spec, member, {**(meta or {}), "member": i})
+            save_checkpoint(ckpt, tmp / name)
+        write_json(tmp / _INDEX_NAME, {
+            "version": 1, "generation": pop.generation, "m": pop.m,
+            "members": names, "fitness": [None if math.isnan(f) else float(f)
+                                          for f in pop.fitness]})
+    _write_dir(out_dir, fill)
 
 
 def load_population(in_dir):
@@ -328,12 +312,15 @@ def save_ring(ring: CheckpointRing, out_dir, spec: NetworkSpec,
     """One checkpoint per retained epoch plus an index with losses."""
     entries = [{"file": f"epoch-{e.epoch:04d}.ckpt", "epoch": e.epoch,
                 "train_loss": e.train_loss} for e in ring]
-    _save_dir(out_dir, [
-        (row["file"], Checkpoint(spec, e.params,
-                                 {**(meta or {}), "stage": "bp",
-                                  "epoch": e.epoch, "loss": e.train_loss}))
-        for row, e in zip(entries, ring)],
-        {"version": 1, "capacity": ring.capacity, "entries": entries})
+
+    def fill(tmp: Path):
+        for row, e in zip(entries, ring):
+            save_checkpoint(Checkpoint(spec, e.params, {
+                **(meta or {}), "stage": "bp", "epoch": e.epoch,
+                "loss": e.train_loss}), tmp / row["file"])
+        write_json(tmp / _INDEX_NAME, {"version": 1, "capacity": ring.capacity,
+                                       "entries": entries})
+    _write_dir(out_dir, fill)
 
 
 def load_ring(in_dir):
@@ -611,7 +598,7 @@ class RunDir(_FileLock):
 
     As a context manager it holds the `_FileLock` on the sibling
     <run>.lock, and another command on the run fails at once.  ring/ and
-    de_pop*/ are replaced whole (`_save_dir`).  A `new` run (`train`)
+    de_pop*/ are replaced whole (`data._write_dir`).  A `new` run (`train`)
     refuses final.ckpt or de_*, written before summary.json and
     manifest.json, as a finished train; `evolve` needs an existing run.
     """
@@ -653,10 +640,9 @@ class RunDir(_FileLock):
                 self.manifest = load_manifest(self.path)
             return
         import hashlib
-        import shutil
         import time
         self.path.mkdir(parents=True, exist_ok=True)
-        shutil.rmtree(self.path / "ring", ignore_errors=True)
+        _remove_path(self.path / "ring")
         for name in ("metrics.jsonl", "timings.jsonl"):
             open(self.path / name, "w").close()
         _atomic_write(self.config, config_text.encode())

@@ -165,7 +165,7 @@ def test_criterion_03_crossover_bounds():
     ensure_fitness(pop, ctx)
     before_fit = pop.fitness.copy()
     out = evolve_generation(pop, DeConfig(Cr=0.0, force_jrand=False, seed=1),
-                            ctx)
+                            ctx, stream=RngStream(1))
     assert all(a is b for a, b in zip(out.members, members))
     assert np.array_equal(out.fitness, before_fit)
     assert out.generation == 1
@@ -382,8 +382,8 @@ def test_criterion_08_thread_determinism(tmp_path):
     digests = []
     for name, threads in (("a", "1"), ("b", "3")):
         run = tmp_path / name
-        assert cli_main(["train", "--config", str(cfg), "--out", str(run),
-                         "--threads", threads]) == 0
+        assert cli_main(["train", "--config", str(cfg),
+                         "--out", str(run)]) == 0
         assert cli_main(["evolve", "--run", str(run),
                          "--threads", threads]) == 0
         digests.append(tuple((run / rel).read_bytes() for rel in

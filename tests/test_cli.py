@@ -10,6 +10,7 @@ import gzip
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -160,8 +161,8 @@ def test_byte_identical_across_threads_and_reruns(tmp_path):
     outs = []
     for name, threads in (("t1", "1"), ("t2", "2")):
         run = tmp_path / name
-        assert cli_main(["train", "--config", str(cfg), "--out", str(run),
-                         "--threads", threads]) == 0
+        assert cli_main(["train", "--config", str(cfg),
+                         "--out", str(run)]) == 0
         assert cli_main(["evolve", "--run", str(run),
                          "--threads", threads]) == 0
         outs.append(run)
@@ -432,6 +433,9 @@ def test_exit_codes(tmp_path, capsys):
     assert cli_main(["train", "--out", str(tmp_path / "r")]) == 1
     assert cli_main(["train", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r")]) == 2
+    # training runs on one thread, so train takes no --threads
+    assert cli_main(["train", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "r"), "--threads", "2"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text('{"bp": {"lr": -1}}')
     assert cli_main(["train", "--config", str(bad),
@@ -745,14 +749,108 @@ def test_out_that_is_no_directory_is_refused_before_any_work(
 
 def test_refused_rename_leaves_no_tmp_file(tmp_path, capsys):
     """A write the OS refuses removes its <name>.tmp before exiting 2."""
-    out = tmp_path / "sets"
-    (out / "meta.json").mkdir(parents=True)
-    assert cli_main(["corrupt", "--kind", "gaussian_noise", "--severity", "1",
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config(de={"max_generations": 1}))
+    out = tmp_path / "out"
+    (out / "grid_results.json").mkdir(parents=True)
+    assert cli_main(["gridsearch", "--config", str(cfg),
                      "--out", str(out)]) == 2
     one_error_line(capsys)
-    assert not (out / "meta.json.tmp").exists()
-    assert sorted(p.name for p in out.iterdir()) == [
-        "images.npy", "labels.npy", "meta.json"]
+    assert [p.name for p in out.iterdir()] == ["grid_results.json"]
+
+
+CORRUPT = ["corrupt", "--kind", "gaussian_noise", "--severity", "1"]
+
+
+@pytest.mark.parametrize("entry", ["notes.txt", "meta.json/", "sub/",
+                                   "images.npy.old"])
+def test_corrupt_refuses_an_out_with_foreign_entries_before_any_work(
+        tmp_path, monkeypatch, capsys, entry):
+    """The set replaces --out whole, so an --out holding anything but a
+    set's files is refused before the corruption pass, and kept."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(nevo.data, "corrupt", never)
+    out = tmp_path / "set"
+    out.mkdir()
+    (out / "images.npy.tmp").write_bytes(b"a killed write's leftover\n")
+    if entry.endswith("/"):
+        (out / entry).mkdir()
+    else:
+        (out / entry).write_bytes(b"keep me\n")
+    before = sorted(tmp_path.rglob("*")), files_under(tmp_path)
+    assert cli_main([*CORRUPT, "--out", str(out)]) == 2
+    one_error_line(capsys, f"holds {entry.rstrip('/')}, which replacing")
+    assert (sorted(tmp_path.rglob("*")), files_under(tmp_path)) == before
+
+
+@pytest.mark.parametrize("name", ["set.tmp", "set.old"])
+def test_corrupt_refuses_an_out_named_like_a_swap_leftover(tmp_path, capsys,
+                                                           name):
+    """load_corrupted skips such directories, so no set may be one."""
+    assert cli_main([*CORRUPT, "--out", str(tmp_path / name)]) == 2
+    one_error_line(capsys, "marks a killed write's leftover")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [".", ".."])
+def test_corrupt_refuses_an_out_that_holds_the_working_directory(
+        tmp_path, monkeypatch, capsys, out):
+    """Replacing it would leave the shell in a deleted directory."""
+    here = tmp_path / "set"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert cli_main([*CORRUPT, "--out", out]) == 2
+    one_error_line(capsys, "holds the working directory")
+    assert list(tmp_path.rglob("*")) == [here]
+
+
+def test_corrupt_rerun_killed_mid_set_keeps_the_previous_set(
+        tmp_path, monkeypatch, capsys):
+    """A set is written whole into a sibling set.tmp/ and swapped in, so a
+    rerun killed at its last file leaves the previous set as it was, and
+    the next rerun clears what the kill left."""
+    out = tmp_path / "sets" / "set"
+    assert cli_main([*CORRUPT, "--out", str(out)]) == 0
+    before = files_under(out)
+    rerun = ["corrupt", "--kind", "rotate", "--severity", "5",
+             "--out", str(out)]
+    kill_replace_of(monkeypatch, "meta.json")
+    with pytest.raises(Killed):
+        cli_main(rerun)
+    assert files_under(out) == before
+    monkeypatch.undo()
+    assert cli_main(rerun) == 0
+    assert [p.name for p in out.parent.iterdir()] == ["set"]
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["kind"], meta["severity"]) == ("rotate", 5)
+
+
+@pytest.mark.parametrize("leftover", ["set.tmp", "set.old"])
+def test_corrupt_clears_a_file_named_like_a_swap_sibling(tmp_path, leftover):
+    (tmp_path / leftover).write_bytes(b"a stray file\n")
+    assert cli_main([*CORRUPT, "--out", str(tmp_path / "set")]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["set"]
+
+
+def test_eval_corrupted_skips_what_a_killed_write_left(trained_run, tmp_path,
+                                                       capsys):
+    """A kill in a set's write leaves <name>.tmp/; one between the swap's
+    renames leaves <name>.old/ and <name>.tmp/ and no <name>/.  Neither
+    is scored as a set."""
+    data = ["--dataset", "mnist", "--data-dir", str(idx_dir(tmp_path))]
+    base = tmp_path / "sets"
+    for name in ("a", "b"):
+        assert cli_main([*CORRUPT, *data, "--out", str(base / name)]) == 0
+    shutil.copytree(base / "a", base / "a.tmp")
+    shutil.copytree(base / "b", base / "b.tmp")
+    (base / "b").rename(base / "b.old")
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
+                     "--corrupted", str(base)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["dataset"] for r in rows] == ["a"]
 
 
 def test_manifest_run_id_names_the_directory_of_out_dot(tmp_path,

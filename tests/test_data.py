@@ -257,6 +257,34 @@ def test_fetch_downloads_verifies_and_caches(tmp_path):
     assert len(train) == 2 and len(test) == 2
 
 
+def test_fetch_writes_a_key_sorted_sidecar_and_reads_the_unsorted_one(
+        tmp_path):
+    files = fake_dataset_files()
+    manifest = fake_manifest(files)
+    ds_dir = tmp_path / "tiny"
+    fetch("tiny", out_dir=ds_dir, opener=CountingOpener(files),
+          manifest=manifest)
+    doc = {name: {"gz_sha256": hashlib.sha256(
+                      gzip.compress(payload, mtime=0)).hexdigest(),
+                  "sha256": hashlib.sha256(payload).hexdigest()}
+           for name, payload in files.items()}
+    sidecar = ds_dir / "digests.json"
+    assert sidecar.read_bytes() == (
+        json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    # the encoding of earlier versions: manifest order, no final newline
+    sidecar.write_text(json.dumps(doc, indent=2))
+    opener = CountingOpener(files)
+    fetch("tiny", out_dir=ds_dir, opener=opener, manifest=manifest)
+    assert opener.calls == []
+    # files found without a sidecar are adopted, and so written too
+    sidecar.unlink()
+    fetch("tiny", out_dir=ds_dir, opener=opener, manifest=manifest)
+    assert opener.calls == []
+    adopted = {name: {"sha256": entry["sha256"]} for name, entry in doc.items()}
+    assert sidecar.read_bytes() == (
+        json.dumps(adopted, indent=2, sort_keys=True) + "\n").encode()
+
+
 @pytest.mark.parametrize("sidecar", [DEEP_JSON.encode(), b"{\xff}"])
 def test_fetch_treats_an_undecodable_sidecar_as_unreadable(tmp_path, sidecar):
     files = fake_dataset_files()
@@ -661,6 +689,17 @@ def test_load_corrupted_reads_archive_layouts_one_set_at_a_time(tmp_path):
         next(sets)
     with pytest.raises(MissingArtifactError, match="no images.npy"):
         list(load_corrupted(tmp_path / "c_empty"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_corrupted_rejects_labels_that_are_no_integers(tmp_path, dtype):
+    """A float label would be truncated to the class below it."""
+    save_npy(tmp_path / "set" / "images.npy", np.zeros((3, 1, 4, 4),
+                                                       np.float32))
+    save_npy(tmp_path / "set" / "labels.npy",
+             np.array([1.7, 2.2, 0.9], dtype=dtype))
+    with pytest.raises(DataFormatError, match="labels must be integers"):
+        list(load_corrupted(tmp_path))
 
 
 def test_batches_sizes_and_order():
