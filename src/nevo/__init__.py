@@ -118,12 +118,14 @@ from .evolution import (  # noqa: E402
     DeConfig,
     Population,
     FitnessContext,
-    seed_population,
+    ancestors,
+    soup,
     fitness,
     mutate,
     crossover,
     evolve_generation,
     run_de,
+    evolve,
     grid_search,
     DEFAULT_GRID,
 )

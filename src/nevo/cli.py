@@ -5,6 +5,8 @@ corrupt -> report, plus gridsearch for the hyper-parameter sweep.
 
 `train` and `evolve` write run directories through `persistence.RunDir`,
 which owns their layout and lock; this module names no run-directory file.
+`evolution.evolve` owns the DE stage's seeding, RNG streams and worker
+pool, so this module names none of them.
 
 Every command gets its data from `data.load_splits`, given the config's
 data section or one built from `--dataset`/`--data-dir`; `data` also
@@ -19,10 +21,9 @@ or a run directory in use by another command, 3 numeric failure
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -31,8 +32,7 @@ from .data import SPLITS, DataSection, load_splits, write_json
 from .errors import (ConfigError, MissingArtifactError, NevoError,
                      NumericError)
 from .evaluation import count_costs, evaluate, report
-from .evolution import (_NS_DE, _NS_SOUP, _NS_SUBSET, grid_search, run_de,
-                        seed_population, subset_factory)
+from .evolution import evolve, grid_search
 from .persistence import Checkpoint, RunDir, load_checkpoint, parse_config
 from .rng import RngStream
 from .training import TrainingDiverged, pretrain
@@ -184,33 +184,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_de_flags(args):
+    """--threads and --jitter of evolve and gridsearch, before any work."""
+    ConfigError.check(
+        (args.threads >= 1, "--threads", "must be >= 1"),
+        (math.isfinite(args.jitter) and args.jitter >= 0, "--jitter",
+         "must be finite and >= 0"))
+
+
 def _cmd_evolve(args) -> int:
+    _check_de_flags(args)
     with RunDir(args.run) as run:
         text, cfg = _read_config_arg(args.config or run.config)
         de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
         mode = "soup" if args.soup else "ancestors"
 
         train_ds, test_ds = load_splits(cfg.data)
-        base = RngStream(de.seed)
-        m = cfg.bp.ring_size
-        if args.soup:
-            spec = cfg.spec
-            pop = seed_population("soup", spec, m, stream=base)
-        else:
-            ring, spec = run.load_ring()
-            pop = seed_population("ancestors", ring, m, args.jitter,
-                                  base.child(_NS_SOUP))
+        ring, spec = (None, cfg.spec) if args.soup else run.load_ring()
         run.start(cfg, spec)
-        factory = subset_factory(spec, train_ds, de.fitness_subset,
-                                 base.child(_NS_SUBSET))
-        with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
-              contextlib.nullcontext()) as pool:
-            out = run_de(pop, de, factory, stream=base.child(_NS_DE),
-                         pool=pool, callback=lambda g: run.record(
-                             g, stage="de", mode=mode))
+        out = evolve(spec, ring, cfg.bp.ring_size, train_ds, de, args.jitter,
+                     args.threads, callback=lambda g: run.record(
+                         g, stage="de", mode=mode))
 
         run.write_de(mode, out, spec, de.seed)
-        seed_eval = evaluate(spec, pop.members[out.seed_index], test_ds)
+        seed_eval = evaluate(spec, out.seed, test_ds)
         best_eval = evaluate(spec, out.best, test_ds)
         run.finish({"stage": "de", "mode": mode,
                     "generations": len(out.history),
@@ -290,15 +287,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
+    _check_de_flags(args)
     text, cfg = _read_config_arg(args.config)
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
     out_dir = _out_dir(args.out) if args.out else None
     train_ds, test_ds = load_splits(cfg.data)
-    with (ThreadPoolExecutor(args.threads) if args.threads > 1 else
-          contextlib.nullcontext()) as pool:
-        rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, de,
-                           cfg.grid, de.seed, jitter_sigma=args.jitter,
-                           pool=pool, section=cfg.data)
+    rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, de, cfg.grid,
+                       de.seed, jitter_sigma=args.jitter,
+                       threads=args.threads, section=cfg.data)
     if out_dir:
         write_json(out_dir / "grid_results.json", [asdict(r) for r in rows])
     print(f"{'lr':>8} {'F':>6} {'Cr':>6} {'fitness':>12} {'accuracy':>9}")
@@ -309,6 +305,8 @@ def _cmd_gridsearch(args) -> int:
 
 
 def _cmd_costs(args) -> int:
+    ConfigError.check((args.n_g >= 0, "--n-g", "must be >= 0"),
+                      (args.n_e >= 0, "--n-e", "must be >= 0"))
     text, cfg = _read_config_arg(args.config)
     rep = count_costs(cfg.spec, args.n_g, args.n_e, cfg.de.F, cfg.de.Cr)
     print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))

@@ -9,25 +9,26 @@ they may run on a thread pool; per-individual RNG streams are derived
 from (seed, generation, individual), which makes results identical for
 any worker count.
 
-RNG namespaces under the config seed: child(2, g, i) drives member i of
-generation g, child(3, r) draws fitness subset r, child(4, i) seeds
-soup member i, and child(4) also seeds the ancestors-mode jitter top-up.
-Under its master seed `grid_search` also pretrains lr li on child(0, li),
-augmenting from child(0, li, 5), and seeds grid cell (li, fi, ci) from
-child(1, li, fi, ci).
+`evolve` is the DE stage of `nevo evolve`: it seeds generation 0 with
+`ancestors` or a `soup`, owns the worker pool, and calls run_de, which
+primes generation 0 (scores it on subset round 0) and reports its best.
 
-`nevo evolve` and `grid_search` share one pipeline: seed_population,
-then run_de, then evaluate.  run_de primes generation 0 (evaluates its
-stale fitness on subset round 0) and reports the seed's best member, so
-callers never score the population themselves.
+RNG namespaces under the config seed: child(2, g, i) drives member i of
+generation g, child(3, r) draws fitness subset r, child(4, i) seeds soup
+member i, and child(4) also seeds the ancestors' jitter top-up.  Under
+its master seed `grid_search` pretrains lr li on child(0, li), augmenting
+from child(0, li, 5), draws lr li's subsets from child(3, li), and seeds
+and evolves grid cell (li, fi, ci) from child(1, li, fi, ci) and
+child(2, li, fi, ci).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -81,7 +82,8 @@ class DeConfig:
 class Population:
     """Fixed-size set of candidate vectors with a fitness cache.
 
-    fitness[i] is NaN while stale; members all share one length/dtype.
+    fitness[i] is NaN while stale; members, at least 4 as a rand/1 mutant
+    needs three besides its target, all share one length/dtype.
     """
 
     members: list
@@ -90,8 +92,9 @@ class Population:
 
     def __post_init__(self):
         self.members = list(self.members)
-        if not self.members:
-            raise PopulationError("population must be nonempty")
+        if len(self.members) < 4:
+            raise PopulationError(f"population needs at least 4 members, "
+                                  f"got {len(self.members)}")
         d = self.members[0].shape
         for v in self.members:
             if v.ndim != 1 or v.shape != d:
@@ -116,35 +119,34 @@ class Population:
 
 @dataclass(frozen=True)
 class FitnessContext:
-    """Frozen evaluation data; equal subset_id means equal data, so
-    comparisons within a generation are paired.  Fitness is the mean
-    cross-entropy of `evaluation.evaluate` on `data`, with no penalty."""
+    """Frozen evaluation data, shared by every comparison of a
+    generation, so they are paired.  Fitness is the mean cross-entropy of
+    `evaluation.evaluate` on `data`, with no penalty."""
 
     spec: NetworkSpec
     data: Dataset
-    subset_id: int = 0
 
     def evaluate(self, member: np.ndarray) -> float:
         return evaluate(self.spec, member, self.data).mean_ce
 
 
-def sample_context(spec: NetworkSpec, data, size: int, stream: RngStream,
-                   subset_id: int = 0) -> FitnessContext:
+def sample_context(spec: NetworkSpec, data, size: int,
+                   stream: RngStream) -> FitnessContext:
     """Fixed evaluation subset drawn without replacement (all data if
     size >= N)."""
     n = len(data)
     if size >= n:
-        return FitnessContext(spec, data, subset_id)
+        return FitnessContext(spec, data)
     idx = np.sort(stream.generator().choice(n, size=size, replace=False))
     return FitnessContext(spec, Dataset(data.images[idx], data.labels[idx],
-                                        data.name), subset_id)
+                                        data.name))
 
 
 def subset_factory(spec: NetworkSpec, data, size: int,
                    stream: RngStream) -> Callable:
     """round r -> the context of fitness subset r, drawn from
     stream.child(r)."""
-    return lambda r: sample_context(spec, data, size, stream.child(r), r)
+    return lambda r: sample_context(spec, data, size, stream.child(r))
 
 
 def fitness(member: np.ndarray, ctx) -> float:
@@ -152,56 +154,40 @@ def fitness(member: np.ndarray, ctx) -> float:
     return ctx.evaluate(member)
 
 
-def seed_population(mode: str, source, m: int, jitter_sigma: float = 0.0,
-                    stream: Optional[RngStream] = None) -> Population:
-    """Build the generation-0 population.
+def ancestors(ring, m: int, jitter_sigma: float,
+              stream: RngStream) -> Population:
+    """Generation 0 from the vectors of a CheckpointRing, newest last; a
+    ring longer than m contributes its newest m.  A ring shorter than m
+    is topped up with jittered copies of the newest vector (Gaussian, sd
+    jitter_sigma, drawn from stream), or rejected when jitter is
+    disabled."""
+    members = [np.array(e.params) for e in list(ring)[-m:]]
+    if not members:
+        raise PopulationError("ancestor ring is empty")
+    missing = m - len(members)
+    if missing > 0:
+        if jitter_sigma <= 0:
+            raise PopulationError(
+                f"ring holds {len(members)} < m={m} vectors and jitter "
+                f"is disabled")
+        newest = members[-1]
+        gen = stream.generator()
+        for _ in range(missing):
+            noise = gen.normal(0.0, jitter_sigma, newest.shape[0])
+            members.append(newest + noise.astype(newest.dtype))
+    return Population(members, np.full(m, np.nan))
 
-    mode 'ancestors': members are the vectors of `source` (a
-    CheckpointRing), newest last; a ring longer than m contributes its
-    newest m.  A ring shorter than m is topped up with jittered copies of
-    the newest vector (Gaussian, sd jitter_sigma), or rejected when
-    jitter is disabled.
 
-    mode 'soup': m independent fresh initializations of `source` (a
-    NetworkSpec) — no pretraining signal at all.
-    """
-    if m < 4:
-        raise PopulationError(f"population size must be >= 4, got {m}")
-    if mode == "ancestors":
-        members = [np.array(e.params) for e in list(source)[-m:]]
-        if not members:
-            raise PopulationError("ancestor ring is empty")
-        missing = m - len(members)
-        if missing > 0:
-            if jitter_sigma <= 0:
-                raise PopulationError(
-                    f"ring holds {len(members)} < m={m} vectors and jitter "
-                    f"is disabled")
-            if stream is None:
-                raise PopulationError("jitter fill requires an RNG stream")
-            newest = members[-1]
-            gen = stream.generator()
-            for _ in range(missing):
-                noise = gen.normal(0.0, jitter_sigma, newest.shape[0])
-                members.append(newest + noise.astype(newest.dtype))
-    elif mode == "soup":
-        if not isinstance(source, NetworkSpec):
-            raise PopulationError("soup seeding requires a NetworkSpec")
-        if stream is None:
-            raise PopulationError("soup seeding requires an RNG stream")
-        members = [init_params(source, stream.child(_NS_SOUP, i))
-                   for i in range(m)]
-    else:
-        raise PopulationError(f"unknown seeding mode {mode!r}")
-    return Population(members, np.full(m, np.nan), generation=0)
+def soup(spec: NetworkSpec, m: int, stream: RngStream) -> Population:
+    """Generation 0 of m fresh initializations of spec, member i drawn
+    from stream.child(i): no pretraining signal at all."""
+    return Population([init_params(spec, stream.child(i)) for i in range(m)],
+                      np.full(m, np.nan))
 
 
 def mutate(pop: Population, i: int, F: float,
            gen: np.random.Generator) -> np.ndarray:
     """theta_j + F (theta_k - theta_l) with j,k,l distinct and != i."""
-    if pop.m < 4:
-        raise PopulationError(
-            f"mutation needs at least 4 members, got {pop.m}")
     if not 0 <= i < pop.m:
         raise PopulationError(f"member index {i} out of range [0, {pop.m})")
     others = np.delete(np.arange(pop.m), i)
@@ -256,9 +242,6 @@ def evolve_generation(pop: Population, cfg: DeConfig, ctx, stream: RngStream,
     """One synchronous generation: per member build a trial (mutation +
     crossover from generation-g members), evaluate it on the shared
     context, and keep it only if strictly fitter than its parent."""
-    if pop.m < 4:
-        raise PopulationError(
-            f"evolution needs at least 4 members, got {pop.m}")
     ensure_fitness(pop, ctx, pool)
 
     def build_and_score(i):
@@ -297,7 +280,7 @@ class DeResult:
     best_fitness: float
     population: Population
     history: list
-    seed_index: int  # best member of the primed generation 0
+    seed: np.ndarray  # best member of the primed generation 0
     seed_fitness: float
 
 
@@ -309,7 +292,7 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
     with resample_every > 0 the round advances at that cadence and all
     cached fitness is re-evaluated on the new context before any
     comparison.  Generation 0's stale fitness is evaluated on round 0
-    first, and its best member is reported as seed_index/seed_fitness.
+    first, and its best member is reported as seed/seed_fitness.
     Stops at max_generations, when best fitness drops below delta2, or
     when the best fitness gained less than min_improve over the last
     `window` generations (windows never straddle a resample).
@@ -318,8 +301,8 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
     round_no = 0
     ctx = factory(round_no)
     ensure_fitness(pop, ctx, pool)
-    seed_index = pop.best_index
-    seed_fitness = float(pop.fitness[seed_index])
+    i = pop.best_index
+    seed, seed_fitness = pop.members[i], float(pop.fitness[i])
     history: list = []
     round_start = 0
 
@@ -351,7 +334,33 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
 
     i = pop.best_index
     return DeResult(pop.members[i].copy(), float(pop.fitness[i]), pop, history,
-                    seed_index, seed_fitness)
+                    seed, seed_fitness)
+
+
+def _pool(threads: int):
+    """A pool of `threads` workers, or none (a serial map) for one."""
+    if threads <= 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads)
+
+
+def evolve(spec: NetworkSpec, ring, m: int, data, cfg: DeConfig,
+           jitter_sigma: float = 0.0, threads: int = 1,
+           callback=None) -> DeResult:
+    """The DE stage of `nevo evolve`: generation 0 is the `ancestors` of
+    ring, or a `soup` of spec when ring is None, evolved by run_de on
+    fitness subsets of data with `threads` workers.  Every draw derives
+    from RngStream(cfg.seed), so the result is the same for any threads.
+    """
+    base = RngStream(cfg.seed)
+    seeding = base.child(_NS_SOUP)
+    pop = (soup(spec, m, seeding) if ring is None
+           else ancestors(ring, m, jitter_sigma, seeding))
+    factory = subset_factory(spec, data, cfg.fitness_subset,
+                             base.child(_NS_SUBSET))
+    with _pool(threads) as pool:
+        return run_de(pop, cfg, factory, base.child(_NS_DE), pool, callback)
 
 
 @dataclass(frozen=True)
@@ -366,7 +375,7 @@ class GridResult:
 
 def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
                 grid=None, master_seed: int = 0, rings=None,
-                jitter_sigma: float = 0.0, pool=None,
+                jitter_sigma: float = 0.0, threads: int = 1,
                 section: DataSection = DataSection()) -> list:
     """Cartesian sweep over {lr} x {F} x {Cr}.
 
@@ -375,7 +384,7 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
     retrain), then one DE run per (F, Cr) seeded from that lr's ring and
     scored on the unaugmented train_data.  Rows come back ranked by
     held-out accuracy, ties broken by (lr, F, Cr); every stochastic piece
-    derives from master_seed.
+    derives from master_seed, so the rows are the same for any threads.
     """
     from .training import pretrain
 
@@ -386,28 +395,28 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
 
     master = RngStream(master_seed)
     results = []
-    for li, lr in enumerate(grid["lr"]):
-        if rings is not None:
-            if lr not in rings:
-                raise MissingArtifactError(
-                    f"no pretrained run for lr={lr}; grid search does not "
-                    f"retrain implicitly")
-            ring = rings[lr]
-        else:
-            _, ring, _, _ = pretrain(
-                spec, train_data, section, replace(bp_cfg, lr=lr),
-                stream=master.child(_NS_GRID_PRETRAIN, li))
-        factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
-                                 master.child(_NS_SUBSET, li))
-        for fi, F in enumerate(grid["F"]):
-            for ci, Cr in enumerate(grid["Cr"]):
-                pop = seed_population(
-                    "ancestors", ring, bp_cfg.ring_size, jitter_sigma,
-                    master.child(_NS_GRID_SEEDING, li, fi, ci))
-                out = run_de(pop, replace(de_cfg, F=F, Cr=Cr), factory,
-                             stream=master.child(_NS_DE, li, fi, ci), pool=pool)
-                acc = evaluate(spec, out.best, test_data).accuracy
-                results.append(GridResult(lr, F, Cr, out.seed_fitness,
-                                          out.best_fitness, acc))
+    with _pool(threads) as pool:
+        for li, lr in enumerate(grid["lr"]):
+            if rings is not None:
+                if lr not in rings:
+                    raise MissingArtifactError(
+                        f"no pretrained run for lr={lr}; grid search does "
+                        f"not retrain implicitly")
+                ring = rings[lr]
+            else:
+                _, ring, _, _ = pretrain(
+                    spec, train_data, section, replace(bp_cfg, lr=lr),
+                    stream=master.child(_NS_GRID_PRETRAIN, li))
+            factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
+                                     master.child(_NS_SUBSET, li))
+            for fi, F in enumerate(grid["F"]):
+                for ci, Cr in enumerate(grid["Cr"]):
+                    pop = ancestors(ring, bp_cfg.ring_size, jitter_sigma,
+                                    master.child(_NS_GRID_SEEDING, li, fi, ci))
+                    out = run_de(pop, replace(de_cfg, F=F, Cr=Cr), factory,
+                                 master.child(_NS_DE, li, fi, ci), pool)
+                    acc = evaluate(spec, out.best, test_data).accuracy
+                    results.append(GridResult(lr, F, Cr, out.seed_fitness,
+                                              out.best_fitness, acc))
     return sorted(results,
                   key=lambda r: (-r.test_accuracy, r.lr, r.F, r.Cr))

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +20,10 @@ import pytest
 from nevo.cli import cli_main
 from nevo.data import cache_dir, load_idx_dir, make_synthetic_pair
 from nevo.evaluation import count_costs, evaluate, mce, published_tables
-from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
-                            ensure_fitness, evolve_generation, grid_search,
-                            mutate, run_de, sample_context, seed_population)
+from nevo.evolution import (_NS_SOUP, DEFAULT_GRID, DeConfig, Population,
+                            ancestors, crossover, ensure_fitness,
+                            evolve_generation, grid_search, mutate, run_de,
+                            sample_context, soup)
 from nevo.network import (Activation, Dense, Flatten, NetworkSpec, backward,
                           param_count, zoo_spec)
 from nevo.persistence import Checkpoint, save_checkpoint, spec_doc
@@ -95,8 +95,8 @@ def test_criterion_01_gradient_correctness():
 
 def monotone_de_run(spec, train_ds, m, subset, generations, seed):
     stream = RngStream(seed)
-    pop = seed_population("soup", spec, m, stream=stream.child(1))
-    ctx = sample_context(spec, train_ds, subset, stream.child(2), 1)
+    pop = soup(spec, m, stream.child(1, _NS_SOUP))
+    ctx = sample_context(spec, train_ds, subset, stream.child(2))
     ensure_fitness(pop, ctx)
     cfg = DeConfig(F=0.5, Cr=0.5, max_generations=generations,
                    min_improve=0.0, window=generations + 1, seed=seed)
@@ -195,10 +195,9 @@ def test_criterion_04_pipeline_gain_mnist():
                       fitness_subset=10000, min_improve=0.0, window=201,
                       seed=2026)
     bp_cfg = TrainConfig(max_epochs=10, ring_size=10, seed=2026)
-    with ThreadPoolExecutor(4) as pool:
-        rows = grid_search(spec, train_ds, test_ds, bp_cfg, de_cfg,
-                           grid=DEFAULT_GRID, master_seed=2026, rings=rings,
-                           pool=pool)
+    rows = grid_search(spec, train_ds, test_ds, bp_cfg, de_cfg,
+                       grid=DEFAULT_GRID, master_seed=2026, rings=rings,
+                       threads=4)
     improved = [r for r in rows if r.best_fitness < r.seed_fitness]
     assert improved, "no grid cell improved on its best ancestor"
     de_acc = max(r.test_accuracy for r in rows)
@@ -315,11 +314,12 @@ def soup_vs_ancestors(spec, train_ds, test_ds, bp_cfg, de_cfg, m, seed):
 
     def factory(r):
         return sample_context(spec, train_ds, de_cfg.fitness_subset,
-                              stream.child(3, r), r)
+                              stream.child(3, r))
 
     accs = {}
-    for mode, source in (("ancestors", ring), ("soup", spec)):
-        pop = seed_population(mode, source, m, stream=stream.child(1))
+    seeding = stream.child(1)
+    for mode, pop in (("ancestors", ancestors(ring, m, 0.0, seeding)),
+                      ("soup", soup(spec, m, seeding.child(_NS_SOUP)))):
         result = run_de(pop, de_cfg, factory, stream=stream.child(2))
         accs[mode] = evaluate(spec, result.best, test_ds).accuracy
     return accs

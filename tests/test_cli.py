@@ -362,6 +362,25 @@ def test_gridsearch_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--threads", "0"), ("--threads", "-3"),
+    ("--jitter", "-0.01"), ("--jitter", "nan"), ("--jitter", "inf")])
+@pytest.mark.parametrize("command", ["evolve", "gridsearch"])
+def test_de_flags_out_of_range_are_refused_before_any_data_loads(
+        trained_run, monkeypatch, capsys, command, flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("data loaded before the flags were checked")
+
+    monkeypatch.setattr(nevo.cli, "load_splits", never)
+    argv = {"evolve": ["evolve", "--run", str(trained_run)],
+            "gridsearch": ["gridsearch", "--config",
+                           str(trained_run / "config.json")]}[command]
+    before = files_under(trained_run.parent)
+    assert cli_main([*argv, flag, value]) == 2
+    one_error_line(capsys, f"error: {flag}: must be ")
+    assert files_under(trained_run.parent) == before
+
+
 def test_corrupt_rejects_a_negative_seed(tmp_path, capsys):
     out = tmp_path / "corrupted"
     assert cli_main(["corrupt", "--kind", "brightness", "--severity", "3",
@@ -395,6 +414,14 @@ def test_costs_command_honours_de_section(tmp_path, capsys):
     assert touches[1.0] == 101770
     # binomial(101770, 0.05): mean 5088.5, sd 69.5
     assert abs(touches[0.05] - 5088.5) < 5 * 69.5
+
+
+@pytest.mark.parametrize("flag", ["--n-g", "--n-e"])
+def test_costs_rejects_a_negative_count(tmp_path, capsys, flag):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"name": "mlp"}}))
+    assert cli_main(["costs", "--config", str(cfg), flag, "-5"]) == 2
+    one_error_line(capsys, f"error: {flag}: must be >= 0")
 
 
 def test_fetch_trust_on_first_use(tmp_path, capsys):
@@ -1216,6 +1243,23 @@ def test_cli_names_no_run_directory_file():
     found = [(node.lineno, node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and any(name in node.value for name in banned)]
+    assert found == []
+
+
+def test_cli_names_no_rng_namespace_and_no_pool():
+    """evolution.evolve owns the DE stage's RNG streams and worker pool;
+    a namespace, pool or DE step named in cli.py would be a second owner
+    that drifts from it."""
+    banned = ("ThreadPoolExecutor", "concurrent", "run_de", "subset_factory",
+              "seed_population")
+    tree = ast.parse(Path(nevo.cli.__file__).read_text())
+    found = [(node.lineno, name) for node in ast.walk(tree)
+             for name in (getattr(node, key, None)
+                          for key in ("id", "attr", "name", "asname",
+                                      "module"))
+             if isinstance(name, str) and (
+                 name.startswith("_NS_") or
+                 any(word in name for word in banned))]
     assert found == []
 
 

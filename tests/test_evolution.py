@@ -15,10 +15,10 @@ import pytest
 from nevo.data import DataSection
 from nevo.errors import MissingArtifactError, PopulationError
 from nevo.evaluation import count_costs
-from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, crossover,
-                            ensure_fitness, evolve_generation, fitness,
-                            grid_search, mutate, run_de, sample_context,
-                            seed_population)
+from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, ancestors,
+                            crossover, ensure_fitness, evolve,
+                            evolve_generation, fitness, grid_search, mutate,
+                            run_de, sample_context, soup)
 from nevo import evolution
 from nevo.network import Dense, NetworkSpec, init_params, param_count, zoo_spec
 from nevo.rng import RngStream
@@ -87,9 +87,8 @@ def test_mutation_vector_form_is_elementwise():
 
 
 def test_mutation_needs_four_members():
-    pop = Population([np.zeros(2)] * 3, np.zeros(3))
-    with pytest.raises(PopulationError):
-        mutate(pop, 0, 0.5, RngStream(0).generator())
+    with pytest.raises(PopulationError, match="at least 4 members, got 3"):
+        Population([np.zeros(2)] * 3, np.zeros(3))
     with pytest.raises(PopulationError):
         mutate(probe_population(), 9, 0.5, RngStream(0).generator())
 
@@ -284,7 +283,7 @@ def test_run_de_primes_generation_zero_and_reports_the_seed():
     res = run_de(pop, cfg, factory, stream=RngStream(9))
     assert len(contexts) == 3  # rounds 0, 1 and 2: one draw each
     assert contexts[0].calls == 5 + 2 * 6  # five stale, two generations
-    assert res.seed_index == 2 and res.seed_fitness == 1e-3
+    assert res.seed is seed_members[2] and res.seed_fitness == 1e-3
     assert all(a is b for a, b in zip(pop.members, seed_members))
     assert pop.fitness.tolist() == [1e-3 if i == 2 else float(v @ v)
                                     for i, v in enumerate(seed_members)]
@@ -295,7 +294,7 @@ def test_run_de_seed_is_best_of_primed_population():
     cfg = DeConfig(max_generations=3, seed=0)
     res = run_de(pop, cfg, Quadratic(np.zeros(3)), stream=RngStream(11))
     norms = [float(v @ v) for v in pop.members]
-    assert res.seed_index == int(np.argmin(norms))
+    assert res.seed is pop.members[int(np.argmin(norms))]
     assert res.seed_fitness == min(norms)
     assert res.best_fitness <= res.seed_fitness
 
@@ -308,8 +307,7 @@ def test_subset_factory_draws_round_r_from_child_r():
     factory = evolution.subset_factory(spec, data, 30, RngStream(5).child(3))
     for r in (0, 1, 4):
         got = factory(r)
-        want = sample_context(spec, data, 30, RngStream(5, (3, r)), r)
-        assert got.subset_id == r
+        want = sample_context(spec, data, 30, RngStream(5, (3, r)))
         assert np.array_equal(got.data.images, want.data.images)
         assert np.array_equal(got.data.labels, want.data.labels)
 
@@ -331,36 +329,33 @@ def ring_of(vectors):
     return ring
 
 
-def test_seed_population_ancestors_takes_newest():
+def test_ancestors_takes_newest():
     ring = ring_of([np.full(3, float(i)) for i in range(6)])
-    pop = seed_population("ancestors", ring, 4)
+    pop = ancestors(ring, 4, 0.0, RngStream(0))
     assert pop.m == 4
     assert [m[0] for m in pop.members] == [2.0, 3.0, 4.0, 5.0]
     assert np.all(np.isnan(pop.fitness))
     assert pop.generation == 0
 
 
-def test_seed_population_members_are_copies():
+def test_ancestors_are_copies():
     ring = ring_of([np.zeros(3)] * 4)
-    pop = seed_population("ancestors", ring, 4)
+    pop = ancestors(ring, 4, 0.0, RngStream(0))
     pop.members[0][:] = 42.0
     assert np.all(ring.entries[0].params == 0.0)
 
 
-def test_seed_population_underfull_requires_jitter():
+def test_ancestors_underfull_requires_jitter():
     ring = ring_of([np.zeros(4), np.ones(4)])
     with pytest.raises(PopulationError):
-        seed_population("ancestors", ring, 4)
-    with pytest.raises(PopulationError):
-        seed_population("ancestors", ring, 4, jitter_sigma=0.1)  # no stream
+        ancestors(ring, 4, 0.0, RngStream(0))
 
 
-def test_seed_population_jitter_statistics():
+def test_ancestors_jitter_statistics():
     d = 20000
     ring = ring_of([np.zeros(d), np.full(d, 5.0)])
     sigma = 0.02
-    pop = seed_population("ancestors", ring, 4, jitter_sigma=sigma,
-                          stream=RngStream(8))
+    pop = ancestors(ring, 4, sigma, RngStream(8))
     assert np.array_equal(pop.members[1], np.full(d, 5.0, dtype=np.float32))
     for filled in pop.members[2:]:
         noise = filled.astype(np.float64) - 5.0
@@ -368,25 +363,47 @@ def test_seed_population_jitter_statistics():
         assert 0.75 * sigma <= float(noise.std()) <= 1.25 * sigma
 
 
-def test_seed_population_soup_is_deterministic_and_diverse():
+def test_soup_is_deterministic_and_diverse():
     spec = small_mlp()
-    p1 = seed_population("soup", spec, 5, stream=RngStream(9))
-    p2 = seed_population("soup", spec, 5, stream=RngStream(9))
-    for a, b in zip(p1.members, p2.members):
+    p1 = soup(spec, 5, RngStream(9))
+    p2 = soup(spec, 5, RngStream(9))
+    for i, (a, b) in enumerate(zip(p1.members, p2.members)):
         assert np.array_equal(a, b)
+        assert np.array_equal(a, init_params(spec, RngStream(9).child(i)))
         assert a.shape == (param_count(spec),)
     for i in range(5):
         for j in range(i + 1, 5):
             assert not np.array_equal(p1.members[i], p1.members[j])
 
 
-def test_seed_population_soup_needs_spec_and_stream():
-    with pytest.raises(PopulationError):
-        seed_population("soup", [np.zeros(3)] * 4, 4, stream=RngStream(0))
-    with pytest.raises(PopulationError):
-        seed_population("soup", small_mlp(), 4)
-    with pytest.raises(PopulationError):
-        seed_population("afterlife", small_mlp(), 4, stream=RngStream(0))
+@pytest.mark.parametrize("mode", ["ancestors", "soup"])
+def test_evolve_runs_de_on_the_config_seeds_streams(mode):
+    """evolve seeds generation 0 from child(4), draws fitness subsets from
+    child(3) and trials from child(2) of RngStream(cfg.seed), for any
+    thread count."""
+    from nevo.data import make_synthetic_pair
+    data, _ = make_synthetic_pair(80, 0, classes=4, shape=(1, 4, 4),
+                                  noise=0.1, stream=RngStream(20))
+    spec = small_mlp()
+    ring = None if mode == "soup" else ring_of(
+        [init_params(spec, RngStream(21, (k,))) for k in range(3)])
+    cfg = DeConfig(max_generations=4, fitness_subset=50, resample_every=2,
+                   min_improve=0.0, seed=6)
+    base = RngStream(6)
+    pop = (soup(spec, 5, base.child(4)) if ring is None
+           else ancestors(ring, 5, 0.01, base.child(4)))
+    want = run_de(pop, cfg, evolution.subset_factory(spec, data, 50,
+                                                     base.child(3)),
+                  base.child(2))
+    for threads in (1, 2):
+        seen = []
+        got = evolve(spec, ring, 5, data, cfg, 0.01, threads, seen.append)
+        assert got.best.tobytes() == want.best.tobytes()
+        assert got.seed.tobytes() == want.seed.tobytes()
+        assert (got.seed_fitness, got.best_fitness) == (want.seed_fitness,
+                                                        want.best_fitness)
+        assert [replace(g, wall_ms=0.0) for g in seen] == \
+            [replace(g, wall_ms=0.0) for g in want.history]
 
 
 def test_population_best_index_and_staleness():
@@ -402,11 +419,10 @@ def test_sample_context_fixed_subset():
     data, _ = make_synthetic_pair(100, 10, classes=4, shape=(1, 4, 4),
                                   noise=0.1, stream=RngStream(10))
     spec = small_mlp()
-    c1 = sample_context(spec, data, 30, RngStream(11), subset_id=2)
-    c2 = sample_context(spec, data, 30, RngStream(11), subset_id=2)
+    c1 = sample_context(spec, data, 30, RngStream(11))
+    c2 = sample_context(spec, data, 30, RngStream(11))
     assert np.array_equal(c1.data.images, c2.data.images)
     assert len(c1.data.labels) == 30
-    assert c1.subset_id == 2
     full = sample_context(spec, data, 1000, RngStream(12))
     assert full.data.images is data.images
 
@@ -482,17 +498,17 @@ def spy_grid(monkeypatch):
     """Record the ancestor ring each grid cell seeds from and the data
     each lr's fitness subsets are drawn from."""
     seen = {"rings": [], "subset_data": []}
-    real_seed, real_factory = evolution.seed_population, evolution.subset_factory
+    real_seed, real_factory = evolution.ancestors, evolution.subset_factory
 
-    def seed_spy(mode, source, *args):
-        seen["rings"].append([e.params.tobytes() for e in source])
-        return real_seed(mode, source, *args)
+    def seed_spy(ring, *args):
+        seen["rings"].append([e.params.tobytes() for e in ring])
+        return real_seed(ring, *args)
 
     def factory_spy(spec, data, *args):
         seen["subset_data"].append(data)
         return real_factory(spec, data, *args)
 
-    monkeypatch.setattr(evolution, "seed_population", seed_spy)
+    monkeypatch.setattr(evolution, "ancestors", seed_spy)
     monkeypatch.setattr(evolution, "subset_factory", factory_spy)
     return seen
 

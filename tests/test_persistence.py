@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nevo.errors import (CheckpointFormatError, ChecksumError, ConfigError,
-                         MissingArtifactError)
+                         MissingArtifactError, PopulationError)
 from nevo.evolution import Population
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, param_count, zoo_spec)
@@ -181,6 +181,20 @@ def test_population_index_validation(tmp_path):
     (pop_dir / "index.json").write_text(json.dumps({"version": 1}))
     with pytest.raises(CheckpointFormatError, match="missing key"):
         load_population(pop_dir)
+
+
+def test_population_of_fewer_than_four_members_is_refused(tmp_path):
+    spec = small_mlp()
+    pop = Population([random_theta(spec, i, np.float32) for i in range(4)],
+                     np.full(4, np.nan), 0)
+    save_population(pop, tmp_path / "pop", spec)
+    index_path = tmp_path / "pop" / "index.json"
+    index = json.loads(index_path.read_text())
+    index.update(m=3, members=index["members"][:3],
+                 fitness=index["fitness"][:3])
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(PopulationError, match="at least 4 members, got 3"):
+        load_population(tmp_path / "pop")
 
 
 def test_population_spec_mismatch_between_members(tmp_path):
