@@ -199,14 +199,20 @@ def _cmd_evolve(args) -> int:
         de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
         mode = "soup" if args.soup else "ancestors"
 
-        train_ds, test_ds = load_splits(cfg.data)
         ring, spec = (None, cfg.spec) if args.soup else run.load_ring()
         run.start(cfg, spec)
-        out = evolve(spec, ring, cfg.bp.ring_size, train_ds, de, args.jitter,
-                     args.threads, callback=lambda g: run.record(
+        splits = []
+
+        def train_split():  # read once generation 0 is built
+            splits.extend(load_splits(cfg.data))
+            return splits[0]
+
+        out = evolve(spec, ring, cfg.bp.ring_size, train_split, de,
+                     args.jitter, args.threads, callback=lambda g: run.record(
                          g, stage="de", mode=mode))
 
         run.write_de(mode, out, spec, de.seed)
+        test_ds = splits[1]
         seed_eval = evaluate(spec, out.seed, test_ds)
         best_eval = evaluate(spec, out.best, test_ds)
         run.finish({"stage": "de", "mode": mode,

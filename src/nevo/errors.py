@@ -26,7 +26,7 @@ class ChecksumError(DataFormatError):
 
 
 class CheckpointFormatError(DataFormatError):
-    """A checkpoint or population file fails validation."""
+    """A checkpoint, or a ring or run-directory file, fails validation."""
 
 
 class ConfigError(NevoError):
@@ -45,7 +45,7 @@ class ConfigError(NevoError):
 
 
 class MissingArtifactError(NevoError):
-    """A required file, run, or population member is absent."""
+    """A required file, run, or ring entry is absent."""
 
 
 class UnsupportedCorruptionError(NevoError):

@@ -198,13 +198,15 @@ def _load_run_rows(run_dir: Path, problems: list) -> list:
             "model": summary.get("model", ""),
             "dataset": summary.get("dataset", ""),
             "stage": stage.get("stage", ""),
+            "mode": stage.get("mode"),
             "params": summary.get("params", ""),
             "accuracy": stage.get("test_accuracy"),
         })
     return rows
 
 
-_REPORT_COLUMNS = ("run", "model", "dataset", "stage", "params", "accuracy")
+_REPORT_COLUMNS = ("run", "model", "dataset", "stage", "mode", "params",
+                   "accuracy")
 
 
 def report(run_dirs, fmt: str = "csv"):
@@ -227,8 +229,8 @@ def report(run_dirs, fmt: str = "csv"):
     writer = csv.writer(buf)
     writer.writerow(_REPORT_COLUMNS)
     for row in rows:
-        acc = row["accuracy"]
+        acc, mode = row["accuracy"], row["mode"]
         writer.writerow([row["run"], row["model"], row["dataset"],
-                         row["stage"], row["params"],
-                         "" if acc is None else repr(acc)])
+                         row["stage"], "" if mode is None else mode,
+                         row["params"], "" if acc is None else repr(acc)])
     return buf.getvalue(), problems

@@ -168,8 +168,8 @@ def ancestors(ring, m: int, jitter_sigma: float,
     if missing > 0:
         if jitter_sigma <= 0:
             raise PopulationError(
-                f"ring holds {len(members)} < m={m} vectors and jitter "
-                f"is disabled")
+                f"ring holds {len(members)} < m={m} vectors; top it up with "
+                f"--jitter > 0")
         newest = members[-1]
         gen = stream.generator()
         for _ in range(missing):
@@ -278,7 +278,6 @@ class GenMetrics:
 class DeResult:
     best: np.ndarray
     best_fitness: float
-    population: Population
     history: list
     seed: np.ndarray  # best member of the primed generation 0
     seed_fitness: float
@@ -333,7 +332,7 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
                 break
 
     i = pop.best_index
-    return DeResult(pop.members[i].copy(), float(pop.fitness[i]), pop, history,
+    return DeResult(pop.members[i].copy(), float(pop.fitness[i]), history,
                     seed, seed_fitness)
 
 
@@ -345,19 +344,21 @@ def _pool(threads: int):
     return ThreadPoolExecutor(threads)
 
 
-def evolve(spec: NetworkSpec, ring, m: int, data, cfg: DeConfig,
-           jitter_sigma: float = 0.0, threads: int = 1,
+def evolve(spec: NetworkSpec, ring, m: int, load_data: Callable,
+           cfg: DeConfig, jitter_sigma: float = 0.0, threads: int = 1,
            callback=None) -> DeResult:
     """The DE stage of `nevo evolve`: generation 0 is the `ancestors` of
     ring, or a `soup` of spec when ring is None, evolved by run_de on
-    fitness subsets of data with `threads` workers.  Every draw derives
-    from RngStream(cfg.seed), so the result is the same for any threads.
+    fitness subsets of load_data() with `threads` workers.  load_data is
+    called once generation 0 is built, so a ring that cannot seed it is
+    refused before any data loads.  Every draw derives from
+    RngStream(cfg.seed), so the result is the same for any threads.
     """
     base = RngStream(cfg.seed)
     seeding = base.child(_NS_SOUP)
     pop = (soup(spec, m, seeding) if ring is None
            else ancestors(ring, m, jitter_sigma, seeding))
-    factory = subset_factory(spec, data, cfg.fitness_subset,
+    factory = subset_factory(spec, load_data(), cfg.fitness_subset,
                              base.child(_NS_SUBSET))
     with _pool(threads) as pool:
         return run_de(pop, cfg, factory, base.child(_NS_DE), pool, callback)

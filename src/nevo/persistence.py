@@ -1,5 +1,5 @@
-"""Durable state: binary checkpoints, population directories, run
-directories (`RunDir`), config parsing, and the model-spec JSON format.
+"""Durable state: binary checkpoints, checkpoint rings, run directories
+(`RunDir`), config parsing, and the model-spec JSON format.
 
 Checkpoint layout (all integers little-endian):
 
@@ -30,7 +30,6 @@ code that consumes it (`data.DataSection`, `training.TrainConfig`,
 from __future__ import annotations
 
 import json
-import math
 import sys
 import zlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -46,7 +45,7 @@ from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
                       param_count, zoo_spec)
 from .training import CheckpointRing, TrainConfig
-from .evolution import DEFAULT_GRID, DeConfig, DeResult, Population
+from .evolution import DEFAULT_GRID, DeConfig, DeResult
 
 _MAGIC = b"NEVO"
 _VERSION = 1
@@ -235,75 +234,6 @@ def _number(value, where: str, integral: bool = False):
     return value
 
 
-def _load_listed(in_dir: Path, index_path: Path, names, what: str) -> tuple:
-    """(params list, spec) of the checkpoints an index lists.  Each name
-    must be a plain file name inside in_dir, and every checkpoint must
-    share the first one's spec."""
-    params, spec = [], None
-    for name in names:
-        if (not isinstance(name, str) or name in ("", "..") or "\0" in name
-                or Path(name).name != name):
-            raise CheckpointFormatError(
-                f"{index_path}: {what} {name!r} is not a file name inside "
-                f"{in_dir}")
-        path = in_dir / name
-        if not path.is_file():
-            raise MissingArtifactError(
-                f"{what} {name} listed in {index_path} is missing")
-        ckpt = load_checkpoint(path)
-        if spec is None:
-            spec = ckpt.spec
-        elif ckpt.spec != spec:
-            raise CheckpointFormatError(
-                f"{path}: spec differs from the first {what}'s")
-        params.append(ckpt.params)
-    return params, spec
-
-
-# --- population directories -------------------------------------------------
-
-
-def save_population(pop: Population, out_dir, spec: NetworkSpec,
-                    meta: Optional[dict] = None):
-    """One checkpoint per member plus an index carrying the fitness
-    cache (NaN as null) and the generation counter."""
-    names = [f"member-{i:03d}.ckpt" for i in range(len(pop.members))]
-
-    def fill(tmp: Path):
-        for i, (name, member) in enumerate(zip(names, pop.members)):
-            ckpt = Checkpoint(spec, member, {**(meta or {}), "member": i})
-            save_checkpoint(ckpt, tmp / name)
-        write_json(tmp / _INDEX_NAME, {
-            "version": 1, "generation": pop.generation, "m": pop.m,
-            "members": names, "fitness": [None if math.isnan(f) else float(f)
-                                          for f in pop.fitness]})
-    _write_dir(out_dir, fill)
-
-
-def load_population(in_dir):
-    """Returns (Population, NetworkSpec); every member must exist and
-    share the spec of member 0."""
-    in_dir = Path(in_dir)
-    index_path = in_dir / _INDEX_NAME
-    index = _read_json(index_path, "population index",
-                       ("generation", "m", "members", "fitness"))
-    m = _number(index["m"], f"{index_path}: m", integral=True)
-    generation = _number(index["generation"], f"{index_path}: generation",
-                         integral=True)
-    names, fit = index["members"], index["fitness"]
-    if not isinstance(fit, list) or not isinstance(names, list) or \
-            len(names) != m or len(fit) != m:
-        raise CheckpointFormatError(
-            f"{index_path}: m={m} needs lists of {m} members and {m} "
-            f"fitness entries")
-    fitness = np.array([np.nan if f is None else
-                        _number(f, f"{index_path}: fitness") for f in fit],
-                       dtype=np.float64)
-    members, spec = _load_listed(in_dir, index_path, names,
-                                 "population member")
-    return Population(members, fitness, generation), spec
-
-
 # --- checkpoint rings ---------------------------------------------------------
 
 
@@ -324,7 +254,9 @@ def save_ring(ring: CheckpointRing, out_dir, spec: NetworkSpec,
 
 
 def load_ring(in_dir):
-    """Returns (CheckpointRing, NetworkSpec)."""
+    """Returns (CheckpointRing, NetworkSpec).  Each entry's file must be a
+    plain file name inside in_dir, and every entry must share the first
+    entry's spec."""
     in_dir = Path(in_dir)
     index_path = in_dir / _INDEX_NAME
     index = _read_json(index_path, "ring index", ("capacity", "entries"))
@@ -337,16 +269,29 @@ def load_ring(in_dir):
         raise CheckpointFormatError(
             f"{index_path}: capacity {capacity} cannot hold {len(rows)} "
             f"entries")
+    ring, spec = CheckpointRing(capacity), None
     for i, row in enumerate(rows):
         where = f"{index_path}: entries[{i}]"
         _require(row, ("file", "epoch", "train_loss"), where)
         _number(row["epoch"], f"{where}.epoch", integral=True)
         _number(row["train_loss"], f"{where}.train_loss")
-    params, spec = _load_listed(in_dir, index_path,
-                                [row["file"] for row in rows], "ring entry")
-    ring = CheckpointRing(capacity)
-    for row, theta in zip(rows, params):
-        ring.push(row["epoch"], theta, row["train_loss"])
+        name = row["file"]
+        if (not isinstance(name, str) or name in ("", "..") or "\0" in name
+                or Path(name).name != name):
+            raise CheckpointFormatError(
+                f"{index_path}: ring entry {name!r} is not a file name "
+                f"inside {in_dir}")
+        path = in_dir / name
+        if not path.is_file():
+            raise MissingArtifactError(
+                f"ring entry {name} listed in {index_path} is missing")
+        ckpt = load_checkpoint(path)
+        if spec is None:
+            spec = ckpt.spec
+        elif ckpt.spec != spec:
+            raise CheckpointFormatError(
+                f"{path}: spec differs from the first ring entry's")
+        ring.push(row["epoch"], ckpt.params, row["train_loss"])
     return ring, spec
 
 
@@ -594,18 +539,16 @@ class RunDir(_FileLock):
         ring/           end-of-epoch checkpoint ring
         final.ckpt      last gradient-stage parameters
         de_best.ckpt    best evolved parameters (de_best_soup.ckpt for soup)
-        de_pop/         final population (de_pop_soup/ for soup)
 
     As a context manager it holds the `_FileLock` on the sibling
-    <run>.lock, and another command on the run fails at once.  ring/ and
-    de_pop*/ are replaced whole (`data._write_dir`).  A `new` run (`train`)
-    refuses final.ckpt or de_*, written before summary.json and
-    manifest.json, as a finished train; `evolve` needs an existing run.
+    <run>.lock, and another command on the run fails at once.  ring/ is
+    replaced whole (`data._write_dir`).  A `new` run (`train`) refuses
+    final.ckpt or de_*, written before summary.json and manifest.json, as
+    a finished train; `evolve` needs an existing run.
     """
 
     _FILES = ("config.json", "metrics.jsonl", "timings.jsonl", "summary.json",
-              "ring", "final.ckpt", "de_best.ckpt", "de_pop",
-              "de_best_soup.ckpt", "de_pop_soup")
+              "ring", "final.ckpt", "de_best.ckpt", "de_best_soup.ckpt")
 
     def __init__(self, path, new: bool = False):
         self.path, self.new = Path(path), new
@@ -632,7 +575,7 @@ class RunDir(_FileLock):
         self.summary = {"model": cfg.model_name or "custom",
                         "dataset": cfg.data.name,
                         "params": param_count(spec), "stages": []}
-        self.manifest = {"run_id": self.path.resolve().name, "artifacts": {}}
+        self.manifest = {"run_id": self.path.resolve().name}
         if not self.new:  # an absent file keeps the default
             if (self.path / "summary.json").exists():
                 self.summary = load_summary(self.path)
@@ -671,27 +614,26 @@ class RunDir(_FileLock):
         save_checkpoint(ckpt, self.path / "final.ckpt")
 
     def write_de(self, mode: str, out: DeResult, spec: NetworkSpec, seed: int):
-        """The final population and best member of a DE run."""
-        meta = {"stage": "de", "mode": mode, "seed": seed}
+        """The best member of a DE run."""
         suffix = "_soup" if mode == "soup" else ""
-        save_population(out.population, self.path / f"de_pop{suffix}", spec,
-                        meta)
         save_checkpoint(Checkpoint(spec, out.best, {
-            **meta, "generation": out.population.generation,
-            "fitness": out.best_fitness}), self.path / f"de_best{suffix}.ckpt")
+            "stage": "de", "mode": mode, "seed": seed,
+            "generation": len(out.history), "fitness": out.best_fitness}),
+            self.path / f"de_best{suffix}.ckpt")
 
     def finish(self, stage: dict, **manifest_fields):
         """Write summary.json with stage in place of the one with its
-        (stage, mode), as a rerun in one mode replaces that mode's de_best
-        and de_pop; then manifest.json, listing every run file present."""
+        (stage, mode), as a rerun in one mode replaces that mode's de_best;
+        then manifest.json, listing exactly the run files present, so an
+        entry an older version listed goes."""
         from . import blas_threads
         key = (stage["stage"], stage.get("mode"))
         self.summary["stages"] = [
             s for s in self.summary["stages"]
             if (s.get("stage"), s.get("mode")) != key] + [stage]
         write_json(self.path / "summary.json", self.summary)
-        self.manifest["artifacts"].update({
+        self.manifest["artifacts"] = {
             Path(name).stem: name for name in self._FILES
-            if (self.path / name).exists()})
+            if (self.path / name).exists()}
         self.manifest.update(manifest_fields, blas_threads=blas_threads())
         write_manifest(self.path, self.manifest)

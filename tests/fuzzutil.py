@@ -18,12 +18,10 @@ import numpy as np
 
 from nevo.data import load_idx, load_npy, save_npy
 from nevo.errors import NevoError
-from nevo.evolution import Population
 from nevo.network import param_count
 from nevo.persistence import (Checkpoint, checkpoint_bytes, load_manifest,
-                              load_population, load_ring, load_summary,
-                              parse_checkpoint, save_population, save_ring,
-                              write_manifest)
+                              load_ring, load_summary, parse_checkpoint,
+                              save_ring, write_manifest)
 from nevo.training import CheckpointRing
 
 from synthdata import random_theta, small_conv, small_mlp
@@ -200,8 +198,8 @@ def json_structural_regions(buf, keys):
 
 
 def build_json_corpora(tmp_path):
-    """The JSON files a run directory holds: ring and population
-    index.json, manifest.json and summary.json, each as written by the
+    """The JSON files a run directory holds: the ring's index.json,
+    manifest.json and summary.json, each as written by the
     package.  The trailing newline is dropped so that every proper
     prefix is invalid JSON."""
     spec = small_mlp()
@@ -210,18 +208,13 @@ def build_json_corpora(tmp_path):
         ring.push(epoch, random_theta(spec, epoch, np.float32), 1.0 / epoch)
     ring_dir = tmp_path / "ring"
     save_ring(ring, ring_dir, spec, {"seed": 0})
-    pop_dir = tmp_path / "de_pop"
-    pop = Population([random_theta(spec, i, np.float32) for i in range(4)],
-                     np.array([0.5, np.nan, 1.25, 0.75]), 3)
-    save_population(pop, pop_dir, spec, {"stage": "de"})
     run_dir = tmp_path
     (run_dir / "final.ckpt").write_bytes(b"x")
     write_manifest(run_dir, {
         "run_id": "fuzz", "created": "2024-01-01T00:00:00+0000",
         "config_sha256": "ab" * 32, "seed": 3,
         "dataset": {"name": "synthetic", "n_train": 96, "n_test": 48},
-        "artifacts": {"final": "final.ckpt", "ring": "ring",
-                      "de_pop": "de_pop"}})
+        "artifacts": {"final": "final.ckpt", "ring": "ring"}})
     (run_dir / "summary.json").write_text(json.dumps({
         "model": "mlp", "dataset": "synthetic", "params": 214,
         "stages": [{"stage": "bp", "epochs": 3, "train_loss": 0.25,
@@ -239,8 +232,6 @@ def build_json_corpora(tmp_path):
     specs = [
         ("ring-index", ring_dir / "index.json", load_ring,
          {"capacity", "entries", "file", "epoch", "train_loss"}),
-        ("population-index", pop_dir / "index.json", load_population,
-         {"generation", "m", "members", "fitness"}),
         ("manifest", run_dir / "manifest.json", load_manifest,
          {"artifacts"}),
         ("summary", run_dir / "summary.json", load_summary, {"stages"}),

@@ -26,7 +26,7 @@ import nevo
 from nevo.cli import cli_main
 from nevo.data import DATASET_NAMES, MANIFEST, augment, load_splits
 from nevo.network import Activation, Dense, Flatten, NetworkSpec
-from nevo.persistence import (Checkpoint, load_checkpoint, load_population,
+from nevo.persistence import (Checkpoint, RunDir, load_checkpoint,
                               parse_config, save_checkpoint, spec_doc)
 from nevo.rng import RngStream
 from nevo.training import train
@@ -128,10 +128,9 @@ def test_train_seed_changes_outcome(tmp_path):
 def test_evolve_ancestors(trained_run, capsys):
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
     capsys.readouterr()
-    pop, spec = load_population(trained_run / "de_pop")
-    assert pop.m == 4 and pop.generation == 3
     best = load_checkpoint(trained_run / "de_best.ckpt")
     assert best.meta["stage"] == "de" and best.meta["mode"] == "ancestors"
+    assert best.meta["generation"] == 3
     summary = json.loads((trained_run / "summary.json").read_text())
     stages = summary["stages"]
     assert [s["stage"] for s in stages] == ["bp", "de"]
@@ -149,10 +148,53 @@ def test_evolve_ancestors(trained_run, capsys):
 def test_evolve_soup(trained_run):
     assert cli_main(["evolve", "--run", str(trained_run), "--soup"]) == 0
     best = load_checkpoint(trained_run / "de_best_soup.ckpt")
-    assert best.meta["mode"] == "soup"
-    assert (trained_run / "de_pop_soup" / "index.json").exists()
+    assert best.meta["mode"] == "soup" and best.meta["generation"] == 3
+    assert not any(trained_run.glob("de_pop*"))
     summary = json.loads((trained_run / "summary.json").read_text())
     assert summary["stages"][-1]["mode"] == "soup"
+
+
+def test_run_directory_holds_exactly_the_run_files(trained_run, capsys):
+    """After train, evolve and evolve --soup a run directory holds every
+    RunDir file plus manifest.json, which lists them all, and nothing
+    else: no population directory."""
+    for extra in ([], ["--soup"]):
+        assert cli_main(["evolve", "--run", str(trained_run), *extra]) == 0
+    assert sorted(p.name for p in trained_run.iterdir()) == sorted(
+        [*RunDir._FILES, "manifest.json"])
+    assert not any(trained_run.glob("de_pop*"))
+    manifest = json.loads((trained_run / "manifest.json").read_text())
+    assert manifest["artifacts"] == {Path(name).stem: name
+                                     for name in RunDir._FILES}
+
+
+def test_evolve_leaves_the_population_an_older_version_wrote(
+        trained_run, tmp_path, capsys):
+    """Older versions wrote de_pop/ and de_pop_soup/ and listed them in
+    manifest.json.  evolve neither deletes nor lists the one still there,
+    drops the entry of the one a user removed, and writes no population
+    of its own; train still refuses the run, as de_best.ckpt is there."""
+    old = trained_run / "de_pop"
+    old.mkdir()
+    (old / "index.json").write_text('{"members": []}\n')
+    manifest_path = trained_run / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifacts"].update(de_pop="de_pop", de_pop_soup="de_pop_soup")
+    manifest_path.write_text(json.dumps(manifest))
+    before = files_under(old)
+    for extra in ([], ["--soup"]):
+        assert cli_main(["evolve", "--run", str(trained_run), *extra]) == 0
+    assert files_under(old) == before
+    assert list(trained_run.glob("de_pop*")) == [old]
+    artifacts = json.loads(manifest_path.read_text())["artifacts"]
+    assert sorted(artifacts) == sorted(Path(name).stem
+                                       for name in RunDir._FILES)
+    (trained_run / "final.ckpt").unlink()
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(tmp_path / "config.json"),
+                     "--out", str(trained_run)]) == 2
+    assert "already initialized" in capsys.readouterr().err
+    assert files_under(old) == before
 
 
 def test_byte_identical_across_threads_and_reruns(tmp_path):
@@ -296,33 +338,18 @@ def test_train_scores_the_test_split_once_per_epoch(tmp_path, monkeypatch,
         assert stage["test_accuracy"] == clean.accuracy
 
 
-def test_smaller_population_leaves_no_stale_members(trained_run, tmp_path,
-                                                    capsys):
-    big = tmp_path / "big.json"
-    big.write_text(tiny_config(bp={"ring_size": 6}))
-    assert cli_main(["evolve", "--run", str(trained_run), "--config",
-                     str(big), "--jitter", "0.01"]) == 0
-    assert len(list((trained_run / "de_pop").glob("member-*.ckpt"))) == 6
-    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
-    capsys.readouterr()
-    pop_dir = trained_run / "de_pop"
-    index = json.loads((pop_dir / "index.json").read_text())
-    assert len(index["members"]) == 4
-    assert sorted(p.name for p in pop_dir.iterdir()) == sorted(
-        index["members"] + ["index.json"])
-    pop, _ = load_population(pop_dir)
-    assert pop.m == 4
-
-
 def test_report_formats(trained_run, tmp_path, capsys):
-    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+    """The mode column tells the ancestors' de row from the soup's."""
+    for extra in ([], ["--soup"]):
+        assert cli_main(["evolve", "--run", str(trained_run), *extra]) == 0
     capsys.readouterr()
     assert cli_main(["report", "--runs", str(trained_run),
                      "--format", "csv"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert lines[0].startswith("run,model,dataset,stage")
-    assert len(lines) == 3
+    assert lines[0] == "run,model,dataset,stage,mode,params,accuracy"
+    assert [line.split(",")[3:5] for line in lines[1:]] == [
+        ["bp", ""], ["de", "ancestors"], ["de", "soup"]]
 
     missing = tmp_path / "ghost"
     assert cli_main(["report", "--runs", str(trained_run), str(missing),
@@ -331,7 +358,9 @@ def test_report_formats(trained_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ghost" in err
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert [r["stage"] for r in doc["rows"]] == ["bp", "de"]
+    assert doc["columns"] == lines[0].split(",")
+    assert [(r["stage"], r["mode"]) for r in doc["rows"]] == [
+        ("bp", None), ("de", "ancestors"), ("de", "soup")]
 
 
 def test_gridsearch_writes_rows(tmp_path, capsys):
@@ -379,6 +408,31 @@ def test_de_flags_out_of_range_are_refused_before_any_data_loads(
     assert cli_main([*argv, flag, value]) == 2
     one_error_line(capsys, f"error: {flag}: must be ")
     assert files_under(trained_run.parent) == before
+
+
+def test_short_ring_without_jitter_is_refused_before_any_data_loads(
+        trained_run, tmp_path, monkeypatch, capsys):
+    """A ring shorter than bp.ring_size cannot seed generation 0 without
+    --jitter, so evolve says so before it reads either split."""
+    loaded = []
+    real = nevo.cli.load_splits
+
+    def spy(section, *args):
+        loaded.append(section)
+        return real(section, *args)
+
+    monkeypatch.setattr(nevo.cli, "load_splits", spy)
+    big = tmp_path / "big.json"
+    big.write_text(tiny_config(bp={"ring_size": 6}))
+    argv = ["evolve", "--run", str(trained_run), "--config", str(big)]
+    before = files_under(trained_run.parent)
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    one_error_line(capsys, "ring holds 4 < m=6", "--jitter")
+    assert loaded == []
+    assert files_under(trained_run.parent) == before
+    assert cli_main([*argv, "--jitter", "0.01"]) == 0
+    assert len(loaded) == 1
 
 
 def test_corrupt_rejects_a_negative_seed(tmp_path, capsys):
@@ -560,7 +614,7 @@ def test_manifest_lists_every_run_file_present(tmp_path, capsys):
     assert manifest["artifacts"] == {
         "config": "config.json", "metrics": "metrics.jsonl",
         "timings": "timings.jsonl", "summary": "summary.json",
-        "de_best_soup": "de_best_soup.ckpt", "de_pop_soup": "de_pop_soup"}
+        "de_best_soup": "de_best_soup.ckpt"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -691,30 +745,6 @@ def test_killed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch,
     with pytest.raises(Killed):
         cli_main(argv)
     assert (out / name).read_bytes() == b"previous\n"
-
-
-def test_evolve_killed_mid_population_keeps_the_previous_one(
-        trained_run, monkeypatch, capsys):
-    """de_pop/ is written whole into a sibling directory and swapped in,
-    so a rerun killed part-way leaves the previous population and index
-    untouched, and the next write clears what the kill left behind."""
-    assert cli_main(["evolve", "--run", str(trained_run)]) == 0
-    pop_dir = trained_run / "de_pop"
-    before = files_under(pop_dir)
-    names = sorted(p.name for p in trained_run.iterdir())
-    kill_replace_of(monkeypatch, "member-002.ckpt")
-    with pytest.raises(Killed):
-        cli_main(["evolve", "--run", str(trained_run), "--seed", "7"])
-    assert files_under(pop_dir) == before
-    monkeypatch.undo()
-    # in-process, so this also shows the killed command released its lock
-    assert cli_main(["evolve", "--run", str(trained_run), "--seed", "7"]) == 0
-    assert sorted(p.name for p in trained_run.iterdir()) == names
-    assert sorted(p.name for p in pop_dir.iterdir()) == sorted(
-        p.name for p in before)
-    pop, _ = load_population(pop_dir)
-    assert pop.m == 4 and all(
-        load_checkpoint(p).meta["seed"] == 7 for p in pop_dir.glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("command,kind", [
@@ -1043,7 +1073,7 @@ def test_report_warns_on_malformed_summary(trained_run, capsys, text):
     assert cli_main(["report", "--runs", str(trained_run)]) == 0
     out, err = capsys.readouterr()
     assert out.strip().splitlines() == [
-        "run,model,dataset,stage,params,accuracy"]
+        "run,model,dataset,stage,mode,params,accuracy"]
     assert err.startswith("warning:") and "summary.json" in err
 
 
@@ -1104,7 +1134,7 @@ def test_report_lists_a_deeply_nested_summary(trained_run, capsys):
     assert cli_main(["report", "--runs", str(trained_run)]) == 0
     out, err = capsys.readouterr()
     assert out.strip().splitlines() == [
-        "run,model,dataset,stage,params,accuracy"]
+        "run,model,dataset,stage,mode,params,accuracy"]
     assert err.startswith("warning:") and "summary.json" in err
 
 
@@ -1168,8 +1198,8 @@ def test_manifest_records_blas_threads(trained_run):
 
 def test_evolve_rerun_replaces_that_modes_summary_stage(trained_run, capsys):
     """summary.json keeps one de stage per mode, the latest, as de_best
-    and de_pop are replaced; metrics.jsonl and timings.jsonl stay
-    append-only logs of every run."""
+    is replaced; metrics.jsonl and timings.jsonl stay append-only logs
+    of every run."""
     for extra in ([], ["--soup"], ["--seed", "5"]):
         assert cli_main(["evolve", "--run", str(trained_run), *extra]) == 0
     capsys.readouterr()

@@ -278,22 +278,30 @@ def write_run(tmp_path, name, stages, model="mlp", dataset="synthetic",
 def test_report_csv_and_json_agree(tmp_path):
     r1 = write_run(tmp_path, "run1",
                    [{"stage": "bp", "test_accuracy": 0.97},
-                    {"stage": "de", "test_accuracy": 0.99}])
+                    {"stage": "de", "mode": "ancestors",
+                     "test_accuracy": 0.99},
+                    {"stage": "de", "mode": "soup", "test_accuracy": 0.5}])
     r2 = write_run(tmp_path, "run2", [{"stage": "bp", "test_accuracy": 0.5}],
                    model="lenet1", params=3246)
     text, problems = report([r1, r2], "csv")
     assert problems == []
     rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["run", "model", "dataset", "stage", "params",
+    assert rows[0] == ["run", "model", "dataset", "stage", "mode", "params",
                        "accuracy"]
-    assert len(rows) == 4
-    assert rows[1][3] == "bp" and rows[2][3] == "de"
-    assert float(rows[2][5]) == 0.99
+    assert len(rows) == 5
+    assert [row[3:5] for row in rows[1:]] == [
+        ["bp", ""], ["de", "ancestors"], ["de", "soup"], ["bp", ""]]
+    assert float(rows[2][6]) == 0.99 and float(rows[3][6]) == 0.5
 
     jtext, _ = report([r1, r2], "json")
     doc = json.loads(jtext)
-    assert [r["stage"] for r in doc["rows"]] == ["bp", "de", "bp"]
+    assert doc["columns"] == rows[0]
+    assert [(r["stage"], r["mode"]) for r in doc["rows"]] == [
+        ("bp", None), ("de", "ancestors"), ("de", "soup"), ("bp", None)]
     assert doc["rows"][1]["accuracy"] == 0.99
+    for line, row in zip(rows[1:], doc["rows"]):
+        assert line == ["" if row[c] is None else str(row[c])
+                        for c in doc["columns"]]
 
 
 def test_report_collects_problems_without_failing(tmp_path):

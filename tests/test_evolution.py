@@ -397,7 +397,8 @@ def test_evolve_runs_de_on_the_config_seeds_streams(mode):
                   base.child(2))
     for threads in (1, 2):
         seen = []
-        got = evolve(spec, ring, 5, data, cfg, 0.01, threads, seen.append)
+        got = evolve(spec, ring, 5, lambda: data, cfg, 0.01, threads,
+                     seen.append)
         assert got.best.tobytes() == want.best.tobytes()
         assert got.seed.tobytes() == want.seed.tobytes()
         assert (got.seed_fitness, got.best_fitness) == (want.seed_fitness,

@@ -123,7 +123,7 @@ def test_engine_is_deterministic(corpora):
 
 
 def test_run_directory_json_structural_flips_raise_typed(json_corpora):
-    # ring/population index.json, manifest.json and summary.json
+    # ring index.json, manifest.json and summary.json
     for corpus in json_corpora:
         corpus.parse(corpus.base)
         ok, typed, crashes = run_corpus(corpus, 300, seed=31)
