@@ -1,5 +1,6 @@
 """Round-trip and corruption tests for the binary checkpoint format,
-ring directories, config parsing, and run manifests."""
+ring directories and the population seeded from one, config parsing,
+and run manifests."""
 
 import json
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from nevo.errors import (CheckpointFormatError, ChecksumError, ConfigError,
-                         MissingArtifactError)
+                         MissingArtifactError, PopulationError)
+from nevo.evolution import ancestors
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, param_count, zoo_spec)
 from nevo.persistence import (Checkpoint, Config, checkpoint_bytes,
@@ -193,6 +195,41 @@ def test_ring_missing_entry_file(tmp_path):
     with pytest.raises(MissingArtifactError,
                        match="epoch-0001.ckpt listed in"):
         load_ring(tmp_path / "ring")
+
+
+# The population `nevo evolve` starts from is no file of its own: it is
+# seeded from the run's ring/, so the ring directory is what must hold it.
+
+
+def population_ring(tmp_path, epochs=(1, 2, 3, 4)):
+    spec = small_mlp()
+    ring = CheckpointRing(len(epochs))
+    for epoch in epochs:
+        ring.push(epoch, random_theta(spec, epoch, np.float32), 1.0 / epoch)
+    save_ring(ring, tmp_path / "ring", spec)
+    return tmp_path / "ring", ring
+
+
+def seed_population(ring_dir, m):
+    return ancestors(load_ring(ring_dir)[0], m, 0.0, RngStream(0))
+
+
+def test_population_missing_member(tmp_path):
+    ring_dir, ring = population_ring(tmp_path)
+    pop = seed_population(ring_dir, 4)
+    assert [v.tobytes() for v in pop.members] == [
+        e.params.tobytes() for e in ring]
+    (ring_dir / "epoch-0003.ckpt").unlink()
+    with pytest.raises(MissingArtifactError, match="epoch-0003"):
+        seed_population(ring_dir, 4)
+
+
+def test_population_of_fewer_than_four_members_is_refused(tmp_path):
+    ring_dir, _ = population_ring(tmp_path, epochs=(1, 2, 3))
+    with pytest.raises(PopulationError, match="at least 4 members, got 3"):
+        seed_population(ring_dir, 3)
+    with pytest.raises(PopulationError, match="--jitter"):
+        seed_population(ring_dir, 4)
 
 
 def default_text():
@@ -599,6 +636,15 @@ def test_ring_index_file_must_stay_inside_the_ring(tmp_path, where):
     edit_index(ring_dir, set_entry(0, file=name))
     with pytest.raises(CheckpointFormatError, match="not a file name"):
         load_ring(ring_dir)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "subdir"])
+def test_population_member_must_stay_inside_the_directory(tmp_path, where):
+    ring_dir, _ = population_ring(tmp_path)
+    name = escaping_names(tmp_path, ring_dir)[where]
+    edit_index(ring_dir, set_entry(2, file=name))
+    with pytest.raises(CheckpointFormatError, match="not a file name"):
+        seed_population(ring_dir, 4)
 
 
 @pytest.mark.parametrize("text", ["[1]", '"run"',
