@@ -509,7 +509,8 @@ _WARP_CHUNK_ELEMS = 1 << 16
 
 
 def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
-                     shifts: np.ndarray, zooms: np.ndarray) -> np.ndarray:
+                     shifts: np.ndarray, zooms: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-sample rotate/zoom about the center plus translate, bilinear
     sampling, zero fill outside the canvas.
 
@@ -518,6 +519,10 @@ def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
     samples changes no bit of the output.  Each corner is gathered with
     one np.take on the chunk's (m*h*w, c) pixel rows; a corner outside
     the canvas reads a clipped pixel and gets weight 0.
+
+    The warp is written chunk by chunk into `out` (a fresh array if
+    None), which must have the images' shape and not overlap them; it
+    is returned.
     """
     n, c, h, w = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -527,7 +532,8 @@ def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
     # (m, h, 1) and (m, 1, w) until the rotation combines them
     yy = np.arange(h, dtype=np.float64)[:, None]
     xx = np.arange(w, dtype=np.float64)[None, :]
-    out = np.empty_like(images)
+    if out is None:
+        out = np.empty_like(images)
     step = max(1, _WARP_CHUNK_ELEMS // (c * h * w))
     for lo in range(0, n, step):
         k = slice(lo, lo + step)
@@ -569,7 +575,11 @@ def augment(data: Dataset, multiplier: int, max_shift_px: int = 2,
             max_rotate_deg: float = 15.0,
             stream: Optional[RngStream] = None) -> Dataset:
     """Grow a dataset to multiplier*N samples: the originals first,
-    then randomly shifted/rotated copies with labels preserved."""
+    then randomly shifted/rotated copies with labels preserved.
+
+    The grown split is one (multiplier*N, C, H, W) array, allocated once:
+    each copy is warped straight into its own N-row block, so the peak
+    is that array plus the N originals and the warp's flat scratch."""
     if multiplier < 1:
         raise ConfigError("/augment/multiplier", "must be >= 1")
     if multiplier == 1:
@@ -578,14 +588,15 @@ def augment(data: Dataset, multiplier: int, max_shift_px: int = 2,
         stream = RngStream(0)
     gen = stream.generator()
     n = len(data)
-    parts = [data.images]
-    for _ in range(multiplier - 1):
+    images = np.empty((multiplier * n, *data.images.shape[1:]),
+                      dtype=data.images.dtype)
+    images[:n] = data.images
+    for i in range(1, multiplier):
         shifts = gen.integers(-max_shift_px, max_shift_px + 1,
                               size=(n, 2)).astype(np.float64)
         angles = gen.uniform(-max_rotate_deg, max_rotate_deg, n)
-        parts.append(_affine_bilinear(data.images, angles, shifts,
-                                      np.ones(n)))
-    images = np.concatenate(parts)
+        _affine_bilinear(data.images, angles, shifts, np.ones(n),
+                         out=images[i * n:(i + 1) * n])
     labels = np.tile(data.labels, multiplier)
     return Dataset(images, labels, f"{data.name}/aug{multiplier}")
 
@@ -686,7 +697,9 @@ def corrupt(data: Dataset, kind: str, severity: int,
         out = x.copy()
         out[:, :, lo:lo + band, :] = 1.0 - out[:, :, lo:lo + band, :]
 
-    out = np.clip(out, 0.0, 1.0)
+    # every branch above made `out` afresh, so clipping it in place
+    # never writes the caller's images
+    np.clip(out, 0.0, 1.0, out=out)
     return Dataset(out, data.labels, f"{data.name}/{kind}:{severity}")
 
 
@@ -784,6 +797,11 @@ _NS_SYNTH_TEMPLATES = 0
 _NS_SYNTH_TRAIN = 1
 _NS_SYNTH_TEST = 2
 
+# make_synthetic_pair adds the class templates to this many elements at
+# a time; the chunk size depends only on the image shape, so the
+# gathered templates never grow with N.
+_SYNTH_CHUNK_ELEMS = 1 << 16
+
 
 def make_synthetic_pair(n_train: int, n_test: int, classes: int = 10,
                         shape=(1, 28, 28), noise: float = 0.15,
@@ -819,7 +837,9 @@ def make_synthetic_pair(n_train: int, n_test: int, classes: int = 10,
         labels = gen.integers(0, classes, n, dtype=np.int64)
         images = gen.standard_normal((n, c, h, w), dtype=np.float32)
         images *= np.float32(noise)
-        images += templates[labels]
+        step = max(1, _SYNTH_CHUNK_ELEMS // (c * h * w))
+        for lo in range(0, n, step):
+            images[lo:lo + step] += templates[labels[lo:lo + step]]
         np.clip(images, 0.0, 1.0, out=images)
         return Dataset(images, labels, f"{name}/{split}")
 

@@ -6,6 +6,7 @@ rendering.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -23,6 +24,16 @@ from .rng import RngStream
 
 # elements of the widest activation that one evaluate chunk may hold
 _EVAL_CHUNK_ELEMS = 1 << 20
+
+
+@functools.lru_cache(maxsize=64)
+def _widest_and_classes(spec: NetworkSpec) -> tuple:
+    """(elements of the widest activation, class count) of a spec.
+
+    Memoized on the frozen spec: DE calls evaluate once per fitness, and
+    spec.shapes() re-runs every layer's shape rule."""
+    shapes = spec.shapes()
+    return max(math.prod(shape) for shape in shapes), shapes[-1][0]
 
 
 @dataclass(frozen=True)
@@ -53,14 +64,13 @@ def evaluate(spec: NetworkSpec, params: np.ndarray,
     correct = 0
     ce_parts = []
     n = len(data)
-    n_classes = spec.n_classes
+    widest, n_classes = _widest_and_classes(spec)
     bad = np.nonzero((data.labels < 0) | (data.labels >= n_classes))[0]
     if bad.size:
         i = int(bad[0])
         raise LabelError(
             f"label {int(data.labels[i])} at index {i} outside "
             f"[0, {n_classes})")
-    widest = max(math.prod(shape) for shape in spec.shapes())
     step = max(1, _EVAL_CHUNK_ELEMS // widest)
     for lo in range(0, n, step):
         # slices are views, so no chunk copies its images

@@ -1,8 +1,10 @@
 """Shared builders for the test suite: small specs, random batches, the
 finite-difference gradient and the kernel references used as
-independent oracles, and the environment of a child interpreter."""
+independent oracles, the environment of a child interpreter, and the
+traced allocation peak of one call."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,19 @@ def child_env() -> dict:
     src = str(Path(nevo.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes that tracemalloc saw allocated during the call).
+
+    Arrays made before the call are not counted, nor are ones the call
+    frees before the peak."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

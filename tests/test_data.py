@@ -9,7 +9,6 @@ import struct
 import subprocess
 import sys
 import time
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,8 @@ from nevo.errors import (ChecksumError, ConfigError, DataFormatError,
                          UnsupportedCorruptionError)
 from nevo.rng import RngStream
 
-from synthdata import DEEP_JSON, affine_bilinear_reference, child_env
+from synthdata import (DEEP_JSON, affine_bilinear_reference, child_env,
+                       traced_peak)
 from test_cli import idx_dir
 
 
@@ -525,6 +525,58 @@ def test_augment_multiplier_one_is_noop():
         augment(ds, 0)
 
 
+def augment_oracle(data, multiplier, stream):
+    """augment built with a concatenate: the originals, then one
+    separately warped copy per extra multiple, on the same draws."""
+    gen = stream.generator()
+    n = len(data)
+    parts = [data.images]
+    for _ in range(multiplier - 1):
+        shifts = gen.integers(-2, 3, size=(n, 2)).astype(np.float64)
+        angles = gen.uniform(-15.0, 15.0, n)
+        parts.append(data_mod._affine_bilinear(data.images, angles, shifts,
+                                               np.ones(n)))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_augment_bytes_equal_the_concatenated_copies(m):
+    # a partial last warp chunk in every copy
+    ds = blob_dataset(2 * (data_mod._WARP_CHUNK_ELEMS // (28 * 28)) + 5,
+                      shape=(1, 28, 28))
+    out = augment(ds, m, stream=RngStream(7))
+    want = augment_oracle(ds, m, RngStream(7))
+    assert out.images.dtype == want.dtype and out.images.shape == want.shape
+    assert out.images.tobytes() == want.tobytes()
+    assert out.labels.tobytes() == np.tile(ds.labels, m).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_augment_peak_is_its_output_plus_the_originals(monkeypatch, m):
+    """augment holds at most its m*N-row output, the N originals and one
+    warp's flat scratch at once; concatenating separately warped copies
+    would hold 2*m*N rows."""
+    monkeypatch.setattr(data_mod, "_WARP_CHUNK_ELEMS", 1 << 12)
+    ds = blob_dataset(1000, shape=(1, 28, 28))
+    n = len(ds)
+
+    def one_warp():
+        # augment's draws for one copy and its warp
+        gen = RngStream(1).generator()
+        shifts = gen.integers(-2, 3, size=(n, 2)).astype(np.float64)
+        angles = gen.uniform(-15.0, 15.0, n)
+        return data_mod._affine_bilinear(ds.images, angles, shifts,
+                                         np.ones(n))
+
+    warp, peak = traced_peak(one_warp)
+    scratch = peak - warp.nbytes
+    out, peak = traced_peak(lambda: augment(
+        Dataset(ds.images.copy(), ds.labels), m, stream=RngStream(1)))
+    assert len(out) == m * n
+    # 64 KiB of room for small Python objects; one more N-row copy is 3 MiB
+    assert peak <= (m + 1) * ds.images.nbytes + scratch + (1 << 16)
+
+
 def warp_inputs(n, seed=0):
     """n random 28x28 images with per-sample rotations, integer shifts
     and zooms."""
@@ -538,18 +590,23 @@ def warp_inputs(n, seed=0):
 def warp_scratch_bytes(n):
     """Peak traced memory of one warp of n images, less its output."""
     args = warp_inputs(n)
-    tracemalloc.start()
-    try:
-        out = data_mod._affine_bilinear(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: data_mod._affine_bilinear(*args))
     return peak - out.nbytes
 
 
 def test_affine_bilinear_scratch_memory_is_flat_in_n():
     small, large = warp_scratch_bytes(250), warp_scratch_bytes(2000)
     assert large <= 1.5 * small
+
+
+def test_affine_bilinear_writes_into_out_and_returns_it():
+    n = 7
+    args = warp_inputs(n, seed=2)
+    buf = np.full((2 * n, 1, 28, 28), np.nan, dtype=np.float32)
+    view = buf[n:]
+    assert data_mod._affine_bilinear(*args, out=view) is view
+    assert view.tobytes() == data_mod._affine_bilinear(*args).tobytes()
+    assert np.isnan(buf[:n]).all()
 
 
 def test_affine_bilinear_chunks_equal_per_sample_warps():
@@ -597,6 +654,29 @@ def test_all_native_corruptions_run_and_stay_bounded():
             assert out.images.min() >= 0.0 and out.images.max() <= 1.0
             assert np.array_equal(out.labels, ds.labels)
             assert f"{kind}:{severity}" in out.name
+
+
+def test_corrupt_never_writes_its_input_and_clips_like_a_copy(monkeypatch):
+    """corrupt clips its own fresh array in place: the caller's images
+    keep their bytes, and the output is the out-of-place clip of what
+    the corruption made."""
+    ds = blob_dataset(12)
+    before = ds.images.tobytes()
+    real_clip = np.clip
+    unclipped = []
+
+    def clip_spy(a, *args, **kwargs):
+        unclipped.append(np.array(a, copy=True))
+        return real_clip(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", clip_spy)
+    for kind in SEVERITY_TABLES:
+        for severity in (1, 5):
+            out = corrupt(ds, kind, severity, RngStream(4))
+            assert ds.images.tobytes() == before, (kind, severity)
+            want = real_clip(unclipped[-1], 0.0, 1.0)
+            assert out.images.dtype == want.dtype
+            assert out.images.tobytes() == want.tobytes(), (kind, severity)
 
 
 def test_corruption_zero_magnitude_identities():
@@ -743,6 +823,19 @@ def test_make_synthetic_pair_builds_a_split_alone_bitwise(split):
     assert alone[split].images.dtype == np.float32
     assert alone[split].images.tobytes() == both[split].images.tobytes()
     assert alone[split].labels.tobytes() == both[split].labels.tobytes()
+
+
+def synthetic_scratch_bytes(n):
+    """Peak traced memory of building an n-sample synthetic train split,
+    less the split."""
+    (train, _), peak = traced_peak(
+        lambda: make_synthetic_pair(n, 0, splits=("train",)))
+    return peak - train.images.nbytes - train.labels.nbytes
+
+
+def test_make_synthetic_pair_scratch_memory_is_flat_in_n():
+    small, large = synthetic_scratch_bytes(250), synthetic_scratch_bytes(2000)
+    assert large <= 1.5 * small
 
 
 def test_dataset_take():

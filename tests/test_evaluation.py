@@ -149,6 +149,32 @@ def test_evaluate_is_batch_size_invariant(monkeypatch):
         assert abs(rep.mean_ce - first.mean_ce) < 1e-9
 
 
+def test_evaluate_reads_spec_shapes_once_per_spec(monkeypatch):
+    """The chunk step and the class count are memoized per spec; chunks
+    stay _EVAL_CHUNK_ELEMS // (widest activation) samples."""
+    spec, theta, data = eval_fixture()
+    widest = max(math.prod(shape) for shape in spec.shapes())
+    evaluation._widest_and_classes.cache_clear()
+    real_shapes, real_forward = NetworkSpec.shapes, evaluation.forward
+    shape_calls, chunks = [], []
+
+    def shapes_spy(self):
+        shape_calls.append(self)
+        return real_shapes(self)
+
+    def forward_spy(spec, params, x):
+        chunks.append(len(x))
+        return real_forward(spec, params, x)
+
+    monkeypatch.setattr(NetworkSpec, "shapes", shapes_spy)
+    monkeypatch.setattr(evaluation, "forward", forward_spy)
+    monkeypatch.setattr(evaluation, "_EVAL_CHUNK_ELEMS", 7 * widest)
+    reports = [evaluate(spec, theta, data) for _ in range(3)]
+    assert len(shape_calls) == 1
+    assert chunks == ([7] * 17 + [1]) * 3  # 120 samples
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_evaluate_zero_weights_baseline():
     spec, _, data = eval_fixture()
     theta = np.zeros(param_count(spec), dtype=np.float32)

@@ -6,7 +6,6 @@ own sampling code.  Selection and crossover bounds are exact claims;
 convergence checks run on a quadratic surrogate fitness.
 """
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from nevo.network import Dense, NetworkSpec, init_params, param_count, zoo_spec
 from nevo.rng import RngStream
 from nevo.training import CheckpointRing, TrainConfig, pretrain, train
 
-from synthdata import small_mlp
+from synthdata import small_mlp, traced_peak
 
 # one-dimensional members whose pairwise sums/differences are all
 # distinct, so every (j,k,l) triple yields a unique mutant value
@@ -446,12 +445,7 @@ def fitness_peak_bytes(data, size):
     spec = zoo_spec("lenet1")
     ctx = sample_context(spec, data, size, RngStream(16))
     member = init_params(spec, RngStream(17))
-    tracemalloc.start()
-    try:
-        fitness(member, ctx)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: fitness(member, ctx))[1]
 
 
 def test_fitness_memory_is_flat_in_subset_size():

@@ -5,8 +5,6 @@ oracles must agree to the last bit; float32 kernels only promise
 closeness.  Gradients are checked against central differences.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,8 @@ from nevo.network import Conv, Dense, Flatten, NetworkSpec, Pool
 from nevo.tensor import (activate, conv2d, conv2d_backward, matmul, pool2d,
                          pool2d_backward, softmax_ce)
 
-from synthdata import conv2d_backward_reference, conv2d_nchw_reference
+from synthdata import (conv2d_backward_reference, conv2d_nchw_reference,
+                       traced_peak)
 
 
 def matmul_loops(a, b):
@@ -352,12 +351,8 @@ def test_conv2d_backward_close_to_reference_off_the_zoo(case, dtype):
 def conv_backward_scratch_bytes(n, need_dx):
     """Peak traced memory of one conv2d_backward, less its outputs."""
     x, w, g = conv_backward_inputs((4, 12, 12), (6, 4, 3, 3), n, 1, 1, seed=n)
-    tracemalloc.start()
-    try:
-        out = conv2d_backward(x, w, 1, 1, g, need_dx=need_dx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(
+        lambda: conv2d_backward(x, w, 1, 1, g, need_dx=need_dx))
     return peak - sum(a.nbytes for a in out if a is not None)
 
 
@@ -372,12 +367,7 @@ def test_conv2d_backward_scratch_memory_is_flat_in_n(monkeypatch, need_dx):
 
 def conv_forward_scratch_bytes(x, w, b, pad=1):
     """Peak traced memory of one conv2d, less its output."""
-    tracemalloc.start()
-    try:
-        out = conv2d(x, w, b, 1, pad)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: conv2d(x, w, b, 1, pad))
     return peak - out.nbytes
 
 
