@@ -151,10 +151,10 @@ def _cmd_train(args) -> int:
         test_ds = splits.pop()
         run.start(cfg, cfg.spec, text)
         try:
-            # pop hands pretrain the only reference to the unaugmented
-            # split, so it is freed once grown, before training starts
+            # splits.pop hands augment the only reference to the
+            # unaugmented split, so it is freed before the first warp
             theta, ring, history, train_ds = pretrain(
-                cfg.spec, splits.pop(), cfg.data, bp, test_data=test_ds,
+                cfg.spec, splits.pop, cfg.data, bp, test_data=test_ds,
                 callback=lambda m: run.record(m, stage="bp"))
         except TrainingDiverged as exc:
             if exc.ring is not None and len(exc.ring):

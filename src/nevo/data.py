@@ -577,9 +577,13 @@ def augment(data: Dataset, multiplier: int, max_shift_px: int = 2,
     """Grow a dataset to multiplier*N samples: the originals first,
     then randomly shifted/rotated copies with labels preserved.
 
-    The grown split is one (multiplier*N, C, H, W) array, allocated once:
-    each copy is warped straight into its own N-row block, so the peak
-    is that array plus the N originals and the warp's flat scratch."""
+    The grown split is one (multiplier*N, C, H, W) array, allocated once.
+    The originals are copied into its first N rows, and augment then
+    drops its reference to `data` and warps every copy from that first
+    block straight into its own N-row block.  When the caller hands
+    augment the only reference to `data` (a call's temporary argument,
+    on CPython 3.11 or later), the originals are freed before the first
+    warp, so the peak is the grown array plus the warp's flat scratch."""
     if multiplier < 1:
         raise ConfigError("/augment/multiplier", "must be >= 1")
     if multiplier == 1:
@@ -591,14 +595,16 @@ def augment(data: Dataset, multiplier: int, max_shift_px: int = 2,
     images = np.empty((multiplier * n, *data.images.shape[1:]),
                       dtype=data.images.dtype)
     images[:n] = data.images
+    labels = np.tile(data.labels, multiplier)
+    name = f"{data.name}/aug{multiplier}"
+    del data
     for i in range(1, multiplier):
         shifts = gen.integers(-max_shift_px, max_shift_px + 1,
                               size=(n, 2)).astype(np.float64)
         angles = gen.uniform(-max_rotate_deg, max_rotate_deg, n)
-        _affine_bilinear(data.images, angles, shifts, np.ones(n),
+        _affine_bilinear(images[:n], angles, shifts, np.ones(n),
                          out=images[i * n:(i + 1) * n])
-    labels = np.tile(data.labels, multiplier)
-    return Dataset(images, labels, f"{data.name}/aug{multiplier}")
+    return Dataset(images, labels, name)
 
 
 # --- corruption -----------------------------------------------------------

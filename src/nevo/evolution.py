@@ -204,6 +204,11 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
     Cr=1 always does, both exactly.  force_jrand additionally copies one
     uniformly chosen coordinate from the mutant (off by default).
 
+    The mask is taken on the generator's raw 64-bit words.  Philox's
+    random() is u = (raw >> 11) * 2**-53, and 1 - u <= Cr exactly when
+    raw >= _crossover_cut(Cr), so this is the mask, and the generator
+    state, of the float draw without its conversion and subtraction.
+
     The select works on the bits: with an all-ones or all-zeros word per
     coordinate, ((p ^ m) & word) ^ p is m or p, which is np.where's
     result without its branch on a random mask.
@@ -216,9 +221,10 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
         raise ShapeMismatchError(
             f"crossover: parent dtype {parent.dtype} vs mutant {mutant.dtype}")
     d = parent.shape[0]
-    u = gen.random(d)
-    np.subtract(1.0, u, out=u)
-    mask = u <= Cr
+    raw = gen.bit_generator.random_raw(d)
+    cut = _crossover_cut(Cr)
+    mask = (raw >= np.uint64(cut) if cut < 1 << 64
+            else np.zeros(d, dtype=bool))
     if force_jrand:
         mask[int(gen.integers(d))] = True
     word = np.dtype(f"u{parent.dtype.itemsize}")
@@ -227,6 +233,15 @@ def crossover(parent: np.ndarray, mutant: np.ndarray, Cr: float,
     out &= np.negative(mask, dtype=word)
     out ^= p
     return out.view(parent.dtype)
+
+
+def _crossover_cut(Cr: float) -> int:
+    """The least raw word whose draw u = (raw >> 11) * 2**-53 has
+    1 - u <= Cr: ceil((1 - Cr) * 2**53) << 11, in exact integers, and
+    2**64 (no word) when no draw qualifies."""
+    num, den = float(Cr).as_integer_ratio()
+    k = -(((num - den) << 53) // den)
+    return min(max(k, 0), 1 << 53) << 11
 
 
 def ensure_fitness(pop: Population, ctx, pool=None):
@@ -406,7 +421,7 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
                 ring = rings[lr]
             else:
                 _, ring, _, _ = pretrain(
-                    spec, train_data, section, replace(bp_cfg, lr=lr),
+                    spec, lambda: train_data, section, replace(bp_cfg, lr=lr),
                     stream=master.child(_NS_GRID_PRETRAIN, li))
             factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
                                      master.child(_NS_SUBSET, li))

@@ -46,16 +46,20 @@ last bit, and the GEMV's bits also depend on the number of columns.  A
 lenet1 layer-0 tile at 128 samples is about 921K multiply-adds and
 keeps the blocked kernels' bits; the tests gate it.
 
-The backward pass reuses that layout.  The kernel gradient is the same
-im2col matrix times grad_out as a (k, oh*ow*n) matrix, contracted over
-each block's samples and positions in ascending (oy, ox, n) order.
-The input gradient is one GEMM to (c, kh, kw, oy, ox, n) columns, then
-a col2im that adds the kh*kw tap slices.  On the blocked GEMM kernels
-both return the bits of the tensordot / per-tap reference
-``tests/synthdata.conv2d_backward_reference``.  The small-matrix and
-GEMV exceptions above, which include the input gradient of a
-one-channel input, can differ from it in the last bit, as can some
-float64 kernel gradients.
+The backward pass reuses that layout and the forward's tiles of output
+rows, last tile first.  The kernel gradient adds, per tile, the tile's
+im2col times its grad_out rows as a (k, rows*ow*n) matrix, contracted
+in ascending (oy, ox, n) order; so it is a sum of per-tile GEMMs, and
+its last bits depend on the tiling.  The input gradient is one GEMM per
+tile to (c, kh, kw, oy, ox, n) columns, then a col2im that adds the
+kh*kw tap slices into the rows the tile covers; taking the tiles last
+to first adds every element's taps in row-major (u, v) order, so it has
+the bits of a whole-block col2im.  Both return the bits of the
+tensordot / per-tap reference ``tests/synthdata.conv2d_backward_reference``
+on the zoo convs.  The GEMV exception above, which includes the input
+gradient of a one-channel input in the reference, can differ from it in
+the last bit, as can small strided or padded shapes and some float64
+kernel gradients.
 
 The kernels do no bookkeeping; operation counts for the cost model are
 derived from layer shapes by ``evaluation.count_costs``.
@@ -70,9 +74,9 @@ from .errors import LabelError, ShapeMismatchError
 
 # im2col buffers are chunked over the batch axis to bound memory; the
 # chunk size depends only on shapes, so results do not depend on N.
-# Within each block the forward tiles output rows, so that one tile's
-# im2col holds about _CONV_TILE_ELEMS elements (1 MiB of float32) and
-# its fill and GEMM run in L2; the backward runs one block at a time.
+# Within each block the forward and the backward tile output rows, so
+# that one tile's im2col holds about _CONV_TILE_ELEMS elements (1 MiB of
+# float32) and its fill and GEMM run in L2.
 _CONV_CHUNK_ELEMS = 1 << 22
 _CONV_TILE_ELEMS = 1 << 18
 
@@ -202,8 +206,9 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
 
     Returns (dx, dw, db); dx is None when need_dx is False, which saves
     the input-gradient work for a first layer whose dx nobody reads.
-    Both gradients are GEMMs over the _conv_chunk blocks of samples,
-    so the scratch does not grow with N.
+    Both gradients are GEMMs over the forward's output-row tiles within
+    each _conv_chunk block of samples, so the scratch does not grow
+    with N.
     """
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape
@@ -215,36 +220,49 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, stride: int, pad: int,
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        dwt += _conv_backward_block(_pad_hw(_chwn(x[lo:hi]), pad), kernels,
-                                    stride, pad, _chwn(grad_out[lo:hi]),
-                                    None if dx is None else dx[..., lo:hi])
+        _conv_backward_block(_pad_hw(_chwn(x[lo:hi]), pad), kernels, stride,
+                             pad, _chwn(grad_out[lo:hi]), dwt,
+                             None if dx is None else dx[..., lo:hi])
     dw = np.ascontiguousarray(dwt.T).reshape(kernels.shape)
     return (None if dx is None else dx.transpose(3, 0, 1, 2)), dw, db
 
 
-def _conv_backward_block(xp, kernels, stride, pad, g, dx):
-    """One block's kernel gradient as a (c*kh*kw, k) matrix, from the
-    padded (C, H, W, N) input xp and the (K, OH, OW, N) grad_out g;
-    writes the block's (C, H, W, N) input gradient into dx unless dx is
-    None.
+def _conv_backward_block(xp, kernels, stride, pad, g, dwt, dx):
+    """Add one block's kernel gradient into the (c*kh*kw, k) matrix dwt,
+    from the padded (C, H, W, N) input xp and the (K, OH, OW, N)
+    grad_out g; write the block's (C, H, W, N) input gradient into dx
+    unless dx is None.
 
-    The col2im buffer has xp's layout, so each of its kh*kw tap adds
-    moves contiguous runs of ow*n elements.  Every temporary dies on
-    return, before the next block allocates its own.
+    The block runs in the forward's tiles of output rows, last tile
+    first.  Each tile's im2col times its grad_out rows is added into
+    dwt, so the kernel gradient is a sum of per-tile GEMMs.  With dx,
+    the tile's W^T g columns are added tap by tap into the padded
+    buffer rows the tile covers.  A later tile's taps on a buffer row
+    have smaller u, so taking the tiles last to first adds every
+    element's taps in row-major (u, v) order, as one whole-block col2im
+    does.  Each tap add moves contiguous runs of ow*n elements.  The
+    scratch is the padded buffer and two tile-sized matrices, which die
+    before the next tile allocates its own.
     """
     k, c, kh, kw = kernels.shape
     _, oh, ow, n = g.shape
-    gk = g.reshape(k, -1)
-    dwt = _cols(xp, kh, kw, stride, oh, ow) @ gk.T
+    wt = kernels.reshape(k, -1).T
+    buf = None if dx is None else np.zeros_like(xp)
+    rows = _conv_tile_rows(c, kh, kw, ow, n)
+    for y0 in reversed(range(0, oh, rows)):
+        y1 = min(oh, y0 + rows)
+        r, top = y1 - y0, y0 * stride
+        gk = g[:, y0:y1].reshape(k, -1)
+        dwt += _cols(xp[:, top:(y1 - 1) * stride + kh], kh, kw, stride, r,
+                     ow) @ gk.T
+        if buf is not None:
+            cols = (wt @ gk).reshape(c, kh, kw, r, ow, n)
+            for u in range(kh):
+                for v in range(kw):
+                    buf[:, top + u:top + u + stride * r:stride,
+                        v:v + stride * ow:stride] += cols[:, u, v]
     if dx is not None:
-        cols = (kernels.reshape(k, -1).T @ gk).reshape(c, kh, kw, oh, ow, n)
-        buf = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                buf[:, u:u + stride * oh:stride, v:v + stride * ow:stride] += \
-                    cols[:, u, v]
         dx[...] = buf[:, pad:pad + dx.shape[1], pad:pad + dx.shape[2]]
-    return dwt
 
 
 def pool2d(x: np.ndarray, kind: str, size: int, stride: int,

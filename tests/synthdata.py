@@ -14,7 +14,7 @@ import nevo
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, init_params, loss)
 from nevo.rng import RngStream
-from nevo.tensor import _conv_chunk
+from nevo.tensor import _conv_chunk, _conv_tile_rows
 
 
 def small_mlp() -> NetworkSpec:
@@ -155,15 +155,21 @@ def affine_bilinear_reference(images, angles_deg, shifts, zooms,
 
 
 def conv2d_backward_reference(x, kernels, stride, pad, grad_out,
-                              dw_order="oy,ox,n"):
-    """Oracle for tensor.conv2d_backward: the kernel gradient is a
-    tensordot over a window view per _conv_chunk block, and the input
-    gradient is kh*kw per-tap GEMMs added into the padded NCHW input in
-    row-major (u, v) order.
+                              dw_order="tiles"):
+    """Oracle for tensor.conv2d_backward: the kernel gradient is a sum of
+    tensordots over window views, and the input gradient is kh*kw
+    per-tap GEMMs added into the padded NCHW input in row-major (u, v)
+    order.
 
-    The kernel gradient contracts each block over (oy, ox, n), the
-    order of the kernel's batch-innermost memory.  dw_order="n,oy,ox"
-    gives the earlier NCHW contraction, which differs in the last bits."""
+    The kernel gradient contracts over (oy, ox, n), the order of the
+    kernel's batch-innermost memory, one tensordot per _conv_tile_rows
+    tile of output rows of each _conv_chunk block, last tile first, as
+    the kernel adds its per-tile GEMMs.  Each tensordot is the kernel's
+    (c, u, v)-rows-times-grad_out product, not its transpose: a tile can
+    fall under OpenBLAS's small-matrix switch, where the two orientations
+    round differently.  dw_order="oy,ox,n" contracts each whole block at
+    once, and "n,oy,ox" gives the earlier NCHW contraction; both differ
+    from the tiles in the last bits."""
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape
     _, _, oh, ow = grad_out.shape
@@ -174,16 +180,20 @@ def conv2d_backward_reference(x, kernels, stride, pad, grad_out,
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        if dw_order == "oy,ox,n":
-            win = sliding_window_view(xp[lo:hi].transpose(1, 2, 3, 0),
-                                      (kh, kw), axis=(1, 2))
-            dw += np.tensordot(grad_out[lo:hi].transpose(1, 2, 3, 0),
-                               win[:, ::stride, ::stride],
-                               axes=([1, 2, 3], [1, 2, 3]))
-        else:
+        if dw_order == "n,oy,ox":
             win = sliding_window_view(xp[lo:hi], (kh, kw), axis=(2, 3))
             dw += np.tensordot(grad_out[lo:hi], win[:, :, ::stride, ::stride],
                                axes=([0, 2, 3], [0, 2, 3]))
+            continue
+        win = sliding_window_view(xp[lo:hi].transpose(1, 2, 3, 0),
+                                  (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        g = grad_out[lo:hi].transpose(1, 2, 3, 0)
+        rows = (_conv_tile_rows(c, kh, kw, ow, hi - lo)
+                if dw_order == "tiles" else oh)
+        for y0 in reversed(range(0, oh, rows)):
+            part = np.tensordot(win[:, y0:y0 + rows], g[:, y0:y0 + rows],
+                                axes=([1, 2, 3], [1, 2, 3]))
+            dw += part.transpose(3, 0, 1, 2)
 
     g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, k)
     dxp = np.zeros_like(xp)

@@ -1293,6 +1293,21 @@ def test_cli_names_no_rng_namespace_and_no_pool():
     assert found == []
 
 
+def test_importing_the_cli_loads_no_pool_logging_or_decimal_module():
+    """`import nevo.cli` loads no module that only some commands need:
+    the worker pool's concurrent.futures (which pulls in logging) is
+    imported when a pool starts, and decimal and fractions belong to no
+    command.  Each import adds to every command's heap, and one more
+    module-level import has moved the benchmark's peak RSS by 4 MiB."""
+    banned = ("concurrent.futures", "logging", "decimal", "fractions")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nevo.cli; print(' '.join("
+         f"m for m in {banned!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_cli_names_no_dataset_and_no_dataset_file():
     """nevo.data owns the dataset sources and load_splits dispatches on
     their names; a dataset or dataset-file name written in cli.py would

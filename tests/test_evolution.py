@@ -7,6 +7,7 @@ convergence checks run on a quadratic surrogate fitness.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,9 +119,24 @@ def test_crossover_force_jrand_touches_exactly_one_at_cr0():
         assert int(out.sum()) == 1
 
 
+CROSSOVER_RATES = [
+    0.0, 0.05, 0.5, 1.0, 1 / 3, 0.1 + 0.2, 0.999, 2.0 ** -53, 2.0 ** -54,
+    # the neighbours of 0 and 1, on both sides
+    np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+    np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+
+
+def float_draw_mask(raw, Cr):
+    """Philox's random() of each raw word, u = (raw >> 11) * 2**-53, and
+    the float mask 1 - u <= Cr."""
+    return 1.0 - (raw >> np.uint64(11)) * (1.0 / 2 ** 53) <= Cr
+
+
 @pytest.mark.parametrize("force_jrand", [False, True])
-@pytest.mark.parametrize("Cr", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("Cr", CROSSOVER_RATES)
 def test_crossover_bits_and_draws_match_reference(Cr, force_jrand):
+    """The raw-word mask is the float draw's mask 1 - u <= Cr, bit for
+    bit, and leaves the generator where the float draw leaves it."""
     d = 1000
     data = np.random.default_rng(0)
     parent = data.normal(size=d).astype(np.float32)
@@ -137,7 +153,25 @@ def test_crossover_bits_and_draws_match_reference(Cr, force_jrand):
         got = crossover(parent, mutant, Cr, force_jrand, gen)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+    np.testing.assert_equal(gen.bit_generator.state,
+                            gen_ref.bit_generator.state)
     assert gen.random() == gen_ref.random(), "draw sequence must not change"
+
+
+@pytest.mark.parametrize("Cr", CROSSOVER_RATES)
+def test_crossover_mask_is_exact_at_the_cut(Cr):
+    """Raw words on either side of the mask's cut take the float draw's
+    side; random draws almost never land there, so a cut one word or
+    one draw off would pass the test above."""
+    near = int((1.0 - Cr) * 2 ** 53)
+    ks = [k for k in range(near - 2, near + 3) if 0 <= k < 2 ** 53]
+    raw = np.array([0, 2 ** 64 - 1, *(k << 11 for k in ks),
+                    *((k << 11) | 0x7FF for k in ks)], dtype=np.uint64)
+    words = SimpleNamespace(
+        bit_generator=SimpleNamespace(random_raw=lambda d: raw[:d]))
+    d = len(raw)
+    got = crossover(np.zeros(d), np.ones(d), Cr, False, words)
+    assert np.array_equal(got == 1.0, float_draw_mask(raw, Cr))
 
 
 def test_crossover_rate_is_binomial():
@@ -522,7 +556,7 @@ def test_grid_search_pretrains_each_lr_as_pretrain_on_its_stream(
     assert [d is train_ds for d in seen["subset_data"]] == [True, True]
     for li, lr in enumerate(grid["lr"]):
         stream = RngStream(5).child(0, li)
-        _, ring, _, grown = pretrain(spec, train_ds, section,
+        _, ring, _, grown = pretrain(spec, lambda: train_ds, section,
                                      replace(bp, lr=lr), stream=stream)
         assert len(grown) == 2 * len(train_ds)
         assert seen["rings"][li] == [e.params.tobytes() for e in ring]

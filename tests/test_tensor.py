@@ -301,18 +301,23 @@ def conv_backward_inputs(xs, ws, n, stride, pad, seed, dtype=np.float32):
 @pytest.mark.parametrize("n", [128, 112, 18])
 @pytest.mark.parametrize("conv", sorted(ZOO_CONVS))
 def test_conv2d_backward_matches_reference_bitwise_on_zoo_convs(conv, n):
-    """The two-GEMM backward returns the bits of the tensordot / per-tap
-    formulation on every lenet conv.  lenet5.l0 at 128 spans two
+    """The tiled two-GEMM backward returns the bits of the tensordot /
+    per-tap formulation on every lenet conv.  lenet5.l0 at 128 spans two
     _conv_chunk blocks.  The input gradient of a one-channel input goes
     through BLAS's GEMV path in the reference, which rounds differently,
     and no network reads it (it is the first layer's dx).  The kernel
-    gradient contracts over (oy, ox, n); the earlier (n, oy, ox) order
-    differs only in the last bits."""
+    gradient is a sum of per-tile contractions over (oy, ox, n); one
+    contraction per block, and the earlier (n, oy, ox) order, differ
+    only in the last bits."""
     xs, ws = ZOO_CONVS[conv]
     x, w, g = conv_backward_inputs(xs, ws, n, 1, 0, seed=n)
     dx, dw, db = conv2d_backward(x, w, 1, 0, g)
     rx, rw, rb = conv2d_backward_reference(x, w, 1, 0, g)
     assert np.array_equal(bits(dw), bits(rw))
+    _, block_dw, _ = conv2d_backward_reference(x, w, 1, 0, g,
+                                               dw_order="oy,ox,n")
+    np.testing.assert_allclose(dw, block_dw, rtol=2e-6,
+                               atol=2e-6 * np.abs(block_dw).max())
     _, nchw_dw, _ = conv2d_backward_reference(x, w, 1, 0, g,
                                               dw_order="n,oy,ox")
     np.testing.assert_allclose(dw, nchw_dw, rtol=2e-6,
@@ -400,6 +405,27 @@ def test_conv2d_scratch_is_one_block_copy_and_tiles():
     tile_budget = tensor._CONV_TILE_ELEMS * x.itemsize
     assert conv_forward_scratch_bytes(x, w, b, pad=0) <= \
         block_copy + 2 * tile_budget
+
+
+@pytest.mark.parametrize("need_dx", [False, True])
+@pytest.mark.parametrize("n", [128, 455])
+def test_conv2d_backward_scratch_is_one_block_copy_and_tiles(n, need_dx):
+    """On lenet1.l0 at a training batch of 128 and an evaluate chunk of
+    455, the backward's scratch is one _conv_chunk block's copies of the
+    input and grad_out (and, with dx, its padded input-gradient buffer)
+    plus two tile budgets, not the block's whole im2col (7.4 MB at
+    128)."""
+    xs, ws = ZOO_CONVS["lenet1.l0"]
+    x, w, g = conv_backward_inputs(xs, ws, n, 1, 0, seed=n)
+    block = min(n, tensor._conv_chunk(1, 5, 5, 24, 24))
+    copies = block * (x[0].nbytes + g[0].nbytes)
+    if need_dx:
+        copies += block * x[0].nbytes
+    tile_budget = tensor._CONV_TILE_ELEMS * x.itemsize
+    out, peak = traced_peak(
+        lambda: conv2d_backward(x, w, 1, 0, g, need_dx=need_dx))
+    scratch = peak - sum(a.nbytes for a in out if a is not None)
+    assert scratch <= copies + 2 * tile_budget
 
 
 def pool_loops(x, kind, size, stride):

@@ -1,17 +1,22 @@
 """Gradient-stage checks: Adam against a scalar reference loop, ring
-FIFO semantics, stopping rules, determinism, and divergence handling."""
+FIFO semantics, stopping rules, determinism, divergence handling, and
+what pretrain keeps alive."""
+
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from nevo.data import Dataset, make_synthetic_pair
+from nevo import data as data_mod
+from nevo.data import DataSection, Dataset, make_synthetic_pair
 from nevo.errors import (ConfigError, NumericError, ShapeMismatchError,
                          TrainingDiverged)
 from nevo.evaluation import evaluate
 from nevo.network import forward, init_params, param_count, total_loss
 from nevo.rng import RngStream
 from nevo.training import (AdamState, CheckpointRing, TrainConfig, adam_step,
-                           train)
+                           pretrain, train)
 
 from synthdata import small_mlp
 
@@ -233,3 +238,34 @@ def test_train_config_validation(field, value, path):
     with pytest.raises(ConfigError) as exc:
         TrainConfig(**{field: value})
     assert path in str(exc.value)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the "
+                    "caller's stack holds a call's arguments until it returns")
+def test_pretrain_frees_the_loaded_split_before_the_first_warp(monkeypatch):
+    """pretrain hands augment the loader's result as its only reference,
+    so the unaugmented images are gone before any copy is warped, and
+    the grown split is the same as augmenting a split kept alive."""
+    spec = small_mlp()
+    cfg = TrainConfig(max_epochs=1, batch_size=32, ring_size=4, seed=2)
+    section = DataSection(augment_multiplier=3)
+    loaded, alive = [], []
+
+    def load():
+        split = tiny_dataset()
+        loaded.append(weakref.ref(split.images))
+        return split
+
+    real_warp = data_mod._affine_bilinear
+
+    def warp_spy(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return real_warp(*args, **kwargs)
+
+    monkeypatch.setattr(data_mod, "_affine_bilinear", warp_spy)
+    *_, grown = pretrain(spec, load, section, cfg)
+    assert alive == [False, False]
+    kept = tiny_dataset()
+    _, _, _, want = pretrain(spec, lambda: kept, section, cfg)
+    assert grown.images.tobytes() == want.images.tobytes()
+    assert grown.labels.tobytes() == want.labels.tobytes()
