@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 from . import data as datasets
@@ -246,7 +247,9 @@ def _cmd_eval(args) -> int:
     else:
         sets = [load_splits(DataSection(name=args.dataset, dir=args.data_dir),
                             (args.split,))[SPLITS.index(args.split)]]
-    rows = [evaluate(ckpt.spec, ckpt.params, ds) for ds in sets]
+    # map holds no set while the next one loads, where a comprehension's
+    # loop variable would hold the previous one
+    rows = list(map(partial(evaluate, ckpt.spec, ckpt.params), sets))
     doc = [{"dataset": r.dataset, "n": r.n_samples, "accuracy": r.accuracy,
             "error": r.error, "mean_ce": r.mean_ce} for r in rows]
     print(json.dumps(doc, indent=2, sort_keys=True))

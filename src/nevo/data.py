@@ -20,6 +20,7 @@ import fcntl
 import gzip
 import hashlib
 import json
+import math
 import os
 import time
 import urllib.request
@@ -135,61 +136,79 @@ _MAX_NPY_HEADER = 1 << 20
 def load_npy(path, scale_u8: bool = True) -> np.ndarray:
     """NPY v1/v2 reader (C-order, little-endian payloads only).
 
-    u8 payloads are scaled to float32 [0, 1] unless scale_u8 is False.
+    Only the header is read before the payload's size is checked
+    against the file's, in Python ints (a shape's element count may
+    exceed int64); the payload is then read straight into the returned
+    array, so the peak is that array.  u8 payloads are scaled to
+    float32 [0, 1] unless scale_u8 is False.
     """
-    buf = _read_file(path)
+    path = Path(path)
+    if not path.is_file():
+        raise MissingArtifactError(f"no such file: {path}")
     src = str(path)
-    if len(buf) < 10 or buf[:6] != _NPY_MAGIC:
-        raise DataFormatError(f"{src}: not an NPY file")
-    major, minor = buf[6], buf[7]
-    if major == 1:
-        hlen, start = int.from_bytes(buf[8:10], "little"), 10
-    elif major == 2:
-        if len(buf) < 12:
-            raise DataFormatError(f"{src}: truncated NPY v2 header length")
-        hlen, start = int.from_bytes(buf[8:12], "little"), 12
-    else:
-        raise DataFormatError(f"{src}: unsupported NPY version {major}.{minor}")
-    if hlen > _MAX_NPY_HEADER:
-        raise DataFormatError(f"{src}: header length {hlen} exceeds limit")
-    if start + hlen > len(buf):
-        raise DataFormatError(f"{src}: truncated header")
-    try:
-        header = ast.literal_eval(buf[start:start + hlen].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
-        raise DataFormatError(f"{src}: unparseable NPY header") from exc
-    if (not isinstance(header, dict) or
-            set(header) != {"descr", "fortran_order", "shape"}):
-        raise DataFormatError(f"{src}: malformed NPY header dict")
-    if header["fortran_order"] is not False:
-        raise DataFormatError(f"{src}: Fortran-order arrays unsupported")
-    descr = header["descr"]
-    if descr not in _NPY_DTYPES:
-        raise DataFormatError(f"{src}: unsupported dtype {descr!r}")
-    shape = header["shape"]
-    if (not isinstance(shape, tuple) or
-            not all(isinstance(v, int) and v >= 0 for v in shape)):
-        raise DataFormatError(f"{src}: malformed shape {shape!r}")
-    dtype = np.dtype(_NPY_DTYPES[descr])
-    need = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    have = len(buf) - start - hlen
-    if have < need:
-        raise DataFormatError(
-            f"{src}: truncated payload, need {need} bytes, have {have}")
-    if have > need:
-        raise DataFormatError(f"{src}: {have - need} trailing bytes")
-    arr = np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-                        offset=start + hlen).reshape(shape)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pre = f.read(12)
+        if len(pre) < 10 or pre[:6] != _NPY_MAGIC:
+            raise DataFormatError(f"{src}: not an NPY file")
+        major, minor = pre[6], pre[7]
+        if major == 1:
+            hlen, start = int.from_bytes(pre[8:10], "little"), 10
+        elif major == 2:
+            if len(pre) < 12:
+                raise DataFormatError(
+                    f"{src}: truncated NPY v2 header length")
+            hlen, start = int.from_bytes(pre[8:12], "little"), 12
+        else:
+            raise DataFormatError(
+                f"{src}: unsupported NPY version {major}.{minor}")
+        if hlen > _MAX_NPY_HEADER:
+            raise DataFormatError(f"{src}: header length {hlen} exceeds limit")
+        f.seek(start)
+        raw = f.read(hlen)
+        if len(raw) < hlen:
+            raise DataFormatError(f"{src}: truncated header")
+        try:
+            header = ast.literal_eval(raw.decode("latin1"))
+        except (ValueError, SyntaxError) as exc:
+            raise DataFormatError(f"{src}: unparseable NPY header") from exc
+        if (not isinstance(header, dict) or
+                set(header) != {"descr", "fortran_order", "shape"}):
+            raise DataFormatError(f"{src}: malformed NPY header dict")
+        if header["fortran_order"] is not False:
+            raise DataFormatError(f"{src}: Fortran-order arrays unsupported")
+        descr = header["descr"]
+        if descr not in _NPY_DTYPES:
+            raise DataFormatError(f"{src}: unsupported dtype {descr!r}")
+        shape = header["shape"]
+        if (not isinstance(shape, tuple) or
+                not all(isinstance(v, int) and v >= 0 for v in shape)):
+            raise DataFormatError(f"{src}: malformed shape {shape!r}")
+        dtype = np.dtype(_NPY_DTYPES[descr])
+        need = math.prod(shape) * dtype.itemsize
+        have = size - start - hlen
+        if have < need:
+            raise DataFormatError(
+                f"{src}: truncated payload, need {need} bytes, have {have}")
+        if have > need:
+            raise DataFormatError(f"{src}: {have - need} trailing bytes")
+        arr = np.empty(shape, dtype)
+        if f.readinto(arr) != need:
+            raise DataFormatError(f"{src}: payload shrank while being read")
     if dtype == np.uint8 and scale_u8:
-        return arr.astype(np.float32) / 255.0
-    return arr.copy()
+        scaled = arr.astype(np.float32)
+        del arr
+        scaled /= 255.0
+        return scaled
+    return arr
 
 
 _DESCR_OF = {np.dtype(t): descr for descr, t in _NPY_DTYPES.items()}
 
 
 def save_npy(path, arr: np.ndarray):
-    """NPY v1 writer for the dtypes load_npy accepts."""
+    """NPY v1 writer for the dtypes load_npy accepts: np.save's bytes.
+    The payload is written from the array's own memory, not a copy."""
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _DESCR_OF:
         raise DataFormatError(f"save_npy: unsupported dtype {arr.dtype}")
@@ -197,9 +216,9 @@ def save_npy(path, arr: np.ndarray):
               % (_DESCR_OF[arr.dtype], tuple(int(v) for v in arr.shape)))
     pad = -(len(_NPY_MAGIC) + 4 + len(header) + 1) % 64
     header = header + " " * pad + "\n"
-    blob = _NPY_MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little") \
-        + header.encode("latin1") + arr.tobytes()
-    _atomic_write(Path(path), blob)
+    _atomic_write(Path(path), _NPY_MAGIC + bytes([1, 0]) +
+                  len(header).to_bytes(2, "little") + header.encode("latin1"),
+                  memoryview(arr))
 
 
 _CIFAR_RECORD = 3073
@@ -287,13 +306,16 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "nevo"
 
 
-def _atomic_write(path: Path, blob: bytes):
-    """Write blob through <path>.tmp and one rename; a write or rename
-    the OS refuses removes the .tmp before the error propagates."""
+def _atomic_write(path: Path, *blobs):
+    """Write the blobs (bytes-like, in order) through <path>.tmp and one
+    rename; a write or rename the OS refuses removes the .tmp before the
+    error propagates."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as f:
+            for blob in blobs:
+                f.write(blob)
         os.replace(tmp, path)
     except OSError:
         if tmp.is_file():
@@ -505,7 +527,9 @@ DATASET_NAMES = ("synthetic", *MANIFEST, "cifar10")
 
 # _affine_bilinear warps this many input elements at a time; the chunk
 # size depends only on the image shape, so memory does not grow with N.
-_WARP_CHUNK_ELEMS = 1 << 16
+# A chunk's float64/int64 coordinate and weight scratch is over a hundred
+# bytes per element, about 2 MiB here (8 MiB at 2^16).
+_WARP_CHUNK_ELEMS = 1 << 14
 
 
 def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
@@ -634,6 +658,12 @@ PRECOMPUTED_ONLY = frozenset({
 })
 
 
+# corrupt runs its elementwise kinds over this many elements at a time;
+# the chunk size depends only on the image shape, so the noise draws'
+# float64 scratch does not grow with N.
+_CORRUPT_CHUNK_ELEMS = 1 << 16
+
+
 def corrupt(data: Dataset, kind: str, severity: int,
             stream: Optional[RngStream] = None,
             magnitude: Optional[float] = None) -> Dataset:
@@ -642,6 +672,15 @@ def corrupt(data: Dataset, kind: str, severity: int,
     `magnitude` overrides the severity table entry (useful for
     identity checks at zero distortion).  Labels are untouched; output
     pixels are clamped to [0, 1].
+
+    The output is one array, allocated once and clipped in place at the
+    end.  Each kind fills it over chunks of _CORRUPT_CHUNK_ELEMS //
+    (C*H*W) samples (the warps over _affine_bilinear's own chunks),
+    drawing from the one generator in sample order, so the bytes are
+    those of one pass over the whole split: impulse_noise draws every
+    flip before any salt, as that pass did.  The peak is the output
+    plus chunk-sized scratch, and for impulse_noise a one-byte flip
+    mask per element.
     """
     if kind in PRECOMPUTED_ONLY:
         raise UnsupportedCorruptionError(
@@ -658,53 +697,64 @@ def corrupt(data: Dataset, kind: str, severity: int,
     gen = stream.generator()
     mag = SEVERITY_TABLES[kind][severity - 1] if magnitude is None else magnitude
     x = data.images
-    n = len(data)
+    n, c, h, w = x.shape
+    out = np.empty(x.shape, dtype=x.dtype)
+    step = max(1, _CORRUPT_CHUNK_ELEMS // (c * h * w))
+    chunks = [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    if kind == "gaussian_noise":
-        out = x + gen.normal(0.0, mag, x.shape).astype(x.dtype)
-    elif kind == "shot_noise":
-        if mag <= 0:
-            out = x.copy()
-        else:
-            out = (gen.poisson(x.astype(np.float64) * mag) / mag).astype(x.dtype)
-    elif kind == "impulse_noise":
-        flip = gen.random(x.shape) < mag
-        salt = gen.integers(0, 2, x.shape).astype(x.dtype)
-        out = np.where(flip, salt, x)
-    elif kind == "brightness":
-        out = x + np.asarray(mag, dtype=x.dtype)
-    elif kind == "contrast":
-        out = (x - 0.5) * np.asarray(mag, dtype=x.dtype) + 0.5
-    elif kind == "translate":
+    if kind == "translate":
         phi = gen.uniform(0.0, 2.0 * np.pi, n)
         shifts = np.stack([np.round(mag * np.sin(phi)),
                            np.round(mag * np.cos(phi))], axis=1)
-        out = _affine_bilinear(x, np.zeros(n), shifts, np.ones(n))
+        _affine_bilinear(x, np.zeros(n), shifts, np.ones(n), out=out)
     elif kind == "rotate":
         signs = gen.integers(0, 2, n) * 2 - 1
-        out = _affine_bilinear(x, signs * mag, np.zeros((n, 2)), np.ones(n))
+        _affine_bilinear(x, signs * mag, np.zeros((n, 2)), np.ones(n),
+                         out=out)
     elif kind == "scale":
-        out = _affine_bilinear(x, np.zeros(n), np.zeros((n, 2)),
-                               np.full(n, mag))
+        _affine_bilinear(x, np.zeros(n), np.zeros((n, 2)), np.full(n, mag),
+                         out=out)
+    elif kind == "impulse_noise":
+        flip = np.empty(x.shape, dtype=bool)
+        for k in chunks:
+            np.less(gen.random(flip[k].shape), mag, out=flip[k])
+        for k in chunks:
+            salt = gen.integers(0, 2, flip[k].shape).astype(x.dtype)
+            out[k] = np.where(flip[k], salt, x[k])
     elif kind == "pixelate":
-        h, w = x.shape[2:]
         sh = max(1, int(round(h * mag)))
         sw = max(1, int(round(w * mag)))
-        rows = (np.arange(sh) * h) // sh
-        cols = (np.arange(sw) * w) // sw
-        small = x[:, :, rows][:, :, :, cols]
-        back_r = (np.arange(h) * sh) // h
-        back_c = (np.arange(w) * sw) // w
-        out = small[:, :, back_r][:, :, :, back_c]
-    else:  # stripe
-        h = x.shape[2]
+        # each output pixel reads the kept source pixel of its block
+        rows = ((np.arange(h) * sh) // h * h) // sh
+        cols = ((np.arange(w) * sw) // w * w) // sw
+        for k in chunks:
+            out[k] = x[k][:, :, rows[:, None], cols]
+    else:
         band = max(1, int(round(h * mag)))
-        lo = (h - band) // 2
-        out = x.copy()
-        out[:, :, lo:lo + band, :] = 1.0 - out[:, :, lo:lo + band, :]
+        top = (h - band) // 2
+        gain = np.asarray(mag, dtype=x.dtype)
+        for k in chunks:
+            xk, ok = x[k], out[k]
+            if kind == "gaussian_noise":
+                np.add(xk, gen.normal(0.0, mag, xk.shape).astype(x.dtype),
+                       out=ok)
+            elif kind == "shot_noise":
+                # the float64 quotient is cast on assignment, as astype would
+                ok[...] = xk if mag <= 0 else \
+                    gen.poisson(xk.astype(np.float64) * mag) / mag
+            elif kind == "brightness":
+                np.add(xk, gain, out=ok)
+            elif kind == "contrast":
+                np.subtract(xk, 0.5, out=ok)
+                np.multiply(ok, gain, out=ok)
+                np.add(ok, 0.5, out=ok)
+            else:  # stripe
+                ok[...] = xk
+                np.subtract(1.0, xk[:, :, top:top + band],
+                            out=ok[:, :, top:top + band])
 
-    # every branch above made `out` afresh, so clipping it in place
-    # never writes the caller's images
+    # `out` is corrupt's own array, so clipping it in place never writes
+    # the caller's images
     np.clip(out, 0.0, 1.0, out=out)
     return Dataset(out, data.labels, f"{data.name}/{kind}:{severity}")
 
@@ -743,11 +793,28 @@ def save_corrupted(out_dir, data: Dataset, meta: dict):
     _write_dir(out_dir, fill)
 
 
+def _load_set(name: str, img_path: Path, lab_path: Path) -> Dataset:
+    images = load_npy(img_path).astype(np.float32, copy=False)
+    if images.ndim == 3:
+        images = images[:, None, :, :]
+    elif (images.ndim == 4 and images.shape[1] not in (1, 3)
+          and images.shape[3] in (1, 3)):
+        images = images.transpose(0, 3, 1, 2)
+    labels = load_npy(lab_path, scale_u8=False)
+    if labels.dtype.kind not in "iu":
+        raise DataFormatError(
+            f"{lab_path}: labels must be integers, not {labels.dtype}")
+    return Dataset(images, labels.astype(np.int64).ravel(), name)
+
+
 def load_corrupted(root):
     """Yield the corrupted sets under root one Dataset at a time: root
     itself when it holds images.npy/labels.npy (or test_images.npy/
     test_labels.npy), else each subdirectory that does, by its name,
-    skipping the <name>.tmp/ and <name>.old/ a killed write leaves."""
+    skipping the <name>.tmp/ and <name>.old/ a killed write leaves.
+
+    The generator keeps no reference to a set it yielded, so a caller
+    that drops its own holds one set while the next one loads."""
     def pair_in(d: Path):
         for img in (d / "images.npy", d / "test_images.npy"):
             lab = img.with_name(img.name.replace("images", "labels"))
@@ -766,17 +833,7 @@ def load_corrupted(root):
         raise MissingArtifactError(
             f"{root}: no images.npy/labels.npy pairs found")
     for name, (img_path, lab_path) in sets:
-        images = load_npy(img_path).astype(np.float32, copy=False)
-        if images.ndim == 3:
-            images = images[:, None, :, :]
-        elif (images.ndim == 4 and images.shape[1] not in (1, 3)
-              and images.shape[3] in (1, 3)):
-            images = images.transpose(0, 3, 1, 2)
-        labels = load_npy(lab_path, scale_u8=False)
-        if labels.dtype.kind not in "iu":
-            raise DataFormatError(
-                f"{lab_path}: labels must be integers, not {labels.dtype}")
-        yield Dataset(images, labels.astype(np.int64).ravel(), name)
+        yield _load_set(name, img_path, lab_path)
 
 
 def batches(data: Dataset, batch_size: int, shuffle: bool = False, rng=None):

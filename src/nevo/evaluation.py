@@ -53,8 +53,11 @@ def evaluate(spec: NetworkSpec, params: np.ndarray,
     loss in `train`, and DE fitness).
 
     The split runs in chunks of _EVAL_CHUNK_ELEMS // (widest activation
-    in spec.shapes()) samples, so memory does not grow with N.  Ties in
-    the logits resolve to the lowest class index.  Per-sample terms are
+    in spec.shapes()) samples, so memory does not grow with N.  The
+    forward keeps no activation, so each activation layer runs in place
+    on a buffer the pass made, never on `data.images` (see
+    network._run), and holds no second copy of its input.  Ties in the
+    logits resolve to the lowest class index.  Per-sample terms are
     summed in float64 in one flat reduction, so the sum does not depend
     on how chunks are cut.  The float32 logits themselves can: OpenBLAS
     picks small-matrix or GEMV kernels by shape, and those round

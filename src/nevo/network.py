@@ -170,7 +170,12 @@ class Activation:
         return shape
 
     def forward(self, p, x, keep):
-        return tensor.activate(x, self.kind, "value"), x
+        # a pass that keeps nothing overwrites its input, which no later
+        # layer reads, unless that is the caller's batch or a view of it,
+        # which `_run` makes read-only
+        inplace = not keep and x.flags.writeable
+        return tensor.activate(x, self.kind, "value",
+                               out=x if inplace else None), x
 
     def backward(self, p, gp, cache, g, need_dx):
         return g * tensor.activate(cache, self.kind, "derivative")
@@ -306,9 +311,17 @@ def _views(spec, theta):
 
 
 def _run(spec, theta, x, keep):
-    """Shared forward pass; optionally records per-layer caches."""
+    """Shared forward pass; optionally records per-layer caches.
+
+    The layers get the caller's batch through a read-only view, so no
+    layer writes it, nor any view of it (Flatten returns one).  When
+    nothing is kept, every other activation input is a buffer this pass
+    made and no later layer reads, and the activation runs in place on
+    it: the same ufunc, so the same bits, with one activation-sized
+    array less at the peak."""
     _check_theta(spec, theta)
-    x = np.asarray(x)
+    x = np.asarray(x).view()
+    x.flags.writeable = False
     if x.shape[1:] != spec.input_shape:
         raise ShapeMismatchError(
             f"batch shape {tuple(x.shape)} does not match input shape "

@@ -357,19 +357,21 @@ def pool2d_backward(grad_out: np.ndarray, x_shape, kind: str, size: int,
     return dx.transpose(3, 0, 1, 2)
 
 
-def activate(x: np.ndarray, kind: str, mode: str = "value") -> np.ndarray:
-    """Elementwise activation or its derivative; relu'(0) is 0."""
+def activate(x: np.ndarray, kind: str, mode: str = "value",
+             out=None) -> np.ndarray:
+    """Elementwise activation or its derivative; relu'(0) is 0.  The
+    value (mode "value" only) is written into `out` if given; x itself
+    runs in place."""
     if kind not in ("relu", "tanh"):
         raise ShapeMismatchError(f"activate: unknown kind {kind!r}")
     if mode not in ("value", "derivative"):
         raise ValueError(f"activate: unknown mode {mode!r}")
+    if mode == "value":
+        return np.maximum(x, 0, out=out) if kind == "relu" else \
+            np.tanh(x, out=out)
     if kind == "relu":
-        if mode == "value":
-            return np.maximum(x, 0)
         return (x > 0).astype(x.dtype)
     t = np.tanh(x)
-    if mode == "value":
-        return t
     return (1 - t * t).astype(x.dtype, copy=False)
 
 

@@ -31,7 +31,7 @@ from nevo.persistence import (Checkpoint, RunDir, load_checkpoint,
 from nevo.rng import RngStream
 from nevo.training import train
 
-from synthdata import DEEP_JSON, child_env, with_header_json
+from synthdata import DEEP_JSON, child_env, traced_peak, with_header_json
 
 
 def tiny_spec() -> NetworkSpec:
@@ -1228,6 +1228,48 @@ def test_eval_corrupted_path_that_is_no_directory_exits_2(trained_run,
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "Traceback" not in err
     assert f"{path}: no such directory" in err
+
+
+def test_eval_corrupted_set_whose_shape_overflows_int64_exits_2(
+        trained_run, tmp_path, capsys):
+    """2**64 elements wrapped to 0 in an int64 count, so an empty
+    payload passed the size check and a traceback followed."""
+    head = (b"{'descr': '<f4', 'fortran_order': False, "
+            b"'shape': (4294967296, 4294967296)}")
+    (tmp_path / "set").mkdir()
+    (tmp_path / "set" / "images.npy").write_bytes(
+        b"\x93NUMPY\x01\x00" + len(head).to_bytes(2, "little") + head)
+    np.save(tmp_path / "set" / "labels.npy", np.zeros(1, np.int64))
+    capsys.readouterr()
+    assert cli_main(["eval", "--ckpt", str(trained_run / "final.ckpt"),
+                     "--corrupted", str(tmp_path / "set")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert "truncated payload" in err
+
+
+def test_eval_corrupted_holds_one_set_at_a_time(trained_run, tmp_path,
+                                                capsys):
+    """Three 4 MiB sets peak as high as one: neither the set generator
+    nor eval's loop holds the previous set while the next one loads."""
+    images = np.random.default_rng(0).random((16384, 1, 8, 8), np.float32)
+    for name in ("a", "b", "c"):
+        (tmp_path / "sets" / name).mkdir(parents=True)
+        np.save(tmp_path / "sets" / name / "images.npy", images)
+        np.save(tmp_path / "sets" / name / "labels.npy",
+                np.zeros(len(images), np.int64))
+    ckpt = str(trained_run / "final.ckpt")
+
+    def peak(root, n_sets):
+        capsys.readouterr()
+        code, peak = traced_peak(lambda: cli_main(
+            ["eval", "--ckpt", ckpt, "--corrupted", str(root)]))
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)) == n_sets
+        return peak
+
+    one, three = peak(tmp_path / "sets" / "a", 1), peak(tmp_path / "sets", 3)
+    assert three < one + (1 << 16)
 
 
 @pytest.mark.parametrize("command", ["eval", "corrupt", "train"])

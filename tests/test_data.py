@@ -5,6 +5,7 @@ identities, and corruption synthesis statistics."""
 import gzip
 import hashlib
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -136,6 +137,17 @@ def test_npy_u8_scaling_toggle(tmp_path):
     assert np.array_equal(raw, arr)
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0, 2), (7,), (2, 3, 4, 5)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64,
+                                   np.int32, np.int64])
+def test_save_npy_writes_exactly_numpys_bytes(tmp_path, dtype, shape):
+    arr = np.arange(math.prod(shape), dtype=dtype).reshape(shape)
+    save_npy(tmp_path / "ours.npy", arr)
+    np.save(tmp_path / "numpy.npy", arr)
+    assert ((tmp_path / "ours.npy").read_bytes() ==
+            (tmp_path / "numpy.npy").read_bytes())
+
+
 def npy_v1_bytes(header, payload):
     head = header.encode("latin1")
     return b"\x93NUMPY\x01\x00" + len(head).to_bytes(2, "little") + head + payload
@@ -170,6 +182,48 @@ def test_npy_rejects_malformed(tmp_path):
     bad_ver.write_bytes(b"\x93NUMPY\x09\x00" + b"\x00" * 16)
     with pytest.raises(DataFormatError):
         load_npy(bad_ver)
+
+
+@pytest.mark.parametrize("shape", [(2**32, 2**32), (2**62, 4), (2**64,)])
+def test_load_npy_counts_a_huge_shape_in_python_ints(tmp_path, shape):
+    """An element count past int64 wraps in np.prod (to 0 for 2**64
+    elements), so the empty payload passed the size check and reshape
+    raised an untyped ValueError."""
+    p = tmp_path / "huge.npy"
+    p.write_bytes(npy_v1_bytes(
+        "{'descr': '<f4', 'fortran_order': False, 'shape': %r}" % (shape,),
+        b""))
+    with pytest.raises(DataFormatError, match="truncated payload"):
+        load_npy(p)
+
+
+def npy_peaks(tmp_path, arr, scale_u8=True):
+    """(save_npy's, load_npy's) traced peak for arr."""
+    path = tmp_path / "a.npy"
+    _, save_peak = traced_peak(lambda: save_npy(path, arr))
+    back, load_peak = traced_peak(lambda: load_npy(path, scale_u8))
+    assert back.tobytes() == (arr.astype(np.float32) / 255.0 if
+                              arr.dtype == np.uint8 and scale_u8 else
+                              arr).tobytes()
+    return save_peak, load_peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_npy_save_and_load_hold_at_most_one_array(tmp_path, dtype):
+    """save_npy writes the payload from the array itself, and load_npy
+    reads it straight into the array it returns: neither holds the
+    file's bytes, nor a copy of the array."""
+    arr = np.arange(1 << 20, dtype=dtype).reshape(1024, 1, 32, 32)
+    save_peak, load_peak = npy_peaks(tmp_path, arr)
+    assert save_peak < 1 << 16
+    assert load_peak < arr.nbytes + (1 << 16)
+
+
+def test_npy_load_scales_u8_into_its_one_float_array(tmp_path):
+    arr = (np.arange(1 << 20) % 251).astype(np.uint8).reshape(-1, 32, 32)
+    _, load_peak = npy_peaks(tmp_path, arr)
+    # the float32 output and the u8 payload it is scaled from
+    assert load_peak < 5 * arr.nbytes + (1 << 16)
 
 
 def test_cifar10_parsing(tmp_path):
@@ -667,6 +721,116 @@ def test_all_native_corruptions_run_and_stay_bounded():
             assert out.images.min() >= 0.0 and out.images.max() <= 1.0
             assert np.array_equal(out.labels, ds.labels)
             assert f"{kind}:{severity}" in out.name
+
+
+# sha256 prefixes of corrupt(split, kind, severity, RngStream(5)).images
+# for severities 1..5, taken from the whole-split implementation
+# (NumPy 2.4, x86-64 Linux); chunking the passes must move no bit
+CORRUPT_DIGESTS = {
+    "synthetic": {
+        "gaussian_noise": ("d057151939141a4b", "106dda6a886c7623",
+                           "ad6e4c93fa68ab8e", "83fdb5417f6288aa",
+                           "5457b390ee692612"),
+        "shot_noise": ("27cdec307a33cf23", "1b0250af1709534a",
+                       "901a9ea7f2c5c025", "1023431803ec0036",
+                       "c66cdd099f509cce"),
+        "impulse_noise": ("653baee0cb021891", "73ccbfa1d75dd671",
+                          "62bf0762cce34b97", "dbf9456294ac55a8",
+                          "5ee5f1fc49709d03"),
+        "brightness": ("c3b7a2f5f5ec82d4", "9039f85ee8dd6489",
+                       "5268a27b6e6d72e1", "16a66a5778af4ce9",
+                       "e1682db8ce093fd2"),
+        "contrast": ("3b6fdd2246837c45", "cad9010316df0b82",
+                     "f81d352ae91f9302", "2c433ebd0f5c2c88",
+                     "e89390ad7a35b698"),
+        "translate": ("d13152919eed0c91", "838ce706c8fb9f0a",
+                      "2d6046e75acb8cdb", "1e15ec0cb8e4054a",
+                      "0baab3b4cec3a4e9"),
+        "rotate": ("d6393ea9a27d19fd", "710b8aa00e10eb5c",
+                   "94f465c93cea6410", "b6f44ed9a6f2cd55",
+                   "ba817120efad8410"),
+        "scale": ("201dc02e96980989", "417d434ba3136112",
+                  "74e19a6cdae631db", "1f7c6532119cd390",
+                  "2ee57c2a83a4b20c"),
+        "pixelate": ("8319f4f1bfe14e6a", "e103a8f4fe296b5b",
+                     "b61e6f7f40fe9a06", "65c560d57c168283",
+                     "31484c1e7776bff2"),
+        "stripe": ("689bb4ee0d5f3180", "dc644cef6781044d",
+                   "430bf1f3322b983f", "9b3fee35f2896ad0",
+                   "a54d698e1423e1e4"),
+    },
+    "rgb": {
+        "gaussian_noise": ("098ba4ee14f01fc4", "9d04fec9bf8cf47f",
+                           "ac10d4ef29b5bf35", "1c9ccf8a2dc80cad",
+                           "41914aada291da6e"),
+        "shot_noise": ("9a2ea7febde8f6d7", "4290aa4306b3c4c4",
+                       "28988a5e34af4f67", "244424d2c0f3a5c1",
+                       "0eb1af2fcf0f4902"),
+        "impulse_noise": ("e8c854242e16c091", "df5444f670b59762",
+                          "9bbbfe93ffaaa946", "9172b6403ae103d9",
+                          "34d6bee8e8034618"),
+        "brightness": ("1fa2c0d83b50d0fc", "32007170b63854ed",
+                       "07246376fc9e6e57", "d2343807b9bfd05d",
+                       "0409fcf1225bbee9"),
+        "contrast": ("c2bc105d83628b84", "78ddd604f370d482",
+                     "dfa8e7c76f76278e", "16cfc8899f5e5461",
+                     "5985c99bd5746460"),
+        "translate": ("49f28614b456f29e", "1f3dab057fbbc963",
+                      "589d28f066e2e91d", "aaced387e3cc4089",
+                      "b30551aaffba567f"),
+        "rotate": ("f5e3b72d179ebbb6", "0339573fd82d1899",
+                   "ded0ee94b3eda0c4", "275a903197413cad",
+                   "0a4d44ac91036ca2"),
+        "scale": ("31c2f8dbce11ecf0", "30130a849cc23efb",
+                  "61d521fb5a32feab", "f277cd7733ffdfab",
+                  "573f6aac43edb036"),
+        "pixelate": ("821603c36f3ebb9a", "4d75414932187531",
+                     "96bec02d9c4bca98", "8ca192aebfb41de1",
+                     "8ad26c3c573eabee"),
+        "stripe": ("5c56474d15280273", "f21cdf03774c4e16",
+                   "bc7cbb2557d8301b", "050c8d17a2faf161",
+                   "0f4fbfa3c0bd3192"),
+    },
+}
+
+
+def digest_split(name):
+    """The 300-sample default synthetic test split, or 101 random RGB
+    32x32 images: odd N, so chunks of either end mid-split."""
+    if name == "synthetic":
+        return make_synthetic_pair(1, 300, splits=("test",))[1]
+    gen = np.random.default_rng(11)
+    return Dataset(gen.random((101, 3, 32, 32), dtype=np.float32),
+                   gen.integers(0, 10, 101), "rgb")
+
+
+@pytest.mark.parametrize("chunk_elems", [None, 1000])
+@pytest.mark.parametrize("kind", sorted(SEVERITY_TABLES))
+@pytest.mark.parametrize("split", sorted(CORRUPT_DIGESTS))
+def test_corrupt_bytes_match_the_pinned_digests(monkeypatch, split, kind,
+                                                chunk_elems):
+    """The default chunks, and chunks of one or a few samples."""
+    if chunk_elems:
+        for name in ("_CORRUPT_CHUNK_ELEMS", "_WARP_CHUNK_ELEMS"):
+            monkeypatch.setattr(data_mod, name, chunk_elems)
+    ds = digest_split(split)
+    got = tuple(hashlib.sha256(corrupt(ds, kind, severity, RngStream(5))
+                               .images.tobytes()).hexdigest()[:16]
+                for severity in range(1, 6))
+    assert got == CORRUPT_DIGESTS[split][kind]
+
+
+def test_corrupt_peak_is_its_output_plus_fixed_scratch():
+    """Every kind writes one output array and draws its noise chunk by
+    chunk: on 4096 MNIST-shaped samples (12.25 MiB) the peak is the
+    output, impulse_noise's one-byte flip mask, and at most 3 MiB of
+    chunk scratch (a warp's, and the per-sample warp parameters, are
+    the largest).  A whole-split float64 draw alone is 24.5 MiB."""
+    ds = make_synthetic_pair(1, 4096, splits=("test",))[1]
+    for kind in SEVERITY_TABLES:
+        out, peak = traced_peak(lambda: corrupt(ds, kind, 5, RngStream(1)))
+        mask = ds.images.size if kind == "impulse_noise" else 0
+        assert peak < out.images.nbytes + mask + (3 << 20), kind
 
 
 def test_corrupt_never_writes_its_input_and_clips_like_a_copy(monkeypatch):

@@ -18,7 +18,7 @@ from nevo.evaluation import evaluate
 from synthdata import (conv2d_backward_reference, conv2d_nchw_reference,
                        fd_grad, max_rel_err, pool2d_nchw_reference,
                        pooled_conv, random_batch, random_theta, small_conv,
-                       small_mlp)
+                       small_mlp, traced_peak)
 
 
 def count_by_hand(spec):
@@ -249,6 +249,58 @@ def test_forward_without_argmax_matches_the_recording_pass(name):
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
+def input_activation_specs():
+    """Activations that read the caller's batch or a view of it."""
+    return {
+        "flatten-relu": NetworkSpec((1, 4, 4), (
+            Flatten(), Activation("relu"), Dense(16, 3))),
+        "relu-first": NetworkSpec((1, 4, 4), (
+            Activation("relu"), Flatten(), Dense(16, 3))),
+        "flatten-tanh-tanh": NetworkSpec((1, 4, 4), (
+            Flatten(), Activation("tanh"), Activation("tanh"),
+            Dense(16, 8), Activation("tanh"), Dense(8, 3))),
+        "small_conv": small_conv(),
+        "lenet1": zoo_spec("lenet1"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(input_activation_specs()))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_never_writes_the_callers_batch(name, dtype):
+    """A pass that keeps nothing runs its activations in place, on its
+    own buffers only: the caller's batch keeps its bytes, and the logits
+    are bitwise those of the pass that keeps every activation input."""
+    from nevo.network import _run
+    spec = input_activation_specs()[name]
+    theta = init_params(spec, RngStream(3)).astype(dtype)
+    x, y = random_batch(spec, 9, 4, dtype)  # about half of x is negative
+    before = x.tobytes()
+    got = forward(spec, theta, x)
+    assert x.tobytes() == before
+    loss(spec, theta, x, y)
+    assert x.tobytes() == before
+    want, _ = _run(spec, theta, x, True)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_runs_activations_in_place(monkeypatch):
+    """lenet1's widest activation is its first conv's output, which the
+    ReLU after it overwrites instead of copying: a forward-only
+    evaluate peaks over 1 MiB below the same pass with every activation
+    out of place (455-sample chunks, so a 4 MiB copy)."""
+    spec = zoo_spec("lenet1")
+    theta = init_params(spec, RngStream(0))
+    x, y = random_batch(spec, 1000, 1, np.float32)
+    data = Dataset(x, y)
+    report, peak = traced_peak(lambda: evaluate(spec, theta, data))
+    real = tensor.activate
+    monkeypatch.setattr(tensor, "activate", lambda x, kind, mode="value",
+                        out=None: real(x, kind, mode))
+    copied, base = traced_peak(lambda: evaluate(spec, theta, data))
+    assert report == copied
+    assert peak < base - (1 << 20)
+
+
 @pytest.mark.parametrize("name", ["lenet1", "lenet5"])
 def test_forward_and_evaluate_match_the_nchw_kernels_bitwise(monkeypatch,
                                                              name):
@@ -304,7 +356,8 @@ def test_conv_stack_stays_batch_innermost(monkeypatch):
     backward(spec, theta, x, y)
     cached = [a for cache in caches
               for a in (cache if isinstance(cache, tuple) else (cache,))
-              if isinstance(a, np.ndarray) and a.ndim == 4 and a is not x]
+              if isinstance(a, np.ndarray) and a.ndim == 4
+              and not np.shares_memory(a, x)]
     # relu inputs, pool argmaxes and the second conv's input; the
     # first conv's dx is not computed
     assert len(cached) == 5
