@@ -62,11 +62,14 @@ def evaluate(spec: NetworkSpec, params: np.ndarray,
     on how chunks are cut.  The float32 logits themselves can: OpenBLAS
     picks small-matrix or GEMV kernels by shape, and those round
     differently, so `mean_ce` bits and near-tie argmaxes may move with
-    the chunk size (a last partial chunk included).
+    the chunk size (a last partial chunk included).  A split of no
+    samples raises ShapeMismatchError: it has no accuracy.
     """
     correct = 0
     ce_parts = []
     n = len(data)
+    if n == 0:
+        raise ShapeMismatchError(f"evaluate: {data.name} has no samples")
     widest, n_classes = _widest_and_classes(spec)
     bad = np.nonzero((data.labels < 0) | (data.labels >= n_classes))[0]
     if bad.size:

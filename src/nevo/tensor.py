@@ -29,15 +29,19 @@ and returns NCHW memory.
 The float32 conv forward pass is a GEMM over an im2col matrix
 (Chellapilla, Puri & Simard, 2006).  The matrix is K-major: row
 (c, u, v) holds input pixel (c, oy*stride+u, ox*stride+v) for every
-output position (oy, ox, n), so it is filled with kh*kw slice copies,
-and the GEMM's product is in the output's (k, oh, ow, n) memory order.
-Within each block of samples the forward tiles the output rows: each
-tile is the im2col of a few output rows, about _CONV_TILE_ELEMS
-elements, and one GEMM on it, so the fill and the GEMM run in L2 (the
-cache blocking of Goto & van de Geijn, 2008).  Each output element is
-the same length-c*kh*kw dot product, in ascending (c, u, v) order,
-whatever the order and number of the matrix's columns, so BLAS's
-blocked GEMM kernels return the same bits as the whole-block NCHW
+output position (oy, ox, n), so it is one copy of the input's strided
+(c, kh, kw, oh, ow, n) window view, and the GEMM's product is in the
+output's (k, oh, ow, n) memory order.  Within each block of samples
+the forward tiles the output rows: each tile is the im2col of a few
+output rows, about _CONV_TILE_ELEMS elements, and one GEMM on it, so
+the fill and the GEMM run in L2 (the cache blocking of Goto & van de
+Geijn, 2008).  Every tile of a block is filled into the block's one
+tile-sized buffer, and its GEMM writes straight into the tile's output
+rows (through a second reused buffer when the block is only part of
+the batch), so no tile allocates.  Each output element is the same
+length-c*kh*kw dot product, in ascending (c, u, v) order, whatever the
+order and number of the matrix's columns, so BLAS's blocked GEMM
+kernels return the same bits as the whole-block NCHW
 im2col (``tests/synthdata.conv2d_nchw_reference``).
 OpenBLAS's small-matrix kernels (OpenBLAS 0.3.31 on x86-64 uses them
 below about 1e6 multiply-adds) and its one-output-channel GEMV path are
@@ -51,9 +55,10 @@ rows, last tile first.  The kernel gradient adds, per tile, the tile's
 im2col times its grad_out rows as a (k, rows*ow*n) matrix, contracted
 in ascending (oy, ox, n) order; so it is a sum of per-tile GEMMs, and
 its last bits depend on the tiling.  The input gradient is one GEMM per
-tile to (c, kh, kw, oy, ox, n) columns, then a col2im that adds the
-kh*kw tap slices into the rows the tile covers; taking the tiles last
-to first adds every element's taps in row-major (u, v) order, so it has
+tile to (c, kh, kw, oy, ox, n) columns, written over the tile's dead
+im2col in the tile buffer, then a col2im that adds the kh*kw tap
+slices into the rows the tile covers; taking the tiles last to first
+adds every element's taps in row-major (u, v) order, so it has
 the bits of a whole-block col2im.  Both return the bits of the
 tensordot / per-tap reference ``tests/synthdata.conv2d_backward_reference``
 on the zoo convs.  The GEMV exception above, which includes the input
@@ -140,9 +145,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     chunk = _conv_chunk(c, kh, kw, oh, ow)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        _conv_forward_block(_pad_hw(_chwn(x[lo:hi]), pad), bt, kh, kw, stride,
-                            out[..., lo:hi])
-    out += bias[:, None, None, None]
+        _conv_forward_block(_pad_hw(_chwn(x[lo:hi]), pad), bt, bias, kh, kw,
+                            stride, out[..., lo:hi])
     return out.transpose(3, 0, 1, 2)
 
 
@@ -170,33 +174,57 @@ def _conv_tile_rows(c, kh, kw, ow, n):
     return max(1, _CONV_TILE_ELEMS // max(1, c * kh * kw * ow * n))
 
 
-def _conv_forward_block(xp, bt, kh, kw, stride, out):
-    """Write one block's (K, OH, OW, N) output into out from the padded
-    (C, H, W, N) input xp and the (c*kh*kw, k) kernel matrix bt.
+def _conv_forward_block(xp, bt, bias, kh, kw, stride, out):
+    """Write one block's (K, OH, OW, N) output, bias added, into out from
+    the padded (C, H, W, N) input xp and the (c*kh*kw, k) kernel matrix
+    bt.
 
-    Each tile of output rows is one im2col fill of the input rows it
-    reads and one GEMM, small enough to stay in L2 together.  Each
-    tile's matrix dies before the next one is filled.
+    Each tile of output rows is one strided im2col copy of the input rows
+    it reads and one GEMM, small enough to stay in L2 together.  Every
+    tile's im2col goes into the one tile-sized buffer of the block.
+    When out is the whole batch, C-ordered, each tile's output rows are
+    one (k, rows*ow*n) matrix and the GEMM writes straight into them.
+    A block of part of the batch is a strided slice of it, so there the
+    GEMM writes into a second buffer, which is copied into place.  The
+    bias is added to each tile's product while it is in cache.
     """
     c, n = xp.shape[0], xp.shape[3]
     k, oh, ow, _ = out.shape
     rows = _conv_tile_rows(c, kh, kw, ow, n)
+    tile_cols = min(rows, oh) * ow * n
+    tile = np.empty(c * kh * kw * tile_cols, dtype=xp.dtype)
+    res = None if out.flags.c_contiguous else \
+        np.empty(k * tile_cols, dtype=out.dtype)
     for y0 in range(0, oh, rows):
         y1 = min(oh, y0 + rows)
-        tile = xp[:, y0 * stride:(y1 - 1) * stride + kh]
-        out[:, y0:y1] = np.dot(bt.T, _cols(tile, kh, kw, stride, y1 - y0,
-                                           ow)).reshape(k, y1 - y0, ow, n)
+        dst = out[:, y0:y1]
+        prod = (dst if res is None else res[:dst.size]).reshape(k, -1)
+        cols = _cols(xp, y0 * stride, kh, kw, stride, y1 - y0, ow, tile)
+        # bt.T must stay the transposed view of the C-ordered bt, so BLAS
+        # takes the kernel operand transposed as the NCHW reference does:
+        # a C-ordered copy of bt.T rounds lenet5's convs differently
+        np.matmul(bt.T, cols, out=prod)
+        prod += bias[:, None]
+        if res is not None:
+            dst[...] = prod.reshape(dst.shape)
 
 
-def _cols(xp, kh, kw, stride, oh, ow):
-    """K-major im2col of a padded (C, H, W, N) block: a
-    (c*kh*kw, oh*ow*n) matrix built from kh*kw slice copies."""
-    c, n = xp.shape[0], xp.shape[3]
-    cols = np.empty((c, kh, kw, oh, ow, n), dtype=xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, u, v] = xp[:, u:u + stride * oh:stride,
-                               v:v + stride * ow:stride]
+def _cols(xp, top, kh, kw, stride, oh, ow, tile):
+    """K-major im2col of the oh output rows that read the padded,
+    C-ordered (C, H, W, N) block xp from its input row `top` on,
+    written into the front of the flat buffer tile by one copy from the
+    strided (c, kh, kw, oh, ow, n) window view of xp.  Returns that
+    (c*kh*kw, oh*ow*n) matrix, a view of tile."""
+    c, _, _, n = xp.shape
+    sc, sh, sw, sn = xp.strides
+    # a view of xp's buffer, which numpy checks lies inside it.  The
+    # wrapper objects of as_strided shifted glibc's heap layout enough
+    # to raise a lenet1 training run's peak RSS by about 3 MiB.
+    window = np.ndarray((c, kh, kw, oh, ow, n), xp.dtype, buffer=xp,
+                        offset=top * sh,
+                        strides=(sc, sh, sw, sh * stride, sw * stride, sn))
+    cols = tile[:window.size].reshape(window.shape)
+    np.copyto(cols, window)
     return cols.reshape(c * kh * kw, oh * ow * n)
 
 
@@ -234,35 +262,39 @@ def _conv_backward_block(xp, kernels, stride, pad, g, dwt, dx):
     unless dx is None.
 
     The block runs in the forward's tiles of output rows, last tile
-    first.  Each tile's im2col times its grad_out rows is added into
-    dwt, so the kernel gradient is a sum of per-tile GEMMs.  With dx,
-    the tile's W^T g columns are added tap by tap into the padded
+    first.  Each tile's im2col, filled into the block's one tile-sized
+    buffer, times its grad_out rows is added into dwt, so the kernel
+    gradient is a sum of per-tile GEMMs.  With dx, the tile's W^T g
+    columns overwrite that im2col, which is dead by then and has their
+    (c*kh*kw, rows*ow*n) shape, and are added tap by tap into the padded
     buffer rows the tile covers.  A later tile's taps on a buffer row
     have smaller u, so taking the tiles last to first adds every
     element's taps in row-major (u, v) order, as one whole-block col2im
     does.  Each tap add moves contiguous runs of ow*n elements.  The
-    scratch is the padded buffer and two tile-sized matrices, which die
-    before the next tile allocates its own.
+    scratch is the padded buffer, the tile buffer and a (c*kh*kw, k)
+    product; no tile allocates.
     """
     k, c, kh, kw = kernels.shape
     _, oh, ow, n = g.shape
     wt = kernels.reshape(k, -1).T
-    buf = None if dx is None else np.zeros_like(xp)
     rows = _conv_tile_rows(c, kh, kw, ow, n)
+    tile = np.empty(c * kh * kw * min(rows, oh) * ow * n, dtype=xp.dtype)
+    part = np.empty_like(dwt)
+    dxp = None if dx is None else np.zeros_like(xp)
     for y0 in reversed(range(0, oh, rows)):
         y1 = min(oh, y0 + rows)
         r, top = y1 - y0, y0 * stride
         gk = g[:, y0:y1].reshape(k, -1)
-        dwt += _cols(xp[:, top:(y1 - 1) * stride + kh], kh, kw, stride, r,
-                     ow) @ gk.T
-        if buf is not None:
-            cols = (wt @ gk).reshape(c, kh, kw, r, ow, n)
+        cols = _cols(xp, top, kh, kw, stride, r, ow, tile)
+        dwt += np.matmul(cols, gk.T, out=part)
+        if dxp is not None:
+            taps = np.matmul(wt, gk, out=cols).reshape(c, kh, kw, r, ow, n)
             for u in range(kh):
                 for v in range(kw):
-                    buf[:, top + u:top + u + stride * r:stride,
-                        v:v + stride * ow:stride] += cols[:, u, v]
+                    dxp[:, top + u:top + u + stride * r:stride,
+                        v:v + stride * ow:stride] += taps[:, u, v]
     if dx is not None:
-        dx[...] = buf[:, pad:pad + dx.shape[1], pad:pad + dx.shape[2]]
+        dx[...] = dxp[:, pad:pad + dx.shape[1], pad:pad + dx.shape[2]]
 
 
 def pool2d(x: np.ndarray, kind: str, size: int, stride: int,

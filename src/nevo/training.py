@@ -160,10 +160,12 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
     # the largest mmapped block freed so far.  With the conv backward in
     # tiles no block a step frees is that large, so every step's and
     # every evaluate chunk's scratch would be unmapped and faulted back
-    # in (78k against 10k page faults, +0.1 s, in a one-epoch lenet1
-    # train).  Freeing one untouched block of two evaluate chunks first
-    # raises that trim threshold above both; it costs no RSS, and other
-    # allocators ignore it.
+    # in.  The conv kernels reuse one tile buffer per block, but every
+    # step still allocates its activations and gradients afresh: a fresh
+    # one-epoch lenet1 train on 3000 samples takes about 39k page faults
+    # without this block against 3k with it.  Freeing one untouched
+    # block of two evaluate chunks first raises that trim threshold
+    # above both; it costs no RSS, and other allocators ignore it.
     np.empty(2 * _EVAL_CHUNK_ELEMS, dtype=np.float32)
     theta = init_params(spec, stream.child(_NS_INIT))
     state = AdamState.zeros(theta.shape[0], theta.dtype)

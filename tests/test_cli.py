@@ -1248,6 +1248,34 @@ def test_eval_corrupted_set_whose_shape_overflows_int64_exits_2(
     assert "truncated payload" in err
 
 
+@pytest.mark.parametrize("source", ["corrupted", "idx"])
+def test_eval_on_an_empty_split_exits_2(trained_run, tmp_path, capsys,
+                                        source):
+    """A split of no samples has no accuracy: a typed error, where the
+    chunk loop used to end in np.concatenate of nothing (a traceback,
+    exit 1)."""
+    ckpt = str(trained_run / "final.ckpt")
+    if source == "corrupted":
+        (tmp_path / "set").mkdir()
+        np.save(tmp_path / "set" / "images.npy",
+                np.zeros((0, 1, 8, 8), np.float32))
+        np.save(tmp_path / "set" / "labels.npy", np.zeros(0, np.int64))
+        argv = ["eval", "--ckpt", ckpt, "--corrupted", str(tmp_path / "set")]
+    else:
+        root = idx_dir(tmp_path)
+        (root / "t10k-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 2051, 0, 8, 8))
+        (root / "t10k-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 2049, 0))
+        argv = ["eval", "--ckpt", ckpt, "--dataset", "mnist", "--data-dir",
+                str(root), "--split", "test"]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert "no samples" in err
+
+
 def test_eval_corrupted_holds_one_set_at_a_time(trained_run, tmp_path,
                                                 capsys):
     """Three 4 MiB sets peak as high as one: neither the set generator

@@ -289,6 +289,68 @@ def test_conv2d_tile_below_small_matrix_switch_keeps_bits():
                               bits(conv2d_nchw_reference(x, w, b)))
 
 
+@pytest.mark.parametrize("c,n,kh,kw,stride,pad,dtype", [
+    (3, 1, 3, 3, 2, 1, np.float32),  # stride 2, pad 1, one sample
+    (3, 5, 3, 2, 2, 1, np.float32),  # and a kernel wider than tall
+    (2, 4, 2, 3, 3, 2, np.float64),  # taller than wide, stride 3, pad 2
+    (4, 6, 5, 5, 1, 0, np.float32),  # lenet1.l3's kernel
+])
+def test_cols_is_the_per_tap_slice_copy_im2col_bitwise(c, n, kh, kw,
+                                                       stride, pad, dtype):
+    """_cols' one strided copy is the kh*kw per-tap slice copies, for the
+    whole padded block and for a tile of output rows from its middle,
+    and writes only the front of the buffer it is given.  The block is
+    read-only, as a caller's batch reaches the layers."""
+    gen = np.random.default_rng(c * 100 + n)
+    x = gen.normal(size=(n, c, 11, 9)).astype(dtype)
+    xp = tensor._pad_hw(tensor._chwn(x), pad)
+    xp.flags.writeable = False
+    oh, ow = tensor._conv_out_dims(11, 9, kh, kw, stride, pad)
+    assert oh > 2
+    for y0, y1 in ((0, oh), (1, 3)):
+        part = xp[:, y0 * stride:(y1 - 1) * stride + kh]
+        r = y1 - y0
+        want = np.empty((c, kh, kw, r, ow, n), dtype=dtype)
+        for u in range(kh):
+            for v in range(kw):
+                want[:, u, v] = part[:, u:u + stride * r:stride,
+                                     v:v + stride * ow:stride]
+        tile = np.full(want.size + 7, np.nan, dtype=dtype)
+        got = tensor._cols(xp, y0 * stride, kh, kw, stride, r, ow, tile)
+        assert got.shape == (c * kh * kw, r * ow * n)
+        assert np.shares_memory(got, tile)
+        assert np.array_equal(bits(got), bits(want.reshape(got.shape)))
+        assert np.isnan(tile[want.size:]).all()
+
+
+@pytest.mark.parametrize("xs,ws,stride,pad,chunk,n", [
+    # lenet1.l3 in blocks of 164, 109: 1-row tiles, then 3-row tiles
+    ((4, 12, 12), (12, 4, 5, 5), 1, 0, 164, 273),
+    # strided and padded in blocks of 40, 40, 20, the last one tile
+    ((4, 28, 28), (8, 4, 3, 3), 2, 1, 40, 100),
+    # lenet5.l3 in blocks of 30, 30, 15
+    ((6, 14, 14), (16, 6, 5, 5), 1, 0, 30, 75),
+])
+def test_conv_multi_block_calls_match_references_bitwise(
+        monkeypatch, xs, ws, stride, pad, chunk, n):
+    """A call spanning several _conv_chunk blocks writes each block's
+    output through a product buffer into a slice of out that is not
+    C-contiguous, and runs its backward block by block into one dwt:
+    forward, dx, dw and db keep the references' bits."""
+    c, kh, kw = ws[1:]
+    oh, ow = tensor._conv_out_dims(xs[1], xs[2], kh, kw, stride, pad)
+    monkeypatch.setattr(tensor, "_CONV_CHUNK_ELEMS", chunk * c * kh * kw * oh * ow)
+    assert tensor._conv_chunk(c, kh, kw, oh, ow) == chunk < n
+    x, w, b = conv_forward_inputs(xs, ws, n, seed=n)
+    assert np.array_equal(bits(conv2d(x, w, b, stride, pad)),
+                          bits(conv2d_nchw_reference(x, w, b, stride, pad)))
+    _, _, g = conv_backward_inputs(xs, ws, n, stride, pad, seed=n + 1)
+    got = conv2d_backward(x, w, stride, pad, g)
+    want = conv2d_backward_reference(x, w, stride, pad, g)
+    for a, r in zip(got, want):
+        assert np.array_equal(bits(a), bits(r))
+
+
 def conv_backward_inputs(xs, ws, n, stride, pad, seed, dtype=np.float32):
     gen = np.random.default_rng(seed)
     x = gen.normal(size=(n,) + xs).astype(dtype)
@@ -394,17 +456,45 @@ def test_conv2d_pads_per_block(monkeypatch):
     assert scratch[512] <= 1.5 * scratch[32]
 
 
+# Python objects and the few small arrays a conv call makes
+_SCRATCH_SLACK = 1 << 16
+
+
+def block_sizes(xs, ws, n):
+    """Sample counts of the _conv_chunk blocks of a stride-1 unpadded
+    n-sample conv: a full block and the last one."""
+    c, kh, kw = ws[1:]
+    oh, ow = tensor._conv_out_dims(xs[1], xs[2], kh, kw, 1, 0)
+    chunk = tensor._conv_chunk(c, kh, kw, oh, ow)
+    return {min(n, chunk), (n - 1) % chunk + 1}
+
+
+def tile_buffer_bytes(xs, ws, nb, product=False):
+    """Bytes of the tile buffer of an nb-sample block of a stride-1
+    unpadded conv, plus its tile product buffer when product is set."""
+    k, c, kh, kw = ws
+    oh, ow = tensor._conv_out_dims(xs[1], xs[2], kh, kw, 1, 0)
+    tile_cols = min(oh, tensor._conv_tile_rows(c, kh, kw, ow, nb)) * ow * nb
+    return (c * kh * kw + (k if product else 0)) * tile_cols * 4
+
+
 def test_conv2d_scratch_is_one_block_copy_and_tiles():
-    """On lenet1.l0 at an evaluate chunk of 455 samples, the forward's
-    scratch is the (C, H, W, N) copy of one _conv_chunk block plus at
-    most two tile budgets, not the block's whole im2col (16 MiB)."""
+    """On lenet1.l0 at a training batch of 128 and at an evaluate chunk
+    of 455, the forward's scratch is the (C, H, W, N) copy of one
+    _conv_chunk block and that block's tile buffer, and, where the block
+    is part of the batch (455 runs in blocks of 291 and 164), its tile
+    product buffer.  Every tile reuses them, so neither a fresh im2col
+    nor a fresh GEMM product per tile adds to it, and it is far from the
+    block's whole im2col (16 MiB at 455)."""
     xs, ws = ZOO_CONVS["lenet1.l0"]
-    x, w, b = conv_forward_inputs(xs, ws, 455, seed=455)
-    chunk = tensor._conv_chunk(1, 5, 5, 24, 24)
-    block_copy = chunk * x[0].nbytes
-    tile_budget = tensor._CONV_TILE_ELEMS * x.itemsize
-    assert conv_forward_scratch_bytes(x, w, b, pad=0) <= \
-        block_copy + 2 * tile_budget
+    for n in (128, 455):
+        x, w, b = conv_forward_inputs(xs, ws, n, seed=n)
+        blocks = block_sizes(xs, ws, n)
+        bound = max(nb * x[0].nbytes + tile_buffer_bytes(xs, ws, nb,
+                                                         len(blocks) > 1)
+                    for nb in blocks)
+        assert conv_forward_scratch_bytes(x, w, b, pad=0) <= \
+            bound + _SCRATCH_SLACK
 
 
 @pytest.mark.parametrize("need_dx", [False, True])
@@ -413,19 +503,18 @@ def test_conv2d_backward_scratch_is_one_block_copy_and_tiles(n, need_dx):
     """On lenet1.l0 at a training batch of 128 and an evaluate chunk of
     455, the backward's scratch is one _conv_chunk block's copies of the
     input and grad_out (and, with dx, its padded input-gradient buffer)
-    plus two tile budgets, not the block's whole im2col (7.4 MB at
-    128)."""
+    plus the block's one tile buffer, which holds each tile's im2col and
+    then its input-gradient columns; not the block's whole im2col
+    (7.4 MB at 128)."""
     xs, ws = ZOO_CONVS["lenet1.l0"]
     x, w, g = conv_backward_inputs(xs, ws, n, 1, 0, seed=n)
-    block = min(n, tensor._conv_chunk(1, 5, 5, 24, 24))
-    copies = block * (x[0].nbytes + g[0].nbytes)
-    if need_dx:
-        copies += block * x[0].nbytes
-    tile_budget = tensor._CONV_TILE_ELEMS * x.itemsize
+    per_sample = x[0].nbytes + g[0].nbytes + (x[0].nbytes if need_dx else 0)
+    bound = max(nb * per_sample + tile_buffer_bytes(xs, ws, nb)
+                for nb in block_sizes(xs, ws, n))
     out, peak = traced_peak(
         lambda: conv2d_backward(x, w, 1, 0, g, need_dx=need_dx))
     scratch = peak - sum(a.nbytes for a in out if a is not None)
-    assert scratch <= copies + 2 * tile_budget
+    assert scratch <= bound + _SCRATCH_SLACK
 
 
 def pool_loops(x, kind, size, stride):
