@@ -29,13 +29,14 @@ from functools import partial
 from pathlib import Path
 
 from . import data as datasets
-from .data import SPLITS, DataSection, load_splits, write_json
+from .data import SPLITS, DataSection, load_splits
 from .errors import (ConfigError, MissingArtifactError, NevoError,
                      NumericError)
 from .evaluation import count_costs, evaluate, report
 from .evolution import evolve, grid_search
 from .persistence import Checkpoint, RunDir, load_checkpoint, parse_config
 from .rng import RngStream
+from .store import atomic_write, read_bytes, write_json
 from .training import TrainingDiverged, pretrain
 
 
@@ -129,11 +130,9 @@ def _build_parser() -> _Parser:
 
 
 def _read_config_arg(path) -> tuple:
-    p = Path(path)
-    if not p.is_file():
-        raise MissingArtifactError(f"no such config: {p}")
-    text = p.read_text()
-    return text, parse_config(text)
+    """The config file's bytes, which train copies, and their Config."""
+    blob = read_bytes(path, "config")
+    return blob, parse_config(blob)
 
 
 def _cmd_fetch(args) -> int:
@@ -145,12 +144,12 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    text, cfg = _read_config_arg(args.config)
+    blob, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
     with RunDir(args.out, new=True) as run:
         splits = list(load_splits(cfg.data))
         test_ds = splits.pop()
-        run.start(cfg, cfg.spec, text)
+        run.start(cfg, cfg.spec, blob)
         try:
             # splits.pop hands augment the only reference to the
             # unaugmented split, so it is freed before the first warp
@@ -196,7 +195,7 @@ def _check_de_flags(args):
 def _cmd_evolve(args) -> int:
     _check_de_flags(args)
     with RunDir(args.run) as run:
-        text, cfg = _read_config_arg(args.config or run.config)
+        _, cfg = _read_config_arg(args.config or run.config)
         de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
         mode = "soup" if args.soup else "ancestors"
 
@@ -287,7 +286,7 @@ def _cmd_report(args) -> int:
         out = Path(args.out)
         if out.is_dir() or not out.parent.is_dir():
             raise MissingArtifactError(f"{out}: not a file in a directory")
-        datasets._atomic_write(out, text.encode())
+        atomic_write(out, text.encode())
     else:
         sys.stdout.write(text)
     for problem in problems:
@@ -297,7 +296,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     _check_de_flags(args)
-    text, cfg = _read_config_arg(args.config)
+    _, cfg = _read_config_arg(args.config)
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
     out_dir = _out_dir(args.out) if args.out else None
     train_ds, test_ds = load_splits(cfg.data)
@@ -316,7 +315,7 @@ def _cmd_gridsearch(args) -> int:
 def _cmd_costs(args) -> int:
     ConfigError.check((args.n_g >= 0, "--n-g", "must be >= 0"),
                       (args.n_e >= 0, "--n-e", "must be >= 0"))
-    text, cfg = _read_config_arg(args.config)
+    _, cfg = _read_config_arg(args.config)
     rep = count_costs(cfg.spec, args.n_g, args.n_e, cfg.de.F, cfg.de.Cr)
     print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     return 0

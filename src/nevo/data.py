@@ -16,13 +16,10 @@ test) pair of Datasets.
 from __future__ import annotations
 
 import ast
-import fcntl
 import gzip
 import hashlib
-import json
 import math
 import os
-import time
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +31,8 @@ from .errors import (ChecksumError, ConfigError, DataFormatError,
                      MissingArtifactError, NevoError, ShapeMismatchError,
                      UnsupportedCorruptionError)
 from .rng import RngStream
+from .store import (LEFTOVERS, TMP, FileLock, atomic_write, read_bytes,
+                    read_json, write_dir, write_json)
 
 
 # The two splits every source provides, in the order loaders return them.
@@ -68,13 +67,6 @@ class Dataset:
         if n <= 0 or n >= len(self):
             return self
         return Dataset(self.images[:n], self.labels[:n], name or self.name)
-
-
-def _read_file(path) -> bytes:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingArtifactError(f"no such file: {path}")
-    return path.read_bytes()
 
 
 def _be_u32(buf: bytes, offset: int, what: str) -> int:
@@ -114,10 +106,10 @@ def _parse_idx(buf: bytes, expect_magic: int, source: str) -> np.ndarray:
 def load_idx(images_path, labels_path, name: Optional[str] = None) -> Dataset:
     """Big-endian IDX pair: u8 image tensor (magic 2051) + u8 labels
     (magic 2049).  Pixels come back as float32 in [0, 1]."""
-    raw_images = _parse_idx(_read_file(images_path), _IDX_IMAGES_MAGIC,
-                            str(images_path))
-    raw_labels = _parse_idx(_read_file(labels_path), _IDX_LABELS_MAGIC,
-                            str(labels_path))
+    raw_images = _parse_idx(read_bytes(images_path, "file"),
+                            _IDX_IMAGES_MAGIC, str(images_path))
+    raw_labels = _parse_idx(read_bytes(labels_path, "file"),
+                            _IDX_LABELS_MAGIC, str(labels_path))
     if raw_images.shape[0] != raw_labels.shape[0]:
         raise DataFormatError(
             f"images file has N={raw_images.shape[0]}, labels file has "
@@ -216,9 +208,9 @@ def save_npy(path, arr: np.ndarray):
               % (_DESCR_OF[arr.dtype], tuple(int(v) for v in arr.shape)))
     pad = -(len(_NPY_MAGIC) + 4 + len(header) + 1) % 64
     header = header + " " * pad + "\n"
-    _atomic_write(Path(path), _NPY_MAGIC + bytes([1, 0]) +
-                  len(header).to_bytes(2, "little") + header.encode("latin1"),
-                  memoryview(arr))
+    atomic_write(path, _NPY_MAGIC + bytes([1, 0]) +
+                 len(header).to_bytes(2, "little") + header.encode("latin1"),
+                 memoryview(arr))
 
 
 _CIFAR_RECORD = 3073
@@ -231,7 +223,7 @@ def load_cifar10(paths, name: str = "cifar10") -> Dataset:
         paths = [paths]
     chunks, labels = [], []
     for path in paths:
-        buf = _read_file(path)
+        buf = read_bytes(path, "file")
         if len(buf) == 0 or len(buf) % _CIFAR_RECORD != 0:
             raise DataFormatError(
                 f"{path}: size {len(buf)} is not a positive multiple of "
@@ -306,118 +298,20 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "nevo"
 
 
-def _atomic_write(path: Path, *blobs):
-    """Write the blobs (bytes-like, in order) through <path>.tmp and one
-    rename; a write or rename the OS refuses removes the .tmp before the
-    error propagates."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    except OSError:
-        if tmp.is_file():
-            tmp.unlink()
-        raise
-
-
-def write_json(path, doc):
-    """Write doc as indented, key-sorted JSON in one rename, so a kill
-    leaves the old or the new file, never a torn one that a later stage
-    cannot read."""
-    _atomic_write(Path(path),
-                  (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
-
-
-# The siblings `_write_dir` builds a directory in and moves the old one to.
-_SWAP_EXTS = (".tmp", ".old")
-
-
-def _remove_path(path: Path):
-    """Remove the tree or file at path, if any.  shutil is imported here:
-    a module-level import moved peak RSS."""
-    import shutil
-    if path.is_dir() and not path.is_symlink():
-        shutil.rmtree(path, ignore_errors=True)
-    else:
-        path.unlink(missing_ok=True)
-
-
-def _write_dir(out_dir, fill):
-    """Call fill(tmp) on an empty sibling <name>.tmp/, rename out_dir
-    aside to <name>.old, rename the new one in and remove the old.  A
-    kill never leaves a mixed out_dir (between the renames, none); the
-    next write clears what it left."""
-    out_dir = Path(out_dir)
-    tmp, old = (out_dir.with_name(out_dir.name + ext)
-                for ext in _SWAP_EXTS)
-    for leftover in (tmp, old):
-        _remove_path(leftover)
-    tmp.mkdir(parents=True)
-    fill(tmp)
-    if out_dir.exists():
-        out_dir.rename(old)
-    tmp.rename(out_dir)
-    _remove_path(old)
-
-
-class _FileLock:
-    """Advisory lock: flock on an open descriptor of <path>.lock (POSIX).
-
-    The kernel drops the lock when its holder closes the file or dies,
-    so a killed holder never blocks the next one.  The lock file itself
-    stays: unlinking it would let a waiter lock an orphaned inode.
-    """
-
-    def __init__(self, path: Path, timeout: float = 30.0):
-        self.lock = path.with_name(path.name + ".lock")
-        self.timeout = timeout
-
-    def __enter__(self):
-        self.lock.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.lock, os.O_CREAT | os.O_RDWR, 0o644)
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                self.fd = fd
-                return self
-            except BlockingIOError:
-                if time.monotonic() > deadline:
-                    os.close(fd)
-                    raise NevoError(f"{self.lock.with_suffix('')} is in "
-                                    f"use by another nevo command")
-                time.sleep(0.05)
-
-    def __exit__(self, *exc):
-        os.close(self.fd)  # closing the descriptor releases the flock
-        return False
-
-
 def _default_opener(url: str) -> bytes:
     with urllib.request.urlopen(url, timeout=60) as resp:
         return resp.read()
 
 
-def _sidecar_path(ds_dir: Path) -> Path:
-    return ds_dir / "digests.json"
-
-
-def _load_sidecar(ds_dir: Path) -> dict:
-    p = _sidecar_path(ds_dir)
-    if not p.is_file():
-        return {}
+def _load_sidecar(path: Path) -> dict:
     try:
-        doc = json.loads(p.read_text())
-    except (OSError, ValueError, RecursionError):
+        doc = read_json(path, "digest sidecar")
+    except NevoError:
         return {}
-    # valid JSON that is not {name: {"sha256": <hex digest>, ...}} is as
-    # unreadable as bad bytes
-    ok = isinstance(doc, dict) and all(
-        isinstance(v, dict) and _is_digest(v.get("sha256"))
-        for v in doc.values())
+    # a JSON object that is not {name: {"sha256": <hex digest>, ...}} is
+    # as unreadable as bad bytes
+    ok = all(isinstance(v, dict) and _is_digest(v.get("sha256"))
+             for v in doc.values())
     return doc if ok else {}
 
 
@@ -446,20 +340,20 @@ def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
     base = base_url or entry["base_url"]
     opener = opener or _default_opener
     ds_dir = Path(out_dir) if out_dir is not None else cache_dir() / name
-    ds_dir.mkdir(parents=True, exist_ok=True)
+    sidecar_path = ds_dir / "digests.json"
 
     out = {}
     for logical, info in entry["files"].items():
         target = ds_dir / logical
-        with _FileLock(target):
-            sidecar = _load_sidecar(ds_dir)
+        with FileLock(target):
+            sidecar = _load_sidecar(sidecar_path)
             if target.is_file():
                 digest = hashlib.sha256(target.read_bytes()).hexdigest()
                 known = sidecar.get(logical, {}).get("sha256")
                 if known is None:
                     # preexisting file: adopt it and pin its digest
                     sidecar.setdefault(logical, {})["sha256"] = digest
-                    write_json(_sidecar_path(ds_dir), sidecar)
+                    write_json(sidecar_path, sidecar)
                     out[logical] = target
                     continue
                 if digest == known:
@@ -487,7 +381,7 @@ def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
             pinned = info["sha256"]
             if pinned is not None and gz_digest != pinned:
                 quarantine = target.with_name(target.name + ".gz.quarantine")
-                _atomic_write(quarantine, blob)
+                atomic_write(quarantine, blob)
                 raise ChecksumError(
                     f"{info['gz']}: sha256 {gz_digest} != pinned {pinned}; "
                     f"quarantined at {quarantine}")
@@ -496,11 +390,11 @@ def fetch(name: str, base_url: Optional[str] = None, out_dir=None,
             except (OSError, EOFError) as exc:
                 raise DataFormatError(
                     f"{info['gz']}: not a valid gzip stream: {exc}") from exc
-            _atomic_write(target, payload)
+            atomic_write(target, payload)
             sidecar.setdefault(logical, {})
             sidecar[logical]["gz_sha256"] = gz_digest
             sidecar[logical]["sha256"] = hashlib.sha256(payload).hexdigest()
-            write_json(_sidecar_path(ds_dir), sidecar)
+            write_json(sidecar_path, sidecar)
             out[logical] = target
     return out
 
@@ -765,32 +659,35 @@ _SET_FILES = ("images.npy", "labels.npy", "meta.json")
 def check_corrupted_out(out_dir):
     """Refuse an out_dir whose swap by save_corrupted would delete what is
     no set's (the working directory, or an entry other than a set's files
-    and their .tmp leftovers), or named like a swap leftover, which
-    load_corrupted skips."""
+    and their .tmp leftovers), or named like a write's leftover or lock
+    (`store.LEFTOVERS`), which load_corrupted skips."""
     out_dir = Path(out_dir).resolve()
-    keep = {*_SET_FILES, *(name + ".tmp" for name in _SET_FILES)}
+    keep = {*_SET_FILES, *(name + TMP for name in _SET_FILES)}
     foreign = ", ".join(p.name for p in sorted(out_dir.iterdir())
                         if p.name not in keep or not p.is_file()) \
         if out_dir.is_dir() else ""
     ConfigError.check(
         (not Path.cwd().is_relative_to(out_dir), "--out", f"{out_dir} holds "
          f"the working directory, which the set would replace"),
-        (out_dir.suffix not in _SWAP_EXTS, "--out", f"{out_dir}: a name "
-         f"ending in {' or '.join(_SWAP_EXTS)} marks a killed write's "
-         f"leftover, which eval --corrupted skips"),
+        (out_dir.suffix not in LEFTOVERS, "--out", f"{out_dir}: a name "
+         f"ending in {', '.join(LEFTOVERS)} marks a killed write's "
+         f"leftover or a lock, which eval --corrupted skips"),
         (not foreign, "--out", f"{out_dir} holds {foreign}, which replacing "
          f"it with the set would delete"))
 
 
 def save_corrupted(out_dir, data: Dataset, meta: dict):
     """Write data as a corrupted-set directory, swapped in whole
-    (`_write_dir`): images.npy, labels.npy, and meta.json holding meta
-    plus the sample count n."""
+    (`store.write_dir`): images.npy, labels.npy, and meta.json holding
+    meta plus the sample count n.  The swap holds the set's
+    `store.FileLock`, so a second write into out_dir is refused at once
+    instead of clearing this one's half-built <name>.tmp/."""
     def fill(tmp: Path):
         save_npy(tmp / "images.npy", data.images)
         save_npy(tmp / "labels.npy", data.labels)
         write_json(tmp / "meta.json", {**meta, "n": len(data)})
-    _write_dir(out_dir, fill)
+    with FileLock(out_dir, timeout=0):
+        write_dir(out_dir, fill)
 
 
 def _load_set(name: str, img_path: Path, lab_path: Path) -> Dataset:
@@ -811,7 +708,7 @@ def load_corrupted(root):
     """Yield the corrupted sets under root one Dataset at a time: root
     itself when it holds images.npy/labels.npy (or test_images.npy/
     test_labels.npy), else each subdirectory that does, by its name,
-    skipping the <name>.tmp/ and <name>.old/ a killed write leaves.
+    skipping the names a killed write leaves (`store.LEFTOVERS`).
 
     The generator keeps no reference to a set it yielded, so a caller
     that drops its own holds one set while the next one loads."""
@@ -827,7 +724,7 @@ def load_corrupted(root):
         raise MissingArtifactError(f"{root}: no such directory")
     dirs = [root] if pair_in(root) else sorted(
         p for p in root.iterdir()
-        if p.is_dir() and p.suffix not in _SWAP_EXTS)
+        if p.is_dir() and p.suffix not in LEFTOVERS)
     sets = [(d.name, pair) for d in dirs if (pair := pair_in(d))]
     if not sets:
         raise MissingArtifactError(

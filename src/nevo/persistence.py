@@ -15,8 +15,8 @@ Checkpoint layout (all integers little-endian):
 
 Every length is bounds-checked against the file before use; a
 checkpoint is self-describing via the embedded spec, so downstream
-stages never need the original config to consume one.  Writes go to a
-temp file and are renamed into place.
+stages never need the original config to consume one.  Files and
+directories are renamed into place whole (`store`).
 
 Config sections and model specs share one JSON schema: a dataclass is
 parsed and rendered field by field (`_parse_section`, `_section_doc`),
@@ -38,14 +38,15 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .data import (DataSection, _FileLock, _atomic_write, _remove_path,
-                   _write_dir, write_json)
+from .data import DataSection
 from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
                      MissingArtifactError, ShapeMismatchError)
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
                       param_count, zoo_spec)
 from .training import CheckpointRing, TrainConfig
 from .evolution import DEFAULT_GRID, DeConfig, DeResult
+from .store import (FileLock, atomic_write, loads, read_bytes, read_json,
+                    remove_path, require, write_dir, write_json)
 
 _MAGIC = b"NEVO"
 _VERSION = 1
@@ -63,15 +64,6 @@ class Checkpoint:
 
 def _canon_json(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _loads(text: str):
-    """json.loads, where every failure is a ValueError: also a document
-    nested too deeply for the decoder."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
@@ -102,7 +94,7 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    _atomic_write(Path(path), checkpoint_bytes(ckpt))
+    atomic_write(path, checkpoint_bytes(ckpt))
 
 
 class _Reader:
@@ -151,7 +143,7 @@ def parse_checkpoint(buf: bytes, source: str = "<bytes>") -> Checkpoint:
             f"{source}: spec length {spec_len} exceeds limit")
     spec_blob = r.take(spec_len, "spec JSON")
     try:
-        spec = parse_spec(_loads(spec_blob.decode()), "/spec")
+        spec = parse_spec(loads(spec_blob.decode()), "/spec")
     except (ValueError, ConfigError) as exc:
         raise CheckpointFormatError(
             f"{source}: embedded spec invalid: {exc}") from exc
@@ -162,7 +154,7 @@ def parse_checkpoint(buf: bytes, source: str = "<bytes>") -> Checkpoint:
             f"{source}: meta length {meta_len} exceeds limit")
     meta_blob = r.take(meta_len, "meta JSON")
     try:
-        meta = _loads(meta_blob.decode())
+        meta = loads(meta_blob.decode())
     except ValueError as exc:
         raise CheckpointFormatError(
             f"{source}: metadata invalid: {exc}") from exc
@@ -188,40 +180,12 @@ def parse_checkpoint(buf: bytes, source: str = "<bytes>") -> Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingArtifactError(f"no such checkpoint: {path}")
-    return parse_checkpoint(path.read_bytes(), str(path))
+    return parse_checkpoint(read_bytes(path, "checkpoint"), str(path))
 
 
 # --- run-directory JSON ------------------------------------------------------
 
 _INDEX_NAME = "index.json"
-
-
-def _require(doc, keys, where: str) -> dict:
-    """doc, if it is a JSON object holding every key in keys."""
-    if not isinstance(doc, dict):
-        raise CheckpointFormatError(f"{where}: expected a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise CheckpointFormatError(f"{where}: missing key {key!r}")
-    return doc
-
-
-def _read_json(path: Path, what: str, keys=()) -> dict:
-    """The JSON object stored at path; every failure is a typed error.
-    Only an absent path counts as missing: a directory in its place is
-    unreadable, so a caller never falls back and later writes over it."""
-    if not path.exists():
-        raise MissingArtifactError(f"no {what} at {path}")
-    try:
-        doc = _loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise CheckpointFormatError(f"{path}: invalid JSON: {exc}") from exc
-    except OSError as exc:
-        raise CheckpointFormatError(f"{path}: unreadable: {exc}") from exc
-    return _require(doc, keys, str(path))
 
 
 def _number(value, where: str, integral: bool = False):
@@ -250,7 +214,7 @@ def save_ring(ring: CheckpointRing, out_dir, spec: NetworkSpec,
                 "loss": e.train_loss}), tmp / row["file"])
         write_json(tmp / _INDEX_NAME, {"version": 1, "capacity": ring.capacity,
                                        "entries": entries})
-    _write_dir(out_dir, fill)
+    write_dir(out_dir, fill)
 
 
 def load_ring(in_dir):
@@ -259,7 +223,7 @@ def load_ring(in_dir):
     entry's spec."""
     in_dir = Path(in_dir)
     index_path = in_dir / _INDEX_NAME
-    index = _read_json(index_path, "ring index", ("capacity", "entries"))
+    index = read_json(index_path, "ring index", ("capacity", "entries"))
     capacity = _number(index["capacity"], f"{index_path}: capacity",
                        integral=True)
     rows = index["entries"]
@@ -272,7 +236,7 @@ def load_ring(in_dir):
     ring, spec = CheckpointRing(capacity), None
     for i, row in enumerate(rows):
         where = f"{index_path}: entries[{i}]"
-        _require(row, ("file", "epoch", "train_loss"), where)
+        require(row, ("file", "epoch", "train_loss"), where)
         _number(row["epoch"], f"{where}.epoch", integral=True)
         _number(row["train_loss"], f"{where}.train_loss")
         name = row["file"]
@@ -461,14 +425,14 @@ def _parse_grid(doc) -> dict:
     return grid
 
 
-def parse_config(text: str) -> Config:
-    """Validate a JSON config and fill in every default.
+def parse_config(text) -> Config:
+    """Validate a JSON config, str or bytes, and fill in every default.
 
     Unknown keys anywhere are rejected; all diagnostics carry the
     JSON-pointer path of the offending value.
     """
     try:
-        doc = _loads(text)
+        doc = loads(text)
     except ValueError as exc:
         raise ConfigError("/", f"invalid JSON: {exc}") from exc
     doc = _expect_obj(doc, "/")
@@ -505,7 +469,7 @@ def write_manifest(run_dir, manifest: dict):
 def load_manifest(run_dir) -> dict:
     """manifest.json of a run; its `artifacts` maps labels to paths."""
     path = Path(run_dir) / "manifest.json"
-    manifest = _read_json(path, "manifest", ("artifacts",))
+    manifest = read_json(path, "manifest", ("artifacts",))
     artifacts = manifest["artifacts"]
     if not isinstance(artifacts, dict) or not all(
             isinstance(rel, str) for rel in artifacts.values()):
@@ -517,7 +481,7 @@ def load_manifest(run_dir) -> dict:
 def load_summary(run_dir) -> dict:
     """summary.json of a run; its `stages` is a list of objects."""
     path = Path(run_dir) / "summary.json"
-    summary = _read_json(path, "summary", ("stages",))
+    summary = read_json(path, "summary", ("stages",))
     stages = summary["stages"]
     if not isinstance(stages, list) or not all(
             isinstance(stage, dict) for stage in stages):
@@ -526,7 +490,7 @@ def load_summary(run_dir) -> dict:
     return summary
 
 
-class RunDir(_FileLock):
+class RunDir(FileLock):
     """The run directory that `train` creates and `evolve` extends:
 
         config.json     byte-identical copy of the input config
@@ -540,9 +504,9 @@ class RunDir(_FileLock):
         final.ckpt      last gradient-stage parameters
         de_best.ckpt    best evolved parameters (de_best_soup.ckpt for soup)
 
-    As a context manager it holds the `_FileLock` on the sibling
+    As a context manager it holds the `store.FileLock` on the sibling
     <run>.lock, and another command on the run fails at once.  ring/ is
-    replaced whole (`data._write_dir`).  A `new` run (`train`) refuses
+    replaced whole (`store.write_dir`).  A `new` run (`train`) refuses
     final.ckpt or de_*, written before summary.json and manifest.json, as
     a finished train; `evolve` needs an existing run.
     """
@@ -568,8 +532,8 @@ class RunDir(_FileLock):
         return self
 
     def start(self, cfg: Config, spec: NetworkSpec,
-              config_text: Optional[str] = None):
-        """Create a new run, with config_text as its config, now that its
+              config_blob: Optional[bytes] = None):
+        """Create a new run, with config_blob as its config, now that its
         data has loaded, dropping an unfinished train's records and ring;
         or read an existing run's summary and manifest before any write."""
         self.summary = {"model": cfg.model_name or "custom",
@@ -585,13 +549,13 @@ class RunDir(_FileLock):
         import hashlib
         import time
         self.path.mkdir(parents=True, exist_ok=True)
-        _remove_path(self.path / "ring")
+        remove_path(self.path / "ring")
         for name in ("metrics.jsonl", "timings.jsonl"):
             open(self.path / name, "w").close()
-        _atomic_write(self.config, config_text.encode())
+        atomic_write(self.config, config_blob)
         self.manifest.update(
             created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            config_sha256=hashlib.sha256(config_text.encode()).hexdigest())
+            config_sha256=hashlib.sha256(config_blob).hexdigest())
 
     def record(self, metrics, **tags):
         """Append tags and the fields of an EpochMetrics or GenMetrics to

@@ -7,6 +7,7 @@ import ast
 import fcntl
 import gc
 import gzip
+import hashlib
 import json
 import os
 import re
@@ -879,7 +880,7 @@ def test_corrupt_rerun_killed_mid_set_keeps_the_previous_set(
     assert files_under(out) == before
     monkeypatch.undo()
     assert cli_main(rerun) == 0
-    assert [p.name for p in out.parent.iterdir()] == ["set"]
+    assert sorted(p.name for p in out.parent.iterdir()) == ["set", "set.lock"]
     meta = json.loads((out / "meta.json").read_text())
     assert (meta["kind"], meta["severity"]) == ("rotate", 5)
 
@@ -888,7 +889,41 @@ def test_corrupt_rerun_killed_mid_set_keeps_the_previous_set(
 def test_corrupt_clears_a_file_named_like_a_swap_sibling(tmp_path, leftover):
     (tmp_path / leftover).write_bytes(b"a stray file\n")
     assert cli_main([*CORRUPT, "--out", str(tmp_path / "set")]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["set"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["set", "set.lock"]
+
+
+def test_corrupt_into_a_set_in_use_exits_2_and_keeps_the_old_set(tmp_path,
+                                                                 capsys):
+    """A set's swap holds an flock on the sibling <set>.lock, so a second
+    corrupt into the same --out exits 2 at once instead of clearing the
+    first one's half-built set.tmp/."""
+    out = tmp_path / "set"
+    rerun = ["corrupt", "--kind", "rotate", "--severity", "5",
+             "--out", str(out)]
+    assert cli_main([*CORRUPT, "--out", str(out)]) == 0
+    before = files_under(tmp_path)
+    fd = os.open(tmp_path / "set.lock", os.O_CREAT | os.O_RDWR, 0o644)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    try:
+        capsys.readouterr()
+        start = time.monotonic()
+        assert cli_main(rerun) == 2
+        assert time.monotonic() - start < 5.0
+        one_error_line(capsys, "is in use by another nevo command")
+        assert files_under(tmp_path) == before
+    finally:
+        os.close(fd)
+    assert cli_main(rerun) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["kind"], meta["severity"]) == ("rotate", 5)
+
+
+def test_corrupt_refuses_an_out_named_like_a_lock(tmp_path, capsys):
+    """set.lock/ would take the place of the lock file of a set set/, and
+    eval --corrupted skips it."""
+    assert cli_main([*CORRUPT, "--out", str(tmp_path / "set.lock")]) == 2
+    one_error_line(capsys, "marks a killed write's leftover or a lock")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_corrupted_skips_what_a_killed_write_left(trained_run, tmp_path,
@@ -993,6 +1028,12 @@ def test_busy_run_exits_2_at_once_and_writes_nothing(trained_run, tmp_path,
     assert cli_main(train_argv) == 2
     one_error_line(capsys, "already initialized")
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+
+
+def test_evolve_on_the_root_exits_2_with_one_line(capsys):
+    """The root has no name to put the run's lock file beside."""
+    assert cli_main(["evolve", "--run", "/"]) == 2
+    one_error_line(capsys, "has no name to put a .lock beside")
 
 
 # takes an flock on the file named in argv[1], says so, and waits
@@ -1116,6 +1157,31 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     cfg.write_text('{"model": {"spec": %s}}' % DEEP_JSON)
     assert cli_main(["costs", "--config", str(cfg)]) == 2
     one_error_line(capsys, "invalid JSON")
+
+
+@pytest.mark.parametrize("command", ["costs", "train"])
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"bp": {"lr": 0.05}, "\xff": 1}')
+    out = tmp_path / "run"
+    argv = {"costs": ["costs", "--config", str(cfg)],
+            "train": ["train", "--config", str(cfg), "--out", str(out)]}
+    assert cli_main(argv[command]) == 2
+    one_error_line(capsys, "invalid JSON")
+    assert not out.exists()
+
+
+def test_train_copies_the_config_bytes_as_given(tmp_path):
+    """config.json and its manifest digest are of the input's bytes, CRLF
+    line ends included."""
+    blob = tiny_config().replace(", ", ",\r\n").encode()
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(blob)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    assert (run / "config.json").read_bytes() == blob
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_deeply_nested_checkpoint_metadata_exits_2(trained_run, tmp_path,

@@ -12,11 +12,13 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nevo import data as data_mod
+from nevo import store
 from nevo.data import (DATASET_NAMES, MANIFEST, SPLITS, DataSection, Dataset,
                        SEVERITY_TABLES, SynthSection, augment, batches,
                        corrupt, fetch, load_cifar10, load_idx, load_idx_dir,
@@ -453,8 +455,8 @@ def test_fetch_retries_once_then_fails(tmp_path):
 _HOLD_FETCH_LOCK = """
 import sys, time
 from pathlib import Path
-from nevo.data import _FileLock
-_FileLock(Path(sys.argv[1])).__enter__()
+from nevo.store import FileLock
+FileLock(Path(sys.argv[1])).__enter__()
 print("held", flush=True)
 time.sleep(600)
 """
@@ -472,7 +474,7 @@ def test_fetch_is_not_blocked_by_a_killed_lock_holder(tmp_path):
         assert holder.stdout.readline().strip() == "held"
         # while its holder lives, the lock excludes
         with pytest.raises(NevoError):
-            with data_mod._FileLock(target, timeout=0.2):
+            with store.FileLock(target, timeout=0.2):
                 pass
     finally:
         holder.kill()  # SIGKILL: the holder runs no cleanup
@@ -907,6 +909,30 @@ def test_precomputed_only_corruptions_rejected():
         corrupt(ds, "nonexistent_kind", 1)
     with pytest.raises(ConfigError):
         corrupt(ds, "gaussian_noise", 6)
+
+
+def test_a_second_set_written_mid_write_is_refused(tmp_path, monkeypatch):
+    """Two writes into one set directory: the one that starts while the
+    other is between its images and its labels is refused, and the first
+    set is swapped in whole."""
+    ds = blob_dataset(6)
+    out, real_save, second = tmp_path / "set", data_mod.save_npy, []
+
+    def save_npy_spy(path, arr):
+        if Path(path).name == "labels.npy" and not second:
+            second.append(path)
+            with pytest.raises(NevoError, match="in use by another nevo"):
+                save_corrupted(out, ds, {"kind": "second"})
+        real_save(path, arr)
+
+    monkeypatch.setattr(data_mod, "save_npy", save_npy_spy)
+    save_corrupted(out, ds, {"kind": "first"})
+    assert len(second) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "images.npy", "labels.npy", "meta.json"]
+    (got,) = load_corrupted(out)
+    assert np.array_equal(got.images, ds.images)
+    assert json.loads((out / "meta.json").read_text())["kind"] == "first"
 
 
 def test_corrupted_set_round_trip(tmp_path):
