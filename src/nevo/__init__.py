@@ -84,54 +84,9 @@ def blas_threads():
 if "numpy" in sys.modules:
     _pin_loaded_openblas()
 
-from .errors import (  # noqa: E402
-    NevoError,
-    ShapeMismatchError,
-    LabelError,
-    DataFormatError,
-    ChecksumError,
-    CheckpointFormatError,
-    ConfigError,
-    MissingArtifactError,
-    UnsupportedCorruptionError,
-    PopulationError,
-    NumericError,
-    TrainingDiverged,
-)
-from .rng import RngStream  # noqa: E402
-from .network import (  # noqa: E402
-    NetworkSpec,
-    Dense,
-    Conv,
-    Pool,
-    Activation,
-    Flatten,
-    param_count,
-    init_params,
-    forward,
-    loss,
-    backward,
-    MODEL_ZOO,
-)
-from .training import TrainConfig, AdamState, CheckpointRing, adam_step, train  # noqa: E402
-from .evolution import (  # noqa: E402
-    DeConfig,
-    Population,
-    FitnessContext,
-    ancestors,
-    soup,
-    fitness,
-    mutate,
-    crossover,
-    evolve_generation,
-    run_de,
-    evolve,
-    grid_search,
-    DEFAULT_GRID,
-)
-from .data import Dataset, load_idx, load_npy, save_npy, fetch, augment, corrupt, batches  # noqa: E402
-from .evaluation import EvalReport, evaluate, mce, count_costs, report  # noqa: E402
-from .persistence import Checkpoint, save_checkpoint, load_checkpoint, parse_config  # noqa: E402
-from .cli import cli_main  # noqa: E402
+# `import nevo` loads every module, in this order: heap layout follows
+# import order, and dropping or reordering this line moved peak RSS
+from . import (errors, rng, network, training, evolution, data,  # noqa: E402,F401
+               evaluation, persistence, cli)
 
 __version__ = "0.1.0"

@@ -298,13 +298,15 @@ def _cmd_gridsearch(args) -> int:
     _check_de_flags(args)
     _, cfg = _read_config_arg(args.config)
     de = cfg.de if args.seed is None else replace(cfg.de, seed=args.seed)
-    out_dir = _out_dir(args.out) if args.out else None
+    results = _out_dir(args.out) / "grid_results.json" if args.out else None
+    if results is not None and results.is_dir():
+        raise MissingArtifactError(f"--out: {results} is a directory")
     train_ds, test_ds = load_splits(cfg.data)
     rows = grid_search(cfg.spec, train_ds, test_ds, cfg.bp, de, cfg.grid,
                        de.seed, jitter_sigma=args.jitter,
                        threads=args.threads, section=cfg.data)
-    if out_dir:
-        write_json(out_dir / "grid_results.json", [asdict(r) for r in rows])
+    if results is not None:
+        write_json(results, [asdict(r) for r in rows])
     print(f"{'lr':>8} {'F':>6} {'Cr':>6} {'fitness':>12} {'accuracy':>9}")
     for r in rows:
         print(f"{r.lr:>8g} {r.F:>6g} {r.Cr:>6g} {r.best_fitness:>12.6f} "

@@ -31,8 +31,8 @@ from .errors import (ChecksumError, ConfigError, DataFormatError,
                      MissingArtifactError, NevoError, ShapeMismatchError,
                      UnsupportedCorruptionError)
 from .rng import RngStream
-from .store import (LEFTOVERS, TMP, FileLock, atomic_write, read_bytes,
-                    read_json, write_dir, write_json)
+from .store import (LEFTOVERS, LOCK, TMP, FileLock, atomic_write,
+                    read_bytes, read_json, sibling, write_dir, write_json)
 
 
 # The two splits every source provides, in the order loaders return them.
@@ -660,7 +660,8 @@ def check_corrupted_out(out_dir):
     """Refuse an out_dir whose swap by save_corrupted would delete what is
     no set's (the working directory, or an entry other than a set's files
     and their .tmp leftovers), or named like a write's leftover or lock
-    (`store.LEFTOVERS`), which load_corrupted skips."""
+    (`store.LEFTOVERS`), which load_corrupted skips, or whose lock path
+    is a directory, which save_corrupted could not lock."""
     out_dir = Path(out_dir).resolve()
     keep = {*_SET_FILES, *(name + TMP for name in _SET_FILES)}
     foreign = ", ".join(p.name for p in sorted(out_dir.iterdir())
@@ -674,6 +675,9 @@ def check_corrupted_out(out_dir):
          f"leftover or a lock, which eval --corrupted skips"),
         (not foreign, "--out", f"{out_dir} holds {foreign}, which replacing "
          f"it with the set would delete"))
+    lock = sibling(out_dir, LOCK)  # out_dir is not the root, checked above
+    ConfigError.check((not lock.is_dir(), "--out",
+                       f"{lock} is a directory, not a lock file"))
 
 
 def save_corrupted(out_dir, data: Dataset, meta: dict):

@@ -244,9 +244,6 @@ def report(run_dirs, fmt: str = "csv"):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_REPORT_COLUMNS)
-    for row in rows:
-        acc, mode = row["accuracy"], row["mode"]
-        writer.writerow([row["run"], row["model"], row["dataset"],
-                         row["stage"], "" if mode is None else mode,
-                         row["params"], "" if acc is None else repr(acc)])
+    # csv writes None as an empty field and a float as its repr
+    writer.writerows([row[c] for c in _REPORT_COLUMNS] for row in rows)
     return buf.getvalue(), problems

@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -44,13 +44,6 @@ _NS_GRID_SEEDING = 1
 _NS_DE = 2
 _NS_SUBSET = 3
 _NS_SOUP = 4
-
-DEFAULT_GRID = {
-    "F": [0.01, 0.1, 1.0, 2.0],
-    "Cr": [0.0, 0.05, 0.5, 1.0],
-    "lr": [0.01, 0.02],
-}
-
 
 @dataclass(frozen=True)
 class DeConfig:
@@ -76,6 +69,22 @@ class DeConfig:
             (self.fitness_subset >= 1, "/de/fitness_subset", "must be >= 1"),
             (self.resample_every >= 0, "/de/resample_every", "must be >= 0"),
             (self.seed >= 0, "/de/seed", "must be >= 0"))
+
+
+@dataclass(frozen=True)
+class GridSection:
+    """The {lr} x {F} x {Cr} sweep of `grid_search`: each axis a nonempty
+    tuple of floats (a JSON integer becomes one)."""
+    F: tuple[float, ...] = (0.01, 0.1, 1.0, 2.0)
+    Cr: tuple[float, ...] = (0.0, 0.05, 0.5, 1.0)
+    lr: tuple[float, ...] = (0.01, 0.02)
+
+    def __post_init__(self):
+        for axis in fields(self):
+            values = tuple(float(v) for v in getattr(self, axis.name))
+            ConfigError.check((values, f"/grid/{axis.name}",
+                               "expected a nonempty list of numbers"))
+            object.__setattr__(self, axis.name, values)
 
 
 @dataclass
@@ -390,8 +399,8 @@ class GridResult:
 
 
 def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
-                grid=None, master_seed: int = 0, rings=None,
-                jitter_sigma: float = 0.0, threads: int = 1,
+                grid: GridSection = GridSection(), master_seed: int = 0,
+                rings=None, jitter_sigma: float = 0.0, threads: int = 1,
                 section: DataSection = DataSection()) -> list:
     """Cartesian sweep over {lr} x {F} x {Cr}.
 
@@ -401,18 +410,21 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
     scored on the unaugmented train_data.  Rows come back ranked by
     held-out accuracy, ties broken by (lr, F, Cr); every stochastic piece
     derives from master_seed, so the rows are the same for any threads.
+    A pretrained ring that can never hold m = bp_cfg.ring_size vectors,
+    without jitter to top it up, is refused before any pretraining.
     """
     from .training import pretrain
 
-    grid = dict(DEFAULT_GRID if grid is None else grid)
-    for axis in ("F", "Cr", "lr"):
-        if not grid.get(axis):
-            raise ConfigError(f"/grid/{axis}", "axis must be nonempty")
+    if (rings is None and bp_cfg.max_epochs < bp_cfg.ring_size
+            and jitter_sigma <= 0):
+        raise PopulationError(
+            f"ring holds at most bp.max_epochs={bp_cfg.max_epochs} < "
+            f"m={bp_cfg.ring_size} vectors; top it up with --jitter > 0")
 
     master = RngStream(master_seed)
     results = []
     with _pool(threads) as pool:
-        for li, lr in enumerate(grid["lr"]):
+        for li, lr in enumerate(grid.lr):
             if rings is not None:
                 if lr not in rings:
                     raise MissingArtifactError(
@@ -425,8 +437,8 @@ def grid_search(spec: NetworkSpec, train_data, test_data, bp_cfg, de_cfg,
                     stream=master.child(_NS_GRID_PRETRAIN, li))
             factory = subset_factory(spec, train_data, de_cfg.fitness_subset,
                                      master.child(_NS_SUBSET, li))
-            for fi, F in enumerate(grid["F"]):
-                for ci, Cr in enumerate(grid["Cr"]):
+            for fi, F in enumerate(grid.F):
+                for ci, Cr in enumerate(grid.Cr):
                     pop = ancestors(ring, bp_cfg.ring_size, jitter_sigma,
                                     master.child(_NS_GRID_SEEDING, li, fi, ci))
                     out = run_de(pop, replace(de_cfg, F=F, Cr=Cr), factory,

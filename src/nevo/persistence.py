@@ -24,7 +24,8 @@ with a field's ``key`` metadata naming its JSON key.  A spec is an
 ``input_shape`` list plus one such object per layer, tagged by its
 ``kind`` (`_LAYER_KINDS`).  Each section dataclass lives next to the
 code that consumes it (`data.DataSection`, `training.TrainConfig`,
-`evolution.DeConfig`); this module defines none of them.
+`evolution.DeConfig`, `evolution.GridSection`); this module defines none
+of them and lists them by JSON key in `_SECTIONS`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (CheckpointFormatError, ChecksumError, ConfigError,
 from .network import (Activation, Conv, Dense, Flatten, NetworkSpec, Pool,
                       param_count, zoo_spec)
 from .training import CheckpointRing, TrainConfig
-from .evolution import DEFAULT_GRID, DeConfig, DeResult
+from .evolution import DeConfig, DeResult, GridSection
 from .store import (FileLock, atomic_write, loads, read_bytes, read_json,
                     remove_path, require, write_dir, write_json)
 
@@ -269,7 +270,7 @@ class Config:
     data: DataSection
     bp: TrainConfig
     de: DeConfig
-    grid: dict
+    grid: GridSection
     document: dict
 
 
@@ -304,6 +305,9 @@ _TYPE_CHECKS = {
                             all(isinstance(i, int) and not isinstance(i, bool)
                                 for i in v),
                             "expected [channels, height, width]"),),
+    tuple[float, ...]: ((lambda v: isinstance(v, list) and
+                         all(_is_number(x) for x in v),
+                         "expected a nonempty list of numbers"),),
 }
 
 
@@ -411,18 +415,9 @@ def _parse_model(doc) -> tuple:
     return name, zoo_spec(name)
 
 
-def _parse_grid(doc) -> dict:
-    doc = _expect_obj(doc, "/grid")
-    _reject_unknown(doc, {"F", "Cr", "lr"}, "/grid")
-    grid = {}
-    for axis in ("F", "Cr", "lr"):
-        values = doc.get(axis, list(DEFAULT_GRID[axis]))
-        if (not isinstance(values, list) or not values or
-                not all(_is_number(v) for v in values)):
-            raise ConfigError(f"/grid/{axis}",
-                              "expected a nonempty list of numbers")
-        grid[axis] = [float(v) for v in values]
-    return grid
+# the JSON key of each config section after "model", in parse order
+_SECTIONS = {"data": DataSection, "bp": TrainConfig, "de": DeConfig,
+             "grid": GridSection}
 
 
 def parse_config(text) -> Config:
@@ -436,20 +431,17 @@ def parse_config(text) -> Config:
     except ValueError as exc:
         raise ConfigError("/", f"invalid JSON: {exc}") from exc
     doc = _expect_obj(doc, "/")
-    _reject_unknown(doc, {"model", "data", "bp", "de", "grid"}, "")
+    _reject_unknown(doc, {"model", *_SECTIONS}, "")
 
     model_name, spec = _parse_model(doc.get("model"))
-    data = _parse_section(DataSection, doc.get("data"), "/data")
-    bp = _parse_section(TrainConfig, doc.get("bp"), "/bp")
-    de = _parse_section(DeConfig, doc.get("de"), "/de")
-    grid = _parse_grid(doc.get("grid"))
+    sections = {key: _parse_section(cls, doc.get(key), f"/{key}")
+                for key, cls in _SECTIONS.items()}
     document = {
         "model": ({"name": model_name} if model_name is not None
                   else {"spec": spec_doc(spec)}),
-        "data": _section_doc(data), "bp": _section_doc(bp),
-        "de": _section_doc(de), "grid": grid,
+        **{key: _section_doc(section) for key, section in sections.items()},
     }
-    return Config(model_name, spec, data, bp, de, grid, document)
+    return Config(model_name, spec, **sections, document=document)
 
 
 # --- run directories ----------------------------------------------------------

@@ -84,7 +84,11 @@ class FileLock:
 
     def __enter__(self):
         self.lock.parent.mkdir(parents=True, exist_ok=True)
-        self.fd = os.open(self.lock, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            self.fd = os.open(self.lock, os.O_CREAT | os.O_RDWR, 0o644)
+        except IsADirectoryError:
+            raise NevoError(f"{self.lock} is a directory, not a lock "
+                            f"file") from None
         deadline = time.monotonic() + self.timeout
         while True:
             try:

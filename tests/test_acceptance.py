@@ -20,7 +20,7 @@ import pytest
 from nevo.cli import cli_main
 from nevo.data import cache_dir, load_idx_dir, make_synthetic_pair
 from nevo.evaluation import count_costs, evaluate, mce, published_tables
-from nevo.evolution import (_NS_SOUP, DEFAULT_GRID, DeConfig, Population,
+from nevo.evolution import (_NS_SOUP, DeConfig, GridSection, Population,
                             ancestors, crossover, ensure_fitness,
                             evolve_generation, grid_search, mutate, run_de,
                             sample_context, soup)
@@ -196,7 +196,7 @@ def test_criterion_04_pipeline_gain_mnist():
                       seed=2026)
     bp_cfg = TrainConfig(max_epochs=10, ring_size=10, seed=2026)
     rows = grid_search(spec, train_ds, test_ds, bp_cfg, de_cfg,
-                       grid=DEFAULT_GRID, master_seed=2026, rings=rings,
+                       grid=GridSection(), master_seed=2026, rings=rings,
                        threads=4)
     improved = [r for r in rows if r.best_fitness < r.seed_fitness]
     assert improved, "no grid cell improved on its best ancestor"
@@ -224,8 +224,8 @@ def test_criterion_04_evidence_synthetic():
     de_cfg = DeConfig(F=0.5, Cr=0.5, max_generations=40, fitness_subset=240,
                       min_improve=0.0, window=41, seed=3)
     rows = grid_search(spec, train_ds, test_ds, bp_cfg, de_cfg,
-                       grid={"lr": [0.05], "F": [0.5, 1.0],
-                             "Cr": [0.5, 1.0]},
+                       grid=GridSection(lr=(0.05,), F=(0.5, 1.0),
+                                        Cr=(0.5, 1.0)),
                        master_seed=9, rings={0.05: ring})
     improved = [r for r in rows if r.best_fitness < r.seed_fitness]
     assert improved, "no cell improved fitness over the best ancestor"

@@ -334,7 +334,7 @@ def test_train_scores_the_test_split_once_per_epoch(tmp_path, monkeypatch,
         clean = nevo.evaluation.evaluate(
             final.spec, final.params,
             nevo.data.make_synthetic_pair(96, 48, 4, (1, 8, 8), 0.1,
-                                          nevo.RngStream(0))[1])
+                                          nevo.rng.RngStream(0))[1])
         assert stage["test_ce"] == clean.mean_ce
         assert stage["test_accuracy"] == clean.accuracy
 
@@ -434,6 +434,24 @@ def test_short_ring_without_jitter_is_refused_before_any_data_loads(
     assert files_under(trained_run.parent) == before
     assert cli_main([*argv, "--jitter", "0.01"]) == 0
     assert len(loaded) == 1
+
+
+def test_gridsearch_refuses_a_short_ring_before_any_pretraining(
+        tmp_path, monkeypatch, capsys):
+    """bp.max_epochs < bp.ring_size leaves every lr's ring short of m, so
+    without --jitter gridsearch says so before it pretrains."""
+    def never(*args, **kwargs):
+        raise AssertionError("pretrained a ring too short to seed DE")
+
+    monkeypatch.setattr(nevo.training, "pretrain", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config(bp={"max_epochs": 2, "ring_size": 4}))
+    argv = ["gridsearch", "--config", str(cfg)]
+    assert cli_main(argv) == 2
+    one_error_line(capsys, "ring holds at most bp.max_epochs=2 < m=4",
+                   "--jitter")
+    monkeypatch.undo()
+    assert cli_main([*argv, "--jitter", "0.01"]) == 0
 
 
 def test_corrupt_rejects_a_negative_seed(tmp_path, capsys):
@@ -805,6 +823,25 @@ def test_out_that_is_no_directory_is_refused_before_any_work(
     assert files_under(tmp_path) == before
 
 
+def test_gridsearch_refuses_a_results_path_that_is_a_directory(
+        tmp_path, monkeypatch, capsys):
+    """--out/grid_results.json as a directory is refused before the sweep,
+    whose rows could never be written there."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(nevo.cli, "load_splits", never)
+    monkeypatch.setattr(nevo.cli, "grid_search", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config())
+    out = tmp_path / "out"
+    (out / "grid_results.json").mkdir(parents=True)
+    assert cli_main(["gridsearch", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    one_error_line(capsys, "grid_results.json is a directory")
+    assert [p.name for p in out.iterdir()] == ["grid_results.json"]
+
+
 def test_refused_rename_leaves_no_tmp_file(tmp_path, capsys):
     """A write the OS refuses removes its <name>.tmp before exiting 2."""
     cfg = tmp_path / "c.json"
@@ -926,6 +963,20 @@ def test_corrupt_refuses_an_out_named_like_a_lock(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_corrupt_refuses_a_lock_path_that_is_a_directory_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    """The set's swap could never lock set.lock/, so the corruption pass
+    does not run."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(nevo.data, "corrupt", never)
+    (tmp_path / "set.lock").mkdir()
+    assert cli_main([*CORRUPT, "--out", str(tmp_path / "set")]) == 2
+    one_error_line(capsys, "set.lock is a directory, not a lock file")
+    assert list(tmp_path.iterdir()) == [tmp_path / "set.lock"]
+
+
 def test_eval_corrupted_skips_what_a_killed_write_left(trained_run, tmp_path,
                                                        capsys):
     """A kill in a set's write leaves <name>.tmp/; one between the swap's
@@ -1028,6 +1079,18 @@ def test_busy_run_exits_2_at_once_and_writes_nothing(trained_run, tmp_path,
     assert cli_main(train_argv) == 2
     one_error_line(capsys, "already initialized")
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
+
+
+def test_train_into_a_run_whose_lock_path_is_a_directory_exits_2(
+        tmp_path, capsys):
+    (tmp_path / "run.lock").mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config())
+    assert cli_main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+    one_error_line(capsys, "run.lock is a directory, not a lock file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json",
+                                                          "run.lock"]
 
 
 def test_evolve_on_the_root_exits_2_with_one_line(capsys):

@@ -15,7 +15,7 @@ import pytest
 from nevo.data import DataSection
 from nevo.errors import MissingArtifactError, PopulationError
 from nevo.evaluation import count_costs
-from nevo.evolution import (DEFAULT_GRID, DeConfig, Population, ancestors,
+from nevo.evolution import (DeConfig, GridSection, Population, ancestors,
                             crossover, ensure_fitness, evolve,
                             evolve_generation, fitness, grid_search, mutate,
                             run_de, sample_context, soup)
@@ -490,8 +490,9 @@ def test_fitness_memory_is_flat_in_subset_size():
 
 
 def test_default_grid_shape():
-    assert DEFAULT_GRID == {"lr": [0.01, 0.02], "F": [0.01, 0.1, 1.0, 2.0],
-                            "Cr": [0.0, 0.05, 0.5, 1.0]}
+    assert GridSection() == GridSection(lr=(0.01, 0.02),
+                                        F=(0.01, 0.1, 1.0, 2.0),
+                                        Cr=(0.0, 0.05, 0.5, 1.0))
 
 
 def grid_fixture():
@@ -506,7 +507,7 @@ def grid_fixture():
 
 def test_grid_search_cell_count_and_order():
     spec, train, test, bp, de = grid_fixture()
-    grid = {"lr": [0.01, 0.02], "F": [0.3, 0.7], "Cr": [0.2]}
+    grid = GridSection(lr=(0.01, 0.02), F=(0.3, 0.7), Cr=(0.2,))
     rows = grid_search(spec, train, test, bp, de, grid, master_seed=0)
     assert len(rows) == 4
     keys = [(-r.test_accuracy, r.lr, r.F, r.Cr) for r in rows]
@@ -517,7 +518,7 @@ def test_grid_search_cell_count_and_order():
 
 def test_grid_search_is_deterministic():
     spec, train, test, bp, de = grid_fixture()
-    grid = {"lr": [0.01], "F": [0.5], "Cr": [0.5]}
+    grid = GridSection(lr=(0.01,), F=(0.5,), Cr=(0.5,))
     r1 = grid_search(spec, train, test, bp, de, grid, master_seed=3)
     r2 = grid_search(spec, train, test, bp, de, grid, master_seed=3)
     assert r1 == r2
@@ -549,12 +550,12 @@ def test_grid_search_pretrains_each_lr_as_pretrain_on_its_stream(
     fitness on the unaugmented split."""
     spec, train_ds, test, bp, de = grid_fixture()
     section = DataSection(augment_multiplier=2)
-    grid = {"lr": [0.01, 0.02], "F": [0.5], "Cr": [0.5]}
+    grid = GridSection(lr=(0.01, 0.02), F=(0.5,), Cr=(0.5,))
     seen = spy_grid(monkeypatch)
     grid_search(spec, train_ds, test, bp, de, grid, master_seed=5,
                 section=section)
     assert [d is train_ds for d in seen["subset_data"]] == [True, True]
-    for li, lr in enumerate(grid["lr"]):
+    for li, lr in enumerate(grid.lr):
         stream = RngStream(5).child(0, li)
         _, ring, _, grown = pretrain(spec, lambda: train_ds, section,
                                      replace(bp, lr=lr), stream=stream)
@@ -567,10 +568,10 @@ def test_grid_search_pretrains_each_lr_as_pretrain_on_its_stream(
 def test_grid_search_without_augmentation_pretrains_as_plain_train(
         monkeypatch):
     spec, train_ds, test, bp, de = grid_fixture()
-    grid = {"lr": [0.01, 0.02], "F": [0.5], "Cr": [0.5]}
+    grid = GridSection(lr=(0.01, 0.02), F=(0.5,), Cr=(0.5,))
     seen = spy_grid(monkeypatch)
     grid_search(spec, train_ds, test, bp, de, grid, master_seed=5)
-    for li, lr in enumerate(grid["lr"]):
+    for li, lr in enumerate(grid.lr):
         _, ring, _ = train(spec, train_ds, replace(bp, lr=lr),
                            stream=RngStream(5).child(0, li))
         assert seen["rings"][li] == [e.params.tobytes() for e in ring]
@@ -581,5 +582,5 @@ def test_grid_search_rings_must_cover_grid():
     rings = {0.01: ring_of([np.zeros(param_count(spec))] * 4)}
     with pytest.raises(MissingArtifactError):
         grid_search(spec, train, test, bp, de,
-                    {"lr": [0.01, 0.05], "F": [0.5], "Cr": [0.5]},
+                    GridSection(lr=(0.01, 0.05), F=(0.5,), Cr=(0.5,)),
                     master_seed=0, rings=rings)

@@ -10,7 +10,7 @@ import pytest
 
 from nevo.errors import (CheckpointFormatError, ChecksumError, ConfigError,
                          MissingArtifactError, PopulationError)
-from nevo.evolution import ancestors
+from nevo.evolution import GridSection, ancestors
 from nevo.network import (Activation, Conv, Dense, Flatten, NetworkSpec,
                           Pool, param_count, zoo_spec)
 from nevo.persistence import (Checkpoint, Config, checkpoint_bytes,
@@ -534,8 +534,8 @@ def test_config_invalid_json():
 
 def test_config_grid_values_become_floats():
     cfg = parse_config('{"grid": {"F": [1, 2], "Cr": [0], "lr": [0.01]}}')
-    assert cfg.grid == {"F": [1.0, 2.0], "Cr": [0.0], "lr": [0.01]}
-    assert all(isinstance(v, float) for v in cfg.grid["F"])
+    assert cfg.grid == GridSection(F=(1.0, 2.0), Cr=(0.0,), lr=(0.01,))
+    assert all(isinstance(v, float) for v in cfg.grid.F)
 
 
 def test_config_is_config_instance():

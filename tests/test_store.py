@@ -1,5 +1,6 @@
-"""The file-system layer: sibling names, and the guard that keeps it the
-only module that names a write's leftovers or takes a lock."""
+"""The file-system layer: sibling names, whole-file writes, and the guard
+that keeps it the only module that names a write's leftovers or takes a
+lock; and the guard that keeps the package namespace free of re-exports."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,15 @@ def test_a_run_directory_at_the_root_is_refused_when_constructed():
         RunDir("/", new=True)
 
 
+def test_a_refused_rename_removes_its_tmp_file(tmp_path):
+    """A rename the OS refuses, onto a directory, leaves no <name>.tmp."""
+    target = tmp_path / "rows.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        store.atomic_write(target, b"rows\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.json"]
+
+
 def test_only_store_spells_a_leftover_or_imports_fcntl_or_shutil():
     """store owns the suffixes a write leaves beside its target, which
     readers skip, and the lock; a module that spelled one or locked on its
@@ -50,4 +60,24 @@ def test_only_store_spells_a_leftover_or_imports_fcntl_or_shutil():
             if isinstance(node, ast.Constant) and \
                     node.value in (".tmp", ".old", ".lock"):
                 found.append((path.name, node.lineno, node.value))
+    assert found == []
+
+
+def test_the_package_binds_no_public_function_or_class_but_blas_threads():
+    """Each public name has one home, its module (`nevo.training.train`);
+    a re-export in nevo/__init__.py would be a second one to keep in step.
+    `from . import module` binds modules, which stay."""
+    tree = ast.parse(Path(nevo.__file__).read_text())
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        found += [(node.lineno, name) for name in names
+                  if not name.startswith("_") and name != "blas_threads"]
     assert found == []
