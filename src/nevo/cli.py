@@ -219,6 +219,7 @@ def _cmd_evolve(args) -> int:
                     "generations": len(out.history),
                     "seed_best_fitness": out.seed_fitness,
                     "seed_test_accuracy": seed_eval.accuracy,
+                    "seed_test_ce": seed_eval.mean_ce,
                     "best_fitness": out.best_fitness,
                     "test_accuracy": best_eval.accuracy,
                     "test_ce": best_eval.mean_ce})

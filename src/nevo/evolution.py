@@ -3,11 +3,12 @@ parameter vectors.
 
 Generational scheme: every member of generation g is paired against one
 trial vector built from generation-g members only, and the survivor is
-chosen by strict fitness comparison (ties keep the parent).  All trial
-constructions and evaluations inside a generation are independent, so
-they may run on a thread pool; per-individual RNG streams are derived
-from (seed, generation, individual), which makes results identical for
-any worker count.
+chosen by strict fitness comparison (ties keep the parent).  The trials
+are built on the thread pool, then scored by one `FitnessContext.score`
+call on it, as are the stale members at priming and at each resample.
+Per-individual RNG streams derive from (seed, generation, individual)
+and each score lands at its member's index, so the bits do not depend
+on the worker count.
 
 `evolve` is the DE stage of `nevo evolve`: it seeds generation 0 with
 `ancestors` or a `soup`, owns the worker pool, and calls run_de, which
@@ -135,8 +136,12 @@ class FitnessContext:
     spec: NetworkSpec
     data: Dataset
 
-    def evaluate(self, member: np.ndarray) -> float:
-        return evaluate(self.spec, member, self.data).mean_ce
+    def score(self, vectors, pool=None) -> np.ndarray:
+        """The fitness of each vector, in order: `fitness` mapped on
+        pool, or serially when pool is None."""
+        run = map if pool is None else pool.map
+        return np.fromiter(run(lambda v: fitness(v, self), vectors),
+                           np.float64, len(vectors))
 
 
 def sample_context(spec: NetworkSpec, data, size: int,
@@ -158,9 +163,9 @@ def subset_factory(spec: NetworkSpec, data, size: int,
     return lambda r: sample_context(spec, data, size, stream.child(r))
 
 
-def fitness(member: np.ndarray, ctx) -> float:
+def fitness(member: np.ndarray, ctx: FitnessContext) -> float:
     """Score one member on the context's data (lower is better)."""
-    return ctx.evaluate(member)
+    return evaluate(ctx.spec, member, ctx.data).mean_ce
 
 
 def ancestors(ring, m: int, jitter_sigma: float,
@@ -254,39 +259,29 @@ def _crossover_cut(Cr: float) -> int:
 
 
 def ensure_fitness(pop: Population, ctx, pool=None):
-    """Evaluate members whose cached fitness is stale (NaN), in place."""
+    """Score the members whose cached fitness is stale (NaN), in place."""
     stale = np.flatnonzero(np.isnan(pop.fitness))
-    run = map if pool is None else pool.map
-    pop.fitness[stale] = list(run(lambda i: fitness(pop.members[i], ctx),
-                                  stale))
+    pop.fitness[stale] = ctx.score([pop.members[i] for i in stale], pool)
 
 
 def evolve_generation(pop: Population, cfg: DeConfig, ctx, stream: RngStream,
                       pool=None) -> Population:
-    """One synchronous generation: per member build a trial (mutation +
-    crossover from generation-g members), evaluate it on the shared
-    context, and keep it only if strictly fitter than its parent."""
+    """One synchronous generation: build every member's trial (mutation +
+    crossover from generation-g members), score them with one ctx.score
+    call, and keep each only if strictly fitter than its parent."""
     ensure_fitness(pop, ctx, pool)
 
-    def build_and_score(i):
+    def build(i):
         gen = stream.child(pop.generation, i).generator()
         mutant = mutate(pop, i, cfg.F, gen)
-        trial = crossover(pop.members[i], mutant, cfg.Cr, cfg.force_jrand, gen)
-        return trial, fitness(trial, ctx)
+        return crossover(pop.members[i], mutant, cfg.Cr, cfg.force_jrand, gen)
 
-    run = map if pool is None else pool.map
-    results = list(run(build_and_score, range(pop.m)))
-
-    members = []
-    fit = np.empty(pop.m, dtype=np.float64)
-    for i, (trial, tf) in enumerate(results):
-        if tf < pop.fitness[i]:
-            members.append(trial)
-            fit[i] = tf
-        else:
-            members.append(pop.members[i])
-            fit[i] = pop.fitness[i]
-    return Population(members, fit, pop.generation + 1)
+    trials = list((map if pool is None else pool.map)(build, range(pop.m)))
+    fit = ctx.score(trials, pool)
+    won = fit < pop.fitness
+    members = [t if w else p for t, p, w in zip(trials, pop.members, won)]
+    return Population(members, np.where(won, fit, pop.fitness),
+                      pop.generation + 1)
 
 
 @dataclass(frozen=True)
@@ -307,12 +302,12 @@ class DeResult:
     seed_fitness: float
 
 
-def run_de(pop: Population, cfg: DeConfig, ctx_factory,
+def run_de(pop: Population, cfg: DeConfig, factory: Callable,
            stream: RngStream, pool=None, callback=None) -> DeResult:
     """Generation loop with stopping rules and optional subset renewal.
 
-    ctx_factory is either a fixed context or a callable round -> context;
-    with resample_every > 0 the round advances at that cadence and all
+    factory maps a round to its fitness context (`subset_factory`); with
+    resample_every > 0 the round advances at that cadence and all
     cached fitness is re-evaluated on the new context before any
     comparison.  Generation 0's stale fitness is evaluated on round 0
     first, and its best member is reported as seed/seed_fitness.
@@ -320,7 +315,6 @@ def run_de(pop: Population, cfg: DeConfig, ctx_factory,
     when the best fitness gained less than min_improve over the last
     `window` generations (windows never straddle a resample).
     """
-    factory: Callable = ctx_factory if callable(ctx_factory) else (lambda r: ctx_factory)
     round_no = 0
     ctx = factory(round_no)
     ensure_fitness(pop, ctx, pool)

@@ -33,7 +33,8 @@ from __future__ import annotations
 import json
 import sys
 import zlib
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         replace)
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -420,6 +421,18 @@ _SECTIONS = {"data": DataSection, "bp": TrainConfig, "de": DeConfig,
              "grid": GridSection}
 
 
+def _check_grid(grid: GridSection, bp: TrainConfig, de: DeConfig):
+    """Build each axis value into the config it sweeps, so its range is
+    checked where it is written, and report a bad one at /grid/<axis>."""
+    for axis, base in (("F", de), ("Cr", de), ("lr", bp)):
+        for value in getattr(grid, axis):
+            try:
+                replace(base, **{axis: value})
+            except ConfigError as exc:
+                message = str(exc).removeprefix(f"{exc.path}: ")
+                raise ConfigError(f"/grid/{axis}", message) from None
+
+
 def parse_config(text) -> Config:
     """Validate a JSON config, str or bytes, and fill in every default.
 
@@ -436,6 +449,7 @@ def parse_config(text) -> Config:
     model_name, spec = _parse_model(doc.get("model"))
     sections = {key: _parse_section(cls, doc.get(key), f"/{key}")
                 for key, cls in _SECTIONS.items()}
+    _check_grid(sections["grid"], sections["bp"], sections["de"])
     document = {
         "model": ({"name": model_name} if model_name is not None
                   else {"spec": spec_doc(spec)}),

@@ -144,9 +144,10 @@ class _SquaredDistance:
     def __init__(self, target):
         self.target = np.asarray(target, dtype=np.float64)
 
-    def evaluate(self, member):
-        return float(np.sum((np.asarray(member, dtype=np.float64)
-                             - self.target) ** 2))
+    def score(self, vectors, pool=None):
+        return np.array([float(np.sum((np.asarray(v, dtype=np.float64)
+                                       - self.target) ** 2))
+                         for v in vectors])
 
 
 def test_criterion_03_crossover_bounds():

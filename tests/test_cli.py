@@ -126,7 +126,14 @@ def test_train_seed_changes_outcome(tmp_path):
     assert a != b
 
 
-def test_evolve_ancestors(trained_run, capsys):
+def test_evolve_ancestors(trained_run, capsys, monkeypatch):
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(nevo.evolution.evolve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(nevo.cli, "evolve", spy)
     assert cli_main(["evolve", "--run", str(trained_run)]) == 0
     capsys.readouterr()
     best = load_checkpoint(trained_run / "de_best.ckpt")
@@ -137,6 +144,10 @@ def test_evolve_ancestors(trained_run, capsys):
     assert [s["stage"] for s in stages] == ["bp", "de"]
     de = stages[1]
     assert de["best_fitness"] <= de["seed_best_fitness"]
+    cfg = parse_config((trained_run / "config.json").read_bytes())
+    test = load_splits(cfg.data)[1]
+    assert de["seed_test_ce"] == nevo.evaluation.evaluate(
+        cfg.spec, results[0].seed, test).mean_ce
     de_rows = [r for r in jsonl(trained_run / "metrics.jsonl")
                if r["stage"] == "de"]
     assert [r["gen"] for r in de_rows] == [1, 2, 3]
@@ -452,6 +463,23 @@ def test_gridsearch_refuses_a_short_ring_before_any_pretraining(
                    "--jitter")
     monkeypatch.undo()
     assert cli_main([*argv, "--jitter", "0.01"]) == 0
+
+
+@pytest.mark.parametrize("grid, error", [
+    ({"Cr": [0.5, 2.0]}, "error: /grid/Cr: must be in [0, 1]\n"),
+    ({"lr": [0.05, -1]}, "error: /grid/lr: must be > 0\n")])
+def test_gridsearch_range_checks_the_grid_before_any_pretraining(
+        tmp_path, monkeypatch, capsys, grid, error):
+    """A grid value that its cell's de or bp section would refuse is
+    refused when the config is parsed, under its own /grid pointer."""
+    def never(*args, **kwargs):
+        raise AssertionError("pretrained before checking the grid")
+
+    monkeypatch.setattr(nevo.training, "pretrain", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(tiny_config(grid=grid))
+    assert cli_main(["gridsearch", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == error
 
 
 def test_corrupt_rejects_a_negative_seed(tmp_path, capsys):

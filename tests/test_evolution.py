@@ -6,7 +6,9 @@ own sampling code.  Selection and crossover bounds are exact claims;
 convergence checks run on a quadratic surrogate fitness.
 """
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -199,18 +201,19 @@ class Quadratic:
         self.target = np.asarray(target, dtype=np.float64)
         self.calls = 0
 
-    def evaluate(self, member):
-        self.calls += 1
-        diff = np.asarray(member, dtype=np.float64) - self.target
-        return float(diff @ diff)
+    def score(self, vectors, pool=None):
+        self.calls += len(vectors)
+        diffs = [np.asarray(v, dtype=np.float64) - self.target
+                 for v in vectors]
+        return np.array([float(d @ d) for d in diffs])
 
 
 class Constant:
     def __init__(self, value=1.0):
         self.value = value
 
-    def evaluate(self, member):
-        return self.value
+    def score(self, vectors, pool=None):
+        return np.full(len(vectors), float(self.value))
 
 
 def rand_pop(m, d, seed, scale=1.0):
@@ -264,7 +267,7 @@ def test_run_de_best_fitness_monotone_and_improves():
         ctx = Quadratic(np.zeros(20))
         ensure_fitness(pop, ctx)
         start = float(pop.fitness.min())
-        res = run_de(pop, cfg, ctx, stream=RngStream(seed + 50))
+        res = run_de(pop, cfg, lambda r: ctx, stream=RngStream(seed + 50))
         bests = [m.best_fit for m in res.history]
         assert all(a >= b for a, b in zip(bests, bests[1:]))
         assert res.best_fitness == min(bests)
@@ -276,14 +279,15 @@ def test_run_de_best_fitness_monotone_and_improves():
 def test_run_de_window_stall_stop():
     pop = rand_pop(5, 4, 4)
     cfg = DeConfig(max_generations=500, window=10, min_improve=1e-5, seed=0)
-    res = run_de(pop, cfg, Constant(7.0), stream=RngStream(1))
+    res = run_de(pop, cfg, lambda r: Constant(7.0), stream=RngStream(1))
     assert len(res.history) == 11  # window gens with zero gain, then stop
 
 
 def test_run_de_loss_floor_stop():
     pop = rand_pop(5, 4, 5)
     cfg = DeConfig(max_generations=500, delta2=1e9, seed=0)
-    res = run_de(pop, cfg, Quadratic(np.zeros(4)), stream=RngStream(2))
+    res = run_de(pop, cfg, lambda r: Quadratic(np.zeros(4)),
+                 stream=RngStream(2))
     assert len(res.history) == 1
 
 
@@ -322,10 +326,75 @@ def test_run_de_primes_generation_zero_and_reports_the_seed():
                                     for i, v in enumerate(seed_members)]
 
 
+class Recording(Quadratic):
+    """Quadratic that keeps a copy of every batch it scores and the
+    scores it gave."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.batches = []
+
+    def score(self, vectors, pool=None):
+        scores = super().score(vectors, pool)
+        self.batches.append(([np.array(v) for v in vectors], scores))
+        return scores
+
+
+def test_run_de_scores_priming_and_each_generation_in_one_call():
+    """Generation 0 is primed by one score call, and each generation's m
+    trials are scored by one more, in member order: replaying mutate and
+    crossover on each generation's parents gives each batch exactly."""
+    ctx = Recording(np.zeros(5))
+    pop = rand_pop(6, 5, 12, scale=2.0)
+    cfg = DeConfig(F=0.7, Cr=0.5, max_generations=3, min_improve=0.0,
+                   window=50, seed=0)
+    stream = RngStream(13)
+    run_de(pop, cfg, lambda r: ctx, stream=stream)
+    batches = [b for b in ctx.batches if b[0]]
+    assert [len(vectors) for vectors, _ in batches] == [6, 6, 6, 6]
+    parents, fit = batches[0]
+    for g, (trials, scores) in enumerate(batches[1:]):
+        gen_pop = Population(parents, fit, g)
+        for i, trial in enumerate(trials):
+            gen = stream.child(g, i).generator()
+            mutant = mutate(gen_pop, i, cfg.F, gen)
+            want = crossover(parents[i], mutant, cfg.Cr, False, gen)
+            assert trial.tobytes() == want.tobytes()
+        won = scores < fit
+        parents = [t if w else p for t, p, w in zip(trials, parents, won)]
+        fit = np.where(won, scores, fit)
+
+
+def test_only_fitness_context_score_calls_fitness():
+    """FitnessContext.score is the one place a population is scored, so
+    later scoring work (reusing a parent's fitness, batching layer 0,
+    counting samples) is an edit inside it; FitnessContext.evaluate, the
+    per-member method it replaced, is gone."""
+    callers = []
+    for path in sorted(Path(evolution.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(f"{cls.name}.{fn.name}", fn)
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        scopes += [(fn.name, fn) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef)]
+        for scope, fn in scopes:
+            for node in ast.walk(fn):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = (func.id if isinstance(func, ast.Name) else
+                        f".{func.attr}" if isinstance(func, ast.Attribute)
+                        else None)
+                if name in ("fitness", ".fitness", ".evaluate"):
+                    callers.append((path.name, scope, name))
+    assert callers == [("evolution.py", "FitnessContext.score", "fitness")]
+    assert not hasattr(evolution.FitnessContext, "evaluate")
+
+
 def test_run_de_seed_is_best_of_primed_population():
     pop = rand_pop(7, 3, 10, scale=3.0)
     cfg = DeConfig(max_generations=3, seed=0)
-    res = run_de(pop, cfg, Quadratic(np.zeros(3)), stream=RngStream(11))
+    res = run_de(pop, cfg, lambda r: Quadratic(np.zeros(3)),
+                 stream=RngStream(11))
     norms = [float(v @ v) for v in pop.members]
     assert res.seed is pop.members[int(np.argmin(norms))]
     assert res.seed_fitness == min(norms)
@@ -349,7 +418,7 @@ def test_run_de_accept_counts_are_consistent():
     pop = rand_pop(8, 10, 7, scale=2.0)
     cfg = DeConfig(F=0.5, Cr=0.5, max_generations=30, min_improve=0.0, seed=1)
     ctx = Quadratic(np.zeros(10))
-    res = run_de(pop, cfg, ctx, stream=RngStream(4))
+    res = run_de(pop, cfg, lambda r: ctx, stream=RngStream(4))
     for m in res.history:
         assert 0 <= m.accepts <= 8
     assert sum(m.accepts for m in res.history) > 0
