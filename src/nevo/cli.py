@@ -143,7 +143,15 @@ def _cmd_fetch(args) -> int:
     return 0
 
 
+def _check_seed(args):
+    """--seed, named as the user wrote it rather than as the config key
+    it replaces."""
+    ConfigError.check((args.seed is None or args.seed >= 0, "--seed",
+                       "must be >= 0"))
+
+
 def _cmd_train(args) -> int:
+    _check_seed(args)
     blob, cfg = _read_config_arg(args.config)
     bp = cfg.bp if args.seed is None else replace(cfg.bp, seed=args.seed)
     with RunDir(args.out, new=True) as run:
@@ -185,7 +193,9 @@ def _cmd_train(args) -> int:
 
 
 def _check_de_flags(args):
-    """--threads and --jitter of evolve and gridsearch, before any work."""
+    """--seed, --threads and --jitter of evolve and gridsearch, before any
+    work."""
+    _check_seed(args)
     ConfigError.check(
         (args.threads >= 1, "--threads", "must be >= 1"),
         (math.isfinite(args.jitter) and args.jitter >= 0, "--jitter",
@@ -267,7 +277,7 @@ def _out_dir(path) -> Path:
 
 
 def _cmd_corrupt(args) -> int:
-    ConfigError.check((args.seed >= 0, "--seed", "must be >= 0"))
+    _check_seed(args)
     out_dir = _out_dir(args.out)
     datasets.check_corrupted_out(out_dir)
     ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),

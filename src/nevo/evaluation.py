@@ -49,8 +49,8 @@ class EvalReport:
 def evaluate(spec: NetworkSpec, params: np.ndarray,
              data: Dataset) -> EvalReport:
     """Argmax classification accuracy plus mean cross-entropy: the one
-    no-gradient pass over a split (held-out scores, the epoch-end ring
-    loss in `train`, and DE fitness).
+    no-gradient pass over a split (held-out scores, `train`'s epoch-end
+    test metrics, and DE fitness).
 
     The split runs in chunks of _EVAL_CHUNK_ELEMS // (widest activation
     in spec.shapes()) samples, so memory does not grow with N.  The

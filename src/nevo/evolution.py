@@ -310,7 +310,8 @@ def run_de(pop: Population, cfg: DeConfig, factory: Callable,
     resample_every > 0 the round advances at that cadence and all
     cached fitness is re-evaluated on the new context before any
     comparison.  Generation 0's stale fitness is evaluated on round 0
-    first, and its best member is reported as seed/seed_fitness.
+    first, and its best member is reported as seed; seed_fitness is its
+    fitness on the last round's context, the one best_fitness is on.
     Stops at max_generations, when best fitness drops below delta2, or
     when the best fitness gained less than min_improve over the last
     `window` generations (windows never straddle a resample).
@@ -349,6 +350,8 @@ def run_de(pop: Population, cfg: DeConfig, factory: Callable,
             if gain < cfg.min_improve:
                 break
 
+    if round_no > 0:
+        seed_fitness = float(ctx.score([seed], pool)[0])
     i = pop.best_index
     return DeResult(pop.members[i].copy(), float(pop.fitness[i]), history,
                     seed, seed_fitness)

@@ -2,11 +2,14 @@
 parameter snapshots.
 
 The ring is the bridge to the evolutionary stage; its newest entries
-become the seed population.  Epoch losses stored in the ring are full
-training-set re-evaluations with the snapshot parameters, not running
-batch averages, so a stored (params, loss) pair is self-consistent:
-`evaluation.evaluate`'s mean cross-entropy plus `network.total_loss`'s
-weight penalty.  The test metrics come from `evaluate` too.
+become the seed population.  An epoch's loss, stored in the ring and
+seen by the stopping rules, is the sample-weighted mean of the losses
+`network.backward` returned for that epoch's batches (cross-entropy
+plus the weight penalty, each at the parameters its batch was stepped
+from), so it costs no pass of its own and describes the epoch rather
+than the snapshot.  DE rescores every snapshot on its own fitness
+subset before comparing any.  The test metrics come from
+`evaluation.evaluate`, the only epoch-end pass.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeMismatchError, TrainingDiverged
-from .network import NetworkSpec, backward, init_params, total_loss
+from .network import NetworkSpec, backward, init_params
 from .rng import RngStream
 from .data import DataSection, augment, batches
 from .evaluation import _EVAL_CHUNK_ELEMS, evaluate
@@ -143,11 +146,13 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
           stream: Optional[RngStream] = None, callback=None):
     """Minibatch Adam over shuffled epochs.
 
-    Returns (final params, CheckpointRing, history).  Stops at
+    Returns (final params, CheckpointRing, history).  An epoch's loss is
+    the mean of its batch losses, weighted by batch size.  Stops at
     max_epochs, or when the epoch loss drops below delta1, or when the
     best epoch loss fails to improve by min_improve for `patience`
-    consecutive epochs.  A non-finite loss or gradient raises
-    TrainingDiverged carrying the ring and history built so far.
+    consecutive epochs.  A non-finite loss, gradient or end-of-epoch
+    parameter raises TrainingDiverged carrying the ring and history
+    built so far.
 
     RNG paths: child(_NS_INIT) initializes parameters,
     child(_NS_SHUFFLE, epoch) orders each epoch's batches.
@@ -177,6 +182,7 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         shuffle_rng = stream.child(_NS_SHUFFLE, epoch).generator()
+        loss_sum = 0.0
         try:
             for xb, yb in batches(data, cfg.batch_size, shuffle=True,
                                   rng=shuffle_rng):
@@ -184,16 +190,15 @@ def train(spec: NetworkSpec, data, cfg: TrainConfig, test_data=None,
                 if not np.isfinite(batch_loss):
                     raise NumericError(
                         f"epoch {epoch}: non-finite batch loss {batch_loss}")
+                loss_sum += float(batch_loss) * len(yb)
                 theta, state = adam_step(state, theta, grad, cfg)
+            # a finite gradient can still step theta out of range, and
+            # no batch of this epoch is left to see it
+            if not np.all(np.isfinite(theta)):
+                raise NumericError(f"epoch {epoch}: non-finite parameters")
         except NumericError as exc:
             raise TrainingDiverged(str(exc), ring=ring, history=history) from exc
-
-        ce = evaluate(spec, theta, data).mean_ce
-        epoch_loss = total_loss(spec, theta, ce, cfg.lam)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(
-                f"epoch {epoch}: non-finite epoch loss", ring=ring,
-                history=history)
+        epoch_loss = loss_sum / len(data)
         ring.push(epoch, theta, epoch_loss)
 
         test_loss = test_acc = None

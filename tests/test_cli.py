@@ -330,10 +330,10 @@ def test_train_scores_the_test_split_once_per_epoch(tmp_path, monkeypatch,
     cfg.write_text(tiny_config(bp={"max_epochs": epochs}))
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    # each epoch scores the training loss and the test split, and a run
-    # without epochs scores the test split once for its summary
-    assert calls == (["synthetic/train", "synthetic/test"] * epochs
-                     or ["synthetic/test"])
+    # each epoch scores only the test split (its training loss comes
+    # from the epoch's batches), and a run without epochs scores the
+    # test split once for its summary
+    assert calls == ["synthetic/test"] * (epochs or 1)
     stage = json.loads((run / "summary.json").read_text())["stages"][0]
     if epochs:
         last = jsonl(run / "metrics.jsonl")[-1]
@@ -393,14 +393,25 @@ def test_gridsearch_writes_rows(tmp_path, capsys):
     assert accs == sorted(accs, reverse=True)
 
 
-def test_gridsearch_rejects_a_negative_seed(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(tiny_config())
-    out = tmp_path / "grid"
-    assert cli_main(["gridsearch", "--config", str(cfg), "--seed", "-1",
-                     "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: /de/seed: must be >= 0\n"
-    assert not out.exists()
+@pytest.mark.parametrize("command", ["train", "evolve", "gridsearch"])
+def test_a_negative_seed_names_the_flag(trained_run, tmp_path, monkeypatch,
+                                        capsys, command):
+    """--seed overrides /bp/seed or /de/seed, but the user wrote --seed,
+    so that is the key the refusal names, before any data loads."""
+    def never(*args, **kwargs):
+        raise AssertionError("data loaded before --seed was checked")
+
+    monkeypatch.setattr(nevo.cli, "load_splits", never)
+    cfg = str(trained_run / "config.json")
+    out = str(tmp_path / "out")
+    argv = {"train": ["train", "--config", cfg, "--out", out],
+            "evolve": ["evolve", "--run", str(trained_run)],
+            "gridsearch": ["gridsearch", "--config", cfg, "--out", out]}
+    before = files_under(trained_run.parent)
+    assert cli_main([*argv[command], "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0\n"
+    assert files_under(trained_run.parent) == before
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag,value", [

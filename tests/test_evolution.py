@@ -319,8 +319,13 @@ def test_run_de_primes_generation_zero_and_reports_the_seed():
                    window=50, seed=0)
     res = run_de(pop, cfg, factory, stream=RngStream(9))
     assert len(contexts) == 3  # rounds 0, 1 and 2: one draw each
-    assert contexts[0].calls == 5 + 2 * 6  # five stale, two generations
-    assert res.seed is seed_members[2] and res.seed_fitness == 1e-3
+    # five stale, then six re-scored per new round, two generations per
+    # round, and the seed once more on the last round
+    assert [c.calls for c in contexts] == [5 + 12, 6 + 12, 6 + 12 + 1]
+    # the cached 1e-3 picks the seed, and seed_fitness -> best_fitness
+    # is a gain on one subset: the seed is reported on the last round's
+    assert res.seed is seed_members[2]
+    assert res.seed_fitness == contexts[-1].score([res.seed])[0]
     assert all(a is b for a, b in zip(pop.members, seed_members))
     assert pop.fitness.tolist() == [1e-3 if i == 2 else float(v @ v)
                                     for i, v in enumerate(seed_members)]

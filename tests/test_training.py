@@ -13,7 +13,7 @@ from nevo.data import DataSection, Dataset, make_synthetic_pair
 from nevo.errors import (ConfigError, NumericError, ShapeMismatchError,
                          TrainingDiverged)
 from nevo.evaluation import evaluate
-from nevo.network import forward, init_params, param_count, total_loss
+from nevo.network import backward, forward, init_params, param_count
 from nevo.rng import RngStream
 from nevo.training import (AdamState, CheckpointRing, TrainConfig, adam_step,
                            pretrain, train)
@@ -141,16 +141,30 @@ def test_train_loss_decreases_on_separable_data():
 
 
 def test_ring_losses_are_reevaluations():
-    # stored loss must equal a from-scratch full-set evaluation of the
-    # stored parameters, not a running batch average
+    # every stored and reported epoch loss equals a replay of the
+    # epoch's batches: the float64 mean of backward's losses weighted
+    # by batch size, summed in batch order; 300 samples in batches of
+    # 70 leave a short last batch
     spec = small_mlp()
     data = tiny_dataset()
-    cfg = TrainConfig(max_epochs=3, batch_size=50, ring_size=4, seed=2)
-    _, ring, _ = train(spec, data, cfg)
-    for entry in ring.entries:
-        ce = evaluate(spec, entry.params, data).mean_ce
-        again = total_loss(spec, entry.params, ce, cfg.lam)
-        assert again == entry.train_loss
+    cfg = TrainConfig(max_epochs=3, batch_size=70, ring_size=4, seed=2)
+    theta, ring, history = train(spec, data, cfg)
+    stream = RngStream(cfg.seed)
+    replay = init_params(spec, stream.child(0))
+    state = AdamState.zeros(replay.shape[0], replay.dtype)
+    want = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        total = 0.0
+        for xb, yb in data_mod.batches(
+                data, cfg.batch_size, shuffle=True,
+                rng=stream.child(1, epoch).generator()):
+            batch_loss, grad = backward(spec, replay, xb, yb, cfg.lam)
+            total += float(batch_loss) * len(yb)
+            replay, state = adam_step(state, replay, grad, cfg)
+        want.append(total / len(data))
+    assert np.array_equal(theta, replay)
+    assert [e.train_loss for e in ring.entries] == want
+    assert [m.train_loss for m in history] == want
 
 
 def test_train_zero_epochs_returns_init():
@@ -217,6 +231,19 @@ def test_training_divergence_carries_partial_state():
         train(spec, data, cfg)
     assert exc.value.ring is not None
     assert exc.value.history is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_step_diverges_before_the_ring():
+    # one batch per epoch: the first step's gradient is finite, but lr
+    # 1e39 overflows float32 theta, and no later batch is left to see it
+    spec = small_mlp()
+    data = tiny_dataset()
+    cfg = TrainConfig(max_epochs=3, batch_size=len(data), lr=1e39, seed=3)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(spec, data, cfg)
+    assert len(exc.value.ring) == 0 and exc.value.history == []
+    assert "non-finite parameters" in str(exc.value)
 
 
 def test_train_empty_dataset_rejected():
