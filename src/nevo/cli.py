@@ -278,6 +278,8 @@ def _out_dir(path) -> Path:
 
 def _cmd_corrupt(args) -> int:
     _check_seed(args)
+    datasets.check_corruption(args.kind, args.severity,
+                              ("--kind", "--severity"))
     out_dir = _out_dir(args.out)
     datasets.check_corrupted_out(out_dir)
     ds = load_splits(DataSection(name=args.dataset, dir=args.data_dir),

@@ -419,11 +419,82 @@ DATASET_NAMES = ("synthetic", *MANIFEST, "cifar10")
 # --- geometry -------------------------------------------------------------
 
 
-# _affine_bilinear warps this many input elements at a time; the chunk
-# size depends only on the image shape, so memory does not grow with N.
-# A chunk's float64/int64 coordinate and weight scratch is over a hundred
-# bytes per element, about 2 MiB here (8 MiB at 2^16).
+# _affine_bilinear builds the sampling maps of _WARP_CHUNK_ELEMS //
+# (C*H*W) transforms at a time and applies a map to that many samples at
+# a time; the sizes depend only on the image shape, so memory does not
+# grow with N.  A chunk of maps' float64/int64 coordinate and weight
+# scratch is over a hundred bytes per pixel, about 2 MiB here (8 MiB at
+# 2^16).
 _WARP_CHUNK_ELEMS = 1 << 14
+
+
+def _transform_keys(angles_deg, shifts, zooms) -> tuple:
+    """The distinct transforms among the samples, and each sample's.
+
+    A transform is the float64 row (cos, sin, shift y, shift x, 1/zoom)
+    the sampling map is computed from, each value made as the per-sample
+    warp made it.  Rows are told apart by bit pattern, so -0.0 and +0.0
+    differ and a NaN matches only a NaN with its bits.  Returns the
+    (k, 5) distinct rows in order of first occurrence and each sample's
+    index into them: when no two samples share a transform, those are
+    the samples' own rows and arange(n)."""
+    theta = np.deg2rad(angles_deg).astype(np.float64)
+    rows = np.column_stack([np.cos(theta), np.sin(theta), shifts,
+                            1.0 / zooms])
+    bits = rows.view(np.uint64)
+    # a stable sort keeps equal rows in sample order, so each run of
+    # equal rows starts at its first occurrence
+    order = np.lexsort(bits.T)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    first = order[new]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    key = np.empty_like(order)
+    key[order] = rank[np.cumsum(new) - 1]
+    return rows[np.sort(first)], key
+
+
+def _bilinear_maps(transforms: np.ndarray, h: int, w: int, dtype) -> tuple:
+    """Sampling maps of k transforms (rows of _transform_keys) on an
+    h x w canvas: for each of the four bilinear corners, in the order
+    (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1), a (k, h*w) array of
+    source pixel indices and one of `dtype` weights.  Map j indexes the
+    j-th of k stacked canvases (j*h*w plus the clipped pixel), and its
+    weight is 0 where the corner falls outside the canvas."""
+    k = len(transforms)
+    cos, sin, shy, shx, inv = (t[:, None, None] for t in transforms.T)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    # destination -> source mapping (inverse transform); dy varies along
+    # rows only and dx along columns only, so they stay (k, h, 1) and
+    # (k, 1, w) until the rotation combines them
+    dy = np.arange(h, dtype=np.float64)[None, :, None] - cy - shy
+    dx = np.arange(w, dtype=np.float64)[None, None, :] - cx - shx
+    sy = (cos * dy - sin * dx) * inv + cy
+    sx = (sin * dy + cos * dx) * inv + cx
+
+    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx).astype(np.int64)
+    wy = (sy - y0).astype(dtype)
+    wx = (sx - x0).astype(dtype)
+    del sy, sx
+    # per axis and offset: (inside the canvas, clipped flat index, weight
+    # factor); a negative int64 viewed as uint64 is >= 2**63, so one
+    # unsigned compare tests 0 <= o < size.  The indices are int32: a
+    # chunk's k*h*w is at most max(h*w, _WARP_CHUNK_ELEMS)
+    base = (np.arange(k, dtype=np.int32) * (h * w))[:, None, None]
+    rows = [(oy.view(np.uint64) < h,
+             np.clip(oy, 0, h - 1).astype(np.int32) * w + base, f)
+            for oy, f in ((y0, 1 - wy), (y0 + 1, wy))]
+    cols = [(ox.view(np.uint64) < w,
+             np.clip(ox, 0, w - 1).astype(np.int32), f)
+            for ox, f in ((x0, 1 - wx), (x0 + 1, wx))]
+    index, weight = [], []
+    for yin, yi, fy in rows:
+        for xin, xi, fx in cols:
+            index.append((yi + xi).reshape(k, h * w))
+            weight.append((fy * fx * (yin & xin)).reshape(k, h * w))
+    return index, weight
 
 
 def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
@@ -433,59 +504,63 @@ def _affine_bilinear(images: np.ndarray, angles_deg: np.ndarray,
     sampling, zero fill outside the canvas.
 
     With angle 0, shift (0,0), zoom 1 the output is bitwise the input.
-    Every sample is computed on its own, so warping in chunks of
-    samples changes no bit of the output.  Each corner is gathered with
-    one np.take on the chunk's (m*h*w, c) pixel rows; a corner outside
-    the canvas reads a clipped pixel and gets weight 0.
+    Each output pixel is 0 + v00*w00 + v01*w01 + v10*w10 + v11*w11 in
+    the images' dtype, from its four corner pixels and their weights; a
+    corner outside the canvas reads a clipped pixel and gets weight 0.
 
-    The warp is written chunk by chunk into `out` (a fresh array if
-    None), which must have the images' shape and not overlap them; it
-    is returned.
+    The sampling map (corner indices and weights) depends only on the
+    sample's transform, so it is built once per distinct transform
+    (_transform_keys: compared by bit pattern, in order of first
+    occurrence), _WARP_CHUNK_ELEMS // (c*h*w) transforms at a time.
+    When every sample has its own transform (augment's draws), chunk j
+    of maps is chunk j of samples and each corner is one np.take over
+    the chunk's (m*h*w, c) pixel rows.  Otherwise each map is applied
+    to the samples that share it, in groups of the same size, one
+    np.take per corner along the groups' flattened pixels.  Every
+    sample is computed on its own with the same operations either way,
+    so neither the grouping nor the chunking moves a bit.  Beyond the
+    output, the scratch is one chunk of maps, one group of samples and
+    a few float64 and index values per sample.
+
+    The warp is written into `out` (a fresh array if None), which must
+    have the images' shape and not overlap them; it is returned.
     """
     n, c, h, w = images.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = np.deg2rad(angles_deg).astype(np.float64)
-    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
-    # dy varies along rows only and dx along columns only, so they stay
-    # (m, h, 1) and (m, 1, w) until the rotation combines them
-    yy = np.arange(h, dtype=np.float64)[:, None]
-    xx = np.arange(w, dtype=np.float64)[None, :]
+    hw = h * w
+    transforms, key = _transform_keys(angles_deg, shifts, zooms)
     if out is None:
         out = np.empty_like(images)
-    step = max(1, _WARP_CHUNK_ELEMS // (c * h * w))
-    for lo in range(0, n, step):
-        k = slice(lo, lo + step)
-        # destination -> source mapping (inverse transform)
-        dy = yy[None] - cy - shifts[k, 0, None, None]
-        dx = xx[None] - cx - shifts[k, 1, None, None]
-        inv = 1.0 / zooms[k, None, None]
-        sy = (cos[k] * dy - sin[k] * dx) * inv + cy
-        sx = (sin[k] * dy + cos[k] * dx) * inv + cx
-
-        y0 = np.floor(sy).astype(np.int64)
-        x0 = np.floor(sx).astype(np.int64)
-        wy = (sy - y0).astype(images.dtype)
-        wx = (sx - x0).astype(images.dtype)
-
-        src = images[k]
-        m = len(src)
-        pixels = src.transpose(0, 2, 3, 1).reshape(m * h * w, c)
-        base = (np.arange(m) * (h * w))[:, None, None]
-        # per axis and offset: (inside the canvas, clipped flat index);
-        # a negative int64 viewed as uint64 is >= 2**63, so one unsigned
-        # compare tests 0 <= o < size
-        rows = [(oy.view(np.uint64) < h, np.clip(oy, 0, h - 1) * w + base)
-                for oy in (y0, y0 + 1)]
-        cols = [(ox.view(np.uint64) < w, np.clip(ox, 0, w - 1))
-                for ox in (x0, x0 + 1)]
-        acc = np.zeros((m, h, w, c), dtype=images.dtype)
-        for (yin, yi), (xin, xi), wgt in ((rows[0], cols[0], (1 - wy) * (1 - wx)),
-                                          (rows[0], cols[1], (1 - wy) * wx),
-                                          (rows[1], cols[0], wy * (1 - wx)),
-                                          (rows[1], cols[1], wy * wx)):
-            vals = np.take(pixels, yi + xi, axis=0)          # [m, h, w, c]
-            acc += vals * (wgt * (yin & xin))[..., None].astype(images.dtype)
-        out[k] = acc.transpose(0, 3, 1, 2)
+    step = max(1, _WARP_CHUNK_ELEMS // (c * hw))
+    distinct = len(transforms) == n
+    if not distinct:
+        order = np.argsort(key, kind="stable")
+        bounds = np.searchsorted(key[order], np.arange(len(transforms) + 1))
+    for lo in range(0, len(transforms), step):
+        index, weight = _bilinear_maps(transforms[lo:lo + step], h, w,
+                                       images.dtype)
+        m = len(index[0])
+        if distinct:
+            # the chunk's m samples are its m transforms, in order
+            pixels = images[lo:lo + m].transpose(0, 2, 3, 1).reshape(m * hw, c)
+            acc = np.zeros((m, hw, c), dtype=images.dtype)
+            for idx, wgt in zip(index, weight):
+                vals = np.take(pixels, idx, axis=0)          # [m, h*w, c]
+                vals *= wgt[..., None]
+                acc += vals
+            out[lo:lo + m] = acc.reshape(m, h, w, c).transpose(0, 3, 1, 2)
+            continue
+        for j in range(m):
+            local = [idx[j] - j * hw for idx in index]
+            members = order[bounds[lo + j]:bounds[lo + j + 1]]
+            for g in range(0, len(members), step):
+                group = members[g:g + step]
+                src = images[group].reshape(len(group), c, hw)
+                acc = np.zeros_like(src)
+                for idx, wgt in zip(local, weight):
+                    vals = np.take(src, idx, axis=2)         # [g, c, h*w]
+                    vals *= wgt[j]
+                    acc += vals
+                out[group] = acc.reshape(len(group), c, h, w)
     return out
 
 
@@ -558,38 +633,55 @@ PRECOMPUTED_ONLY = frozenset({
 _CORRUPT_CHUNK_ELEMS = 1 << 16
 
 
+def check_corruption(kind: str, severity: int,
+                     names: tuple = ("/corrupt/kind", "/corrupt/severity")):
+    """Refuse a kind that corrupt does not synthesize and a severity
+    outside 1..5, naming them as `names` (the CLI names its flags)."""
+    if kind in PRECOMPUTED_ONLY:
+        raise UnsupportedCorruptionError(
+            f"{names[0]}: corruption {kind!r} is not generated natively; "
+            f"load a precomputed NPY archive instead")
+    if kind not in SEVERITY_TABLES:
+        raise UnsupportedCorruptionError(
+            f"{names[0]}: unknown corruption {kind!r}; native kinds: "
+            f"{', '.join(sorted(SEVERITY_TABLES))}")
+    ConfigError.check((1 <= severity <= 5, names[1], "must be in 1..5"))
+
+
 def corrupt(data: Dataset, kind: str, severity: int,
             stream: Optional[RngStream] = None,
             magnitude: Optional[float] = None) -> Dataset:
     """Apply one native corruption at the given severity.
 
     `magnitude` overrides the severity table entry (useful for
-    identity checks at zero distortion).  Labels are untouched; output
-    pixels are clamped to [0, 1].
+    identity checks at zero distortion); one that is not finite, a
+    scale zoom <= 0 and a negative gaussian_noise sigma raise
+    ConfigError before any draw.  Labels are untouched; output pixels
+    are clamped to [0, 1].
 
     The output is one array, allocated once and clipped in place at the
-    end.  Each kind fills it over chunks of _CORRUPT_CHUNK_ELEMS //
-    (C*H*W) samples (the warps over _affine_bilinear's own chunks),
-    drawing from the one generator in sample order, so the bytes are
-    those of one pass over the whole split: impulse_noise draws every
-    flip before any salt, as that pass did.  The peak is the output
-    plus chunk-sized scratch, and for impulse_noise a one-byte flip
-    mask per element.
+    end.  Each elementwise kind fills it over chunks of
+    _CORRUPT_CHUNK_ELEMS // (C*H*W) samples, drawing from the one
+    generator in sample order, so the bytes are those of one pass over
+    the whole split: impulse_noise draws every flip before any salt, as
+    that pass did.  The geometric kinds draw their per-sample
+    transforms whole and warp with _affine_bilinear, which builds one
+    sampling map per distinct transform: at most 2 for rotate
+    (+-magnitude), 1 for scale, one per rounded shift for translate.
+    The peak is the output plus chunk-sized scratch, and for
+    impulse_noise a one-byte flip mask per element.
     """
-    if kind in PRECOMPUTED_ONLY:
-        raise UnsupportedCorruptionError(
-            f"corruption {kind!r} is not generated natively; load a "
-            f"precomputed NPY archive instead")
-    if kind not in SEVERITY_TABLES:
-        raise UnsupportedCorruptionError(
-            f"unknown corruption {kind!r}; native kinds: "
-            f"{', '.join(sorted(SEVERITY_TABLES))}")
-    if not 1 <= severity <= 5:
-        raise ConfigError("/corrupt/severity", "must be in 1..5")
+    check_corruption(kind, severity)
+    mag = SEVERITY_TABLES[kind][severity - 1] if magnitude is None else magnitude
+    ConfigError.check(
+        (math.isfinite(mag), "/corrupt/magnitude", "must be finite"),
+        (kind != "scale" or mag > 0, "/corrupt/magnitude",
+         "a scale zoom must be > 0"),
+        (kind != "gaussian_noise" or mag >= 0, "/corrupt/magnitude",
+         "a gaussian_noise sigma must be >= 0"))
     if stream is None:
         stream = RngStream(0)
     gen = stream.generator()
-    mag = SEVERITY_TABLES[kind][severity - 1] if magnitude is None else magnitude
     x = data.images
     n, c, h, w = x.shape
     out = np.empty(x.shape, dtype=x.dtype)

@@ -501,6 +501,25 @@ def test_corrupt_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,severity,flag", [
+    ("rotate", "7", "--severity"), ("rotate", "0", "--severity"),
+    ("fog", "1", "--kind"), ("no_such_kind", "3", "--kind")])
+def test_corrupt_checks_kind_and_severity_before_any_data_loads(
+        tmp_path, monkeypatch, capsys, kind, severity, flag):
+    """The refusal names the flag the user wrote, and comes before the
+    split loads: an uncached dataset's error no longer masks it."""
+    def never(*args, **kwargs):
+        raise AssertionError("data loaded before --kind and --severity "
+                             "were checked")
+
+    monkeypatch.setattr(nevo.cli, "load_splits", never)
+    out = tmp_path / "set"
+    assert cli_main(["corrupt", "--dataset", "mnist", "--kind", kind,
+                     "--severity", severity, "--out", str(out)]) == 2
+    one_error_line(capsys, f"error: {flag}: ")
+    assert not out.exists()
+
+
 def test_costs_command(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": {"name": "mlp"}}))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -705,6 +706,57 @@ def test_affine_bilinear_matches_fancy_index_oracle(c):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("c", [1, 3])
+def test_affine_bilinear_shared_transforms_match_the_oracle(c):
+    """Each transform's map applied to every sample that shares it:
+    more transforms than one chunk of maps, one transform on more
+    samples than one group, transforms that differ only in the sign of
+    a zero shift, a NaN angle, and negative, NaN and inf pixels."""
+    step = data_mod._WARP_CHUNK_ELEMS // (c * 28 * 28)
+    gen = np.random.default_rng(50 + c)
+    table = [(15.0, 0.0, 0.0, 1.0), (-15.0, 0.0, 0.0, 1.0),
+             (0.0, 0.0, 1.0, 1.0), (0.0, -0.0, 1.0, 1.0),
+             (np.nan, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.52)]
+    table += [(a, y, x, 1.0) for a, y, x in
+              zip(gen.uniform(-35.0, 35.0, step), gen.integers(-3, 4, step),
+                  gen.integers(-3, 4, step))]
+    table = np.array(table)
+    pick = np.concatenate([np.zeros(2 * step + 1, dtype=int),
+                           gen.integers(0, len(table), 3 * step)])
+    gen.shuffle(pick)
+    n = len(pick)
+    images = gen.normal(size=(n, c, 28, 28)).astype(np.float32)
+    flat = images.reshape(-1)
+    flat[gen.integers(0, flat.size, 6)] = [np.nan, np.inf, -np.inf] * 2
+    args = (images, table[pick, 0], table[pick, 1:3], table[pick, 3])
+    transforms, key = data_mod._transform_keys(*args[1:])
+    # one transform per table row drawn, numbered by first occurrence
+    pairs = set(zip(pick.tolist(), key.tolist()))
+    assert len(pairs) == len(transforms) == len(np.unique(pick)) > step
+    assert np.all(np.diff(np.unique(key, return_index=True)[1]) > 0)
+    with np.errstate(invalid="ignore"):  # the NaN angle's integer casts
+        got = data_mod._affine_bilinear(*args)
+        want = affine_bilinear_reference(*args, data_mod._WARP_CHUNK_ELEMS)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,most", [("rotate", 2), ("scale", 1)])
+def test_corrupt_builds_one_map_per_distinct_transform(monkeypatch, kind,
+                                                       most):
+    """rotate turns every sample by +-magnitude and scale zooms all by
+    one factor, so a 1000-sample set needs at most 2 maps and 1."""
+    real_maps, built = data_mod._bilinear_maps, []
+
+    def maps_spy(transforms, *args):
+        built.append(len(transforms))
+        return real_maps(transforms, *args)
+
+    monkeypatch.setattr(data_mod, "_bilinear_maps", maps_spy)
+    ds = make_synthetic_pair(1, 1000, splits=("test",))[1]
+    corrupt(ds, kind, 3, RngStream(5))
+    assert 1 <= sum(built) <= most
+
+
 def test_translate_shifts_content():
     img = np.zeros((1, 1, 9, 9), dtype=np.float32)
     img[0, 0, 4, 4] = 1.0
@@ -820,6 +872,37 @@ def test_corrupt_bytes_match_the_pinned_digests(monkeypatch, split, kind,
                                .images.tobytes()).hexdigest()[:16]
                 for severity in range(1, 6))
     assert got == CORRUPT_DIGESTS[split][kind]
+
+
+def test_native_corruptions_raise_no_runtime_warning():
+    """No kind at any severity overflows, divides by zero or casts an
+    invalid value on the digest splits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for split in sorted(CORRUPT_DIGESTS):
+            ds = digest_split(split)
+            for kind in sorted(SEVERITY_TABLES):
+                for severity in range(1, 6):
+                    corrupt(ds, kind, severity, RngStream(5))
+
+
+class NoDraws:
+    """A stream whose generator must never be made."""
+
+    def generator(self):
+        raise AssertionError("corrupt drew before checking its magnitude")
+
+
+@pytest.mark.parametrize("kind,magnitude", [
+    ("scale", 0.0), ("scale", -1.2), ("scale", math.inf),
+    ("rotate", math.nan), ("translate", -math.inf), ("brightness", math.nan),
+    ("gaussian_noise", -0.1)])
+def test_corrupt_refuses_a_magnitude_outside_its_domain(kind, magnitude):
+    """A zero zoom or a non-finite geometric magnitude made all-NaN
+    images, and a negative sigma numpy's untyped ValueError; none of
+    them keeps the output in [0, 1]."""
+    with pytest.raises(ConfigError, match="^/corrupt/magnitude: "):
+        corrupt(blob_dataset(3), kind, 1, NoDraws(), magnitude=magnitude)
 
 
 def test_corrupt_peak_is_its_output_plus_fixed_scratch():
